@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -36,6 +37,44 @@ def _check_label(label: str) -> None:
         raise ValueError(f"label {label!r} must be non-empty without spaces or commas")
 
 
+@dataclass(frozen=True, eq=False)
+class ProjectedBlock:
+    """One trait's projected gallery samples, packed in enrollment order.
+
+    ``rows`` is a read-only C-contiguous (N_f x k) float64 array holding
+    every sample of every class that has the trait; class ``labels[i]``
+    owns the rows from ``starts[i]`` up to the next start, and every
+    class owns at least one row.
+    """
+
+    labels: tuple[str, ...]
+    starts: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def pack(
+        cls, labels: Sequence[str], rows: np.ndarray, counts: Sequence[int]
+    ) -> "ProjectedBlock":
+        """Wrap stacked rows whose classes own ``counts`` rows each."""
+        starts = np.zeros(len(counts), dtype=np.intp)
+        np.cumsum(counts[:-1], out=starts[1:])
+        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        starts.flags.writeable = False
+        rows.flags.writeable = False
+        return cls(labels=tuple(labels), starts=starts, rows=rows)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def class_rows(self) -> dict[str, np.ndarray]:
+        """Read-only view of each class's rows."""
+        ends = (*self.starts[1:].tolist(), self.rows.shape[0])
+        return {
+            label: self.rows[start:end]
+            for label, start, end in zip(self.labels, self.starts.tolist(), ends)
+        }
+
+
 class Gallery:
     """Immutable set of enrolled classes plus optional fitted transforms."""
 
@@ -47,14 +86,14 @@ class Gallery:
         classes: Mapping[str, Mapping[str, np.ndarray]] | None = None,
         sizes: Mapping[str, int] | None = None,
         transforms: Mapping[str, FeatureTransform] | None = None,
-        projected: Mapping[str, Mapping[str, np.ndarray]] | None = None,
+        projected: Mapping[str, ProjectedBlock] | None = None,
         fitted: bool = False,
     ) -> None:
         self._order = tuple(order)
         self._classes = {k: dict(v) for k, v in (classes or {}).items()}
         self._sizes = dict(sizes or {})
         self._transforms = dict(transforms or {})
-        self._projected = {k: dict(v) for k, v in (projected or {}).items()}
+        self._projected = dict(projected or {})
         self._fitted = bool(fitted)
 
     @property
@@ -75,7 +114,12 @@ class Gallery:
 
     @property
     def projected(self) -> Mapping[str, Mapping[str, np.ndarray]]:
-        return {k: dict(v) for k, v in self._projected.items()}
+        """Per trait, a read-only view of each holder class's projected rows."""
+        return {fid: block.class_rows() for fid, block in self._projected.items()}
+
+    def projected_block(self, feature_id: str) -> ProjectedBlock:
+        """The packed projected rows of one fitted trait."""
+        return self._projected[feature_id]
 
     def class_size(self, label: str) -> int:
         if label not in self._sizes:
@@ -93,13 +137,13 @@ class Gallery:
         """Fitted features for which every enrolled class has samples."""
         if not self._fitted:
             return ()
-        out = []
-        for fid in FEATURE_IDS:
-            if fid in self._transforms and all(
-                label in self._projected.get(fid, {}) for label in self._order
-            ):
-                out.append(fid)
-        return tuple(out)
+        # A block holds each class at most once, in enrollment order.
+        return tuple(
+            fid
+            for fid in FEATURE_IDS
+            if fid in self._transforms
+            and len(self._projected.get(fid, ())) == self.n
+        )
 
     def enroll(self, label: str, bundles: Sequence[FeatureBundle]) -> "Gallery":
         """Add a class; clears any previous fit."""
@@ -127,7 +171,7 @@ class Gallery:
                     f"{fid} vectors of class {label!r} have mixed dimensions {sorted(dims)}"
                 )
             stacked[fid] = np.stack(vectors)
-        classes = {k: dict(v) for k, v in self._classes.items()}
+        classes = dict(self._classes)
         classes[label] = stacked
         sizes = dict(self._sizes)
         sizes[label] = len(bundles)
@@ -141,7 +185,7 @@ class Gallery:
         """Remove a class; clears any previous fit."""
         if label not in self._classes:
             raise UnknownLabelError(f"label {label!r} is not enrolled")
-        classes = {k: dict(v) for k, v in self._classes.items() if k != label}
+        classes = {k: v for k, v in self._classes.items() if k != label}
         sizes = {k: v for k, v in self._sizes.items() if k != label}
         return Gallery(
             order=tuple(l for l in self._order if l != label),
@@ -158,7 +202,7 @@ class Gallery:
         if self.n < 2:
             raise DegenerateProblemError("fitting needs at least two enrolled classes")
         transforms: dict[str, FeatureTransform] = {}
-        projected: dict[str, dict[str, np.ndarray]] = {}
+        projected: dict[str, ProjectedBlock] = {}
         for fid in FEATURE_IDS:
             holders = [
                 label for label in self._order if fid in self._classes[label]
@@ -176,15 +220,13 @@ class Gallery:
             ]
             transform = fit_transform(class_samples, epsilon, feature_id=fid)
             transforms[fid] = transform
-            projected[fid] = {
-                label: np.stack(
-                    [
-                        project(transform, row)
-                        for row in self._classes[label][fid]
-                    ]
-                )
-                for label in holders
-            }
+            # Row by row, so each projection rounds as project() does alone.
+            counts = [self._classes[label][fid].shape[0] for label in holders]
+            rows = np.empty((sum(counts), transform.rank))
+            samples = (row for label in holders for row in self._classes[label][fid])
+            for i, row in enumerate(samples):
+                rows[i] = project(transform, row)
+            projected[fid] = ProjectedBlock.pack(holders, rows, counts)
         return Gallery(
             order=self._order,
             classes=self._classes,
@@ -223,12 +265,14 @@ class Gallery:
                 return False
         if set(self._projected) != set(other._projected):
             return False
-        for fid, per_class in self._projected.items():
-            if set(per_class) != set(other._projected[fid]):
+        for fid, block in self._projected.items():
+            o = other._projected[fid]
+            if (
+                block.labels != o.labels
+                or not np.array_equal(block.starts, o.starts)
+                or not np.array_equal(block.rows, o.rows)
+            ):
                 return False
-            for label, samples in per_class.items():
-                if not np.array_equal(samples, other._projected[fid][label]):
-                    return False
         return True
 
     def __repr__(self) -> str:
@@ -352,7 +396,7 @@ def _encode_body(gallery: Gallery) -> bytes:
     projected = gallery._projected
     w.u32(len(projected))
     for fid in sorted(projected):
-        per_class = projected[fid]
+        per_class = projected[fid].class_rows()
         w.text(fid)
         w.u32(len(per_class))
         for label in sorted(per_class):
@@ -397,7 +441,7 @@ def _decode_body(body: bytes, origin: str) -> Gallery:
             regularization=regularization,
             discriminative=discriminative,
         )
-    projected: dict[str, dict[str, np.ndarray]] = {}
+    projected: dict[str, ProjectedBlock] = {}
     for _ in range(r.u32()):
         fid = r.text()
         per_class: dict[str, np.ndarray] = {}
@@ -405,7 +449,7 @@ def _decode_body(body: bytes, origin: str) -> Gallery:
             label = r.text()
             rows, cols = r.u32(), r.u32()
             per_class[label] = r.array(rows, cols)
-        projected[fid] = per_class
+        projected[fid] = _pack_decoded(fid, per_class, classes, origin)
     if not r.done():
         raise SnapshotFormatError(f"{origin}: unread bytes inside the record stream")
     return Gallery(
@@ -416,3 +460,22 @@ def _decode_body(body: bytes, origin: str) -> Gallery:
         projected=projected,
         fitted=fitted,
     )
+
+
+def _pack_decoded(
+    fid: str,
+    per_class: Mapping[str, np.ndarray],
+    classes: Mapping[str, object],
+    origin: str,
+) -> ProjectedBlock:
+    """Repack a snapshot's per-class projections in enrollment order."""
+    if not set(per_class) <= set(classes):
+        raise SnapshotFormatError(f"{origin}: {fid} projections of unenrolled classes")
+    holders = [label for label in classes if label in per_class]
+    parts = [per_class[label] for label in holders]
+    if any(part.shape[0] == 0 for part in parts):
+        raise SnapshotFormatError(f"{origin}: {fid} projections of a class without rows")
+    if len({part.shape[1] for part in parts}) > 1:
+        raise SnapshotFormatError(f"{origin}: {fid} projections of mixed widths")
+    rows = np.concatenate(parts) if parts else np.empty((0, 0))
+    return ProjectedBlock.pack(holders, rows, [part.shape[0] for part in parts])

@@ -7,7 +7,8 @@ sides share, and the averaged score orders the final candidate list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import (
 )
 from .discriminant import project
 from .features import FeatureBundle
+from .gallery import ProjectedBlock
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gallery import Gallery
@@ -32,18 +34,34 @@ class PerFeatureRanking:
     feature_id: str
     labels: tuple[str, ...]
     distances: tuple[float, ...]
+    _ranks: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.distances):
             raise ValueError("labels and distances must align")
         if len(self.labels) == 0:
             raise ValueError("ranking cannot be empty")
+        ranks = dict(zip(self.labels, range(1, len(self.labels) + 1)))
+        object.__setattr__(self, "_ranks", ranks)
 
     def rank_of(self, label: str) -> int:
-        return self.labels.index(label) + 1
+        try:
+            return self._ranks[label]
+        except KeyError:
+            raise ValueError(f"{label!r} is not in the ranking") from None
 
     def distance_of(self, label: str) -> float:
-        return self.distances[self.labels.index(label)]
+        return self.distances[self.rank_of(label) - 1]
+
+
+class _ReprMemo(dict):
+    """repr of numbers, computed once per distinct nonzero value."""
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        if value:  # 0.0 == -0.0, but their reprs differ
+            self[value] = text
+        return text
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,23 +76,27 @@ class MatchReport:
     collective: Mapping[str, float]
     ranking: tuple[str, ...]
 
+    def _columns(self) -> tuple[list[tuple], list[tuple], list[float]]:
+        """Per class in final order: its ranks, its cf values and its CF."""
+        labels = self.ranking
+        ranks = zip(*[list(map(pf.rank_of, labels)) for pf in self.per_feature])
+        cf = zip(
+            *[
+                list(map(self.confidences[fid].__getitem__, labels))
+                for fid in self.features_used
+            ]
+        )
+        return list(ranks), list(cf), list(map(self.collective.__getitem__, labels))
+
     def to_records(self) -> dict:
         """Plain-data view, the same shape parse_match_report returns."""
-        classes = []
-        for position, label in enumerate(self.ranking, start=1):
-            classes.append(
-                {
-                    "label": label,
-                    "ranks": tuple(
-                        pf.rank_of(label) for pf in self.per_feature
-                    ),
-                    "cf": tuple(
-                        self.confidences[fid][label] for fid in self.features_used
-                    ),
-                    "CF": self.collective[label],
-                    "rank": position,
-                }
+        ranks, cf, collective = self._columns()
+        classes = [
+            {"label": label, "ranks": r, "cf": c, "CF": v, "rank": position}
+            for position, label, r, c, v in zip(
+                range(1, len(self.ranking) + 1), self.ranking, ranks, cf, collective
             )
+        ]
         return {
             "probe_id": self.probe_id,
             "n": self.n,
@@ -91,6 +113,11 @@ class MatchReport:
         Numbers are written with repr so parsing recovers them exactly;
         a missing probe id is written as "-".
         """
+        ranks, cf, collective = self._columns()
+        # Every feature ranks the same n classes, so its ranks and cf
+        # values repeat across features: each distinct number is written
+        # once and looked up after that.
+        rank_text, cf_text = _ReprMemo(), _ReprMemo()
         lines = [
             "probe={} n={} features={}".format(
                 self.probe_id if self.probe_id else "-",
@@ -98,16 +125,16 @@ class MatchReport:
                 ",".join(self.features_used),
             )
         ]
-        for row in self.to_records()["classes"]:
-            lines.append(
-                "{} ranks={} cf={} CF={} rank={}".format(
-                    row["label"],
-                    ",".join(str(r) for r in row["ranks"]),
-                    ",".join(repr(c) for c in row["cf"]),
-                    repr(row["CF"]),
-                    row["rank"],
-                )
+        lines.extend(
+            map(
+                "{} ranks={} cf={} CF={!r} rank={}".format,
+                self.ranking,
+                (",".join(map(rank_text.__getitem__, r)) for r in ranks),
+                (",".join(map(cf_text.__getitem__, c)) for c in cf),
+                collective,
+                range(1, len(self.ranking) + 1),
             )
+        )
         return "\n".join(lines) + "\n"
 
 
@@ -152,34 +179,61 @@ def parse_match_report(text: str) -> dict:
     }
 
 
+def _pack_class_sets(
+    class_sets: Sequence[tuple[str, np.ndarray]], dim: int
+) -> ProjectedBlock:
+    labels, parts = [], []
+    for label, samples in class_sets:
+        s = np.asarray(samples, dtype=np.float64)
+        if s.ndim != 2 or s.shape[1] != dim:
+            raise DimensionMismatchError(
+                f"class {label!r} samples do not match the probe dimension"
+            )
+        if s.shape[0] == 0:
+            raise ValueError(f"class {label!r} has no samples")
+        labels.append(label)
+        parts.append(s)
+    return ProjectedBlock.pack(
+        labels, np.concatenate(parts), [part.shape[0] for part in parts]
+    )
+
+
 def rank_feature(
     probe: np.ndarray,
-    class_sets: Sequence[tuple[str, np.ndarray]],
+    class_sets: Sequence[tuple[str, np.ndarray]] | ProjectedBlock,
     feature_id: str,
 ) -> PerFeatureRanking:
     """Order classes by their closest sample to the probe.
 
-    Class distance is the minimum Euclidean distance from the probe to
-    any sample of the class. Distance ties keep the earlier-enrolled
-    class first; ranks are always a dense 1..n.
+    ``class_sets`` is a gallery trait's packed block, or (label, samples)
+    pairs in enrollment order, which are packed first. Class distance is
+    the minimum Euclidean distance from the probe to any sample of the
+    class. Distance ties keep the earlier-enrolled class first; ranks
+    are always a dense 1..n.
     """
     if len(class_sets) == 0:
         raise EmptyGalleryError("no classes to rank")
     v = np.asarray(probe, dtype=np.float64)
-    distances = []
-    for label, samples in class_sets:
-        s = np.asarray(samples, dtype=np.float64)
-        if s.ndim != 2 or s.shape[1] != v.shape[0]:
-            raise DimensionMismatchError(
-                f"class {label!r} samples do not match the probe dimension"
-            )
-        deltas = s - v
-        distances.append(float(np.sqrt((deltas * deltas).sum(axis=1)).min()))
-    order = sorted(range(len(class_sets)), key=lambda i: (distances[i], i))
+    if v.ndim != 1:
+        raise DimensionMismatchError("the probe must be a vector")
+    if isinstance(class_sets, ProjectedBlock):
+        block = class_sets
+    else:
+        block = _pack_class_sets(class_sets, v.shape[0])
+    if block.rows.shape[1] != v.shape[0]:
+        raise DimensionMismatchError(
+            f"{feature_id} samples do not match the probe dimension"
+        )
+    # The direct difference, squared and summed row by row, rounds each
+    # sample's distance exactly as a lone vector would.
+    deltas = block.rows - v
+    np.multiply(deltas, deltas, out=deltas)
+    distances = np.minimum.reduceat(np.sqrt(deltas.sum(axis=1)), block.starts)
+    order = np.argsort(distances, kind="stable")
     return PerFeatureRanking(
         feature_id=feature_id,
-        labels=tuple(class_sets[i][0] for i in order),
-        distances=tuple(distances[i] for i in order),
+        labels=tuple([block.labels[i] for i in order.tolist()]),
+        distances=tuple(distances[order].tolist()),
     )
 
 
@@ -192,15 +246,43 @@ def confidence(rank: int, n: int) -> float:
     return (n - rank + 1) / n
 
 
-def collective_confidence(values: Sequence[float], feature_count: int) -> float:
-    """Mean per-feature confidence for one class."""
+def _ordered_sum(values: Sequence[np.ndarray]) -> np.ndarray:
+    """Elementwise sum in the given order, rounded as the builtin sum rounds.
+
+    From Python 3.12 the builtin sum of floats carries a Neumaier
+    compensation term; before, it adds left to right.
+    """
+    if sys.version_info < (3, 12):
+        return sum(values)
+    total = values[0]
+    compensation = np.zeros_like(total)
+    for x in values[1:]:
+        t = total + x
+        compensation += np.where(
+            np.abs(total) >= np.abs(x), (total - t) + x, (x - t) + total
+        )
+        total = t
+    return np.where(compensation != 0.0, total + compensation, total)
+
+
+def collective_confidence(
+    values: Sequence[float] | Sequence[np.ndarray], feature_count: int
+) -> float | np.ndarray:
+    """Mean per-feature confidence for one class.
+
+    Given one array per feature, fuses every class at once; each element
+    equals the mean of that class's values as plain floats, bit for bit.
+    """
     if feature_count < 1:
         raise NoUsableFeatureError("no features to fuse")
     if len(values) != feature_count:
         raise ValueError("need exactly one confidence per feature")
     for v in values:
-        if not 0.0 < v <= 1.0:
+        v = np.asarray(v)
+        if not ((v > 0.0) & (v <= 1.0)).all():
             raise ValueError("confidences must lie in (0, 1]")
+    if isinstance(values[0], np.ndarray):
+        return _ordered_sum(values) / feature_count
     return sum(values) / feature_count
 
 
@@ -237,40 +319,29 @@ def match_probe(bundle: FeatureBundle, gallery: "Gallery") -> MatchReport:
 
     labels = gallery.labels
     n = gallery.n
-    projected = gallery.projected
     rankings = []
-    confidences: dict[str, dict[str, float]] = {}
     for fid in usable:
         projected_probe = project(transforms[fid], bundle.feature_vector(fid))
-        class_sets = [(label, projected[fid][label]) for label in labels]
-        ranking = rank_feature(projected_probe, class_sets, fid)
-        rankings.append(ranking)
-        confidences[fid] = {
-            label: confidence(ranking.rank_of(label), n) for label in labels
-        }
-
-    collective = {
-        label: collective_confidence(
-            [confidences[fid][label] for fid in usable], len(usable)
+        rankings.append(
+            rank_feature(projected_probe, gallery.projected_block(fid), fid)
         )
-        for label in labels
-    }
-    best_rank = {
-        label: min(r.rank_of(label) for r in rankings) for label in labels
-    }
-    position = {label: i for i, label in enumerate(labels)}
-    final = tuple(
-        sorted(
-            labels,
-            key=lambda lab: (-collective[lab], best_rank[lab], position[lab]),
-        )
+    # ranks[f, i]: rank of enrolled class i under usable feature f.
+    ranks = np.array(
+        [list(map(ranking._ranks.__getitem__, labels)) for ranking in rankings],
+        dtype=np.intp,
     )
+    confidences = (n - ranks + 1) / n
+    collective = collective_confidence(list(confidences), len(usable))
+    final = np.lexsort((np.arange(n), ranks.min(axis=0), -collective))
     return MatchReport(
         probe_id=bundle.label,
         n=n,
         features_used=tuple(usable),
         per_feature=tuple(rankings),
-        confidences=confidences,
-        collective=collective,
-        ranking=final,
+        confidences={
+            fid: dict(zip(labels, row.tolist()))
+            for fid, row in zip(usable, confidences)
+        },
+        collective=dict(zip(labels, collective.tolist())),
+        ranking=tuple([labels[i] for i in final.tolist()]),
     )

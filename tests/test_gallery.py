@@ -14,6 +14,7 @@ from enexmatch import (
     SnapshotTruncatedError,
     UnknownLabelError,
 )
+from enexmatch.discriminant import project
 from helpers import enrolled_gallery, random_bundle
 
 
@@ -133,6 +134,42 @@ class TestFit:
             for label in fitted.labels:
                 rows = projected[fid][label]
                 assert rows.shape == (2, fitted.transforms[fid].rank)
+
+    def test_projections_packed_per_trait_in_enrollment_order(self):
+        rng = np.random.default_rng(327)
+        gallery = Gallery()
+        for label, count, features in (
+            ("z", 2, ("clothing", "height")),
+            ("a", 1, ("height",)),
+            ("m", 3, ("clothing", "height")),
+        ):
+            gallery = gallery.enroll(
+                label, [random_bundle(rng, features=features) for _ in range(count)]
+            )
+        fitted = gallery.fit()
+        block = fitted.projected_block("clothing")
+        assert block.labels == ("z", "m")
+        assert block.starts.tolist() == [0, 2]
+        assert block.rows.shape == (5, fitted.transforms["clothing"].rank)
+        assert block.rows.flags.c_contiguous
+        transform = fitted.transforms["clothing"]
+        expected = np.stack(
+            [
+                project(transform, row)
+                for label in ("z", "m")
+                for row in fitted.feature_samples(label, "clothing")
+            ]
+        )
+        assert np.array_equal(block.rows, expected)
+        assert fitted.projected_block("height").labels == ("z", "a", "m")
+
+    def test_projections_are_read_only(self):
+        rng = np.random.default_rng(328)
+        fitted = enrolled_gallery(rng, n=3, samples=2).fit()
+        block = fitted.projected_block("height")
+        for array in (block.rows, block.starts, fitted.projected["height"]["p01"]):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
     def test_fit_needs_two_classes(self):
         rng = np.random.default_rng(321)
@@ -298,6 +335,28 @@ class TestSnapshot:
             + struct.pack("<I", zlib.crc32(body))
         )
         path.write_bytes(rebuilt)
+        with pytest.raises(SnapshotFormatError):
+            Gallery.load(path)
+
+    def test_projections_of_unenrolled_class_rejected(self, tmp_path):
+        rng = np.random.default_rng(349)
+        fitted = enrolled_gallery(rng, n=3, samples=2).fit()
+        kept = fitted.labels[1:]
+        forged = Gallery(
+            order=kept,
+            classes={
+                label: {
+                    fid: fitted.feature_samples(label, fid)
+                    for fid in fitted.covered_features()
+                }
+                for label in kept
+            },
+            sizes={label: fitted.class_size(label) for label in kept},
+            transforms=fitted.transforms,
+            projected={fid: fitted.projected_block(fid) for fid in fitted.transforms},
+            fitted=True,
+        )
+        path, _ = snapshot_bytes(tmp_path, forged)
         with pytest.raises(SnapshotFormatError):
             Gallery.load(path)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -89,6 +90,33 @@ class TestRankFeature:
         with pytest.raises(DimensionMismatchError):
             rank_feature(np.zeros(2), [("a", np.zeros((1, 3)))], "clothing")
 
+    def test_probe_must_be_a_vector(self):
+        with pytest.raises(DimensionMismatchError):
+            rank_feature(np.zeros((1, 2)), [("a", np.zeros((1, 2)))], "clothing")
+
+    def test_class_without_samples(self):
+        with pytest.raises(ValueError):
+            rank_feature(np.zeros(2), [("a", np.zeros((0, 2)))], "clothing")
+
+    def test_packed_block_ranks_like_pairs(self):
+        rng = np.random.default_rng(204)
+        gallery = enrolled_gallery(rng, n=7, samples=3).fit()
+        block = gallery.projected_block("clothing")
+        pairs = [(label, gallery.projected["clothing"][label]) for label in gallery.labels]
+        probe = rng.normal(0, 1, block.rows.shape[1])
+        assert rank_feature(probe, block, "clothing") == rank_feature(
+            probe, pairs, "clothing"
+        )
+
+    def test_rank_and_distance_lookups(self):
+        got = rank_feature(
+            np.zeros(1), [("a", np.array([[3.0]])), ("b", np.array([[1.0]]))], "height"
+        )
+        assert (got.rank_of("b"), got.rank_of("a")) == (1, 2)
+        assert (got.distance_of("b"), got.distance_of("a")) == (1.0, 3.0)
+        with pytest.raises(ValueError):
+            got.rank_of("c")
+
 
 class TestConfidence:
     @pytest.mark.parametrize(
@@ -136,6 +164,18 @@ class TestConfidence:
             collective_confidence([0.0], 1)
         with pytest.raises(ValueError):
             collective_confidence([1.2], 1)
+        with pytest.raises(ValueError):
+            collective_confidence([np.array([0.5, 0.0])], 1)
+
+    def test_collective_arrays_match_scalars_bit_for_bit(self):
+        rng = np.random.default_rng(205)
+        n = 997
+        for count in (1, 2, 3, 4):
+            columns = [(n - rng.permutation(n)) / n for _ in range(count)]
+            fused = collective_confidence(columns, count)
+            for i in range(n):
+                values = [float(column[i]) for column in columns]
+                assert fused[i] == collective_confidence(values, count)
 
 
 def metric_bundle(height, build, label=None):
@@ -314,3 +354,116 @@ class TestReportSerialization:
             parse_match_report("totally wrong\n")
         with pytest.raises(ValueError):
             parse_match_report("probe=- n=2 features=height\nbad line\n")
+
+
+def naive_match(probe, gallery):
+    """Per-class, per-sample loops over the gallery's public data.
+
+    Per-vector arithmetic is the library's (a matrix-vector product, then
+    the square root of a summed square), so distances agree bit for bit
+    and exact ties resolve the same way.
+    """
+    labels = gallery.labels
+    n = len(labels)
+    traits = [
+        fid
+        for fid in ("clothing", "height", "build", "complexion")
+        if fid in gallery.transforms
+        and probe.feature_vector(fid) is not None
+        and all(gallery.feature_samples(label, fid) is not None for label in labels)
+    ]
+    orders, distances, ranks = {}, {}, {}
+    for fid in traits:
+        matrix = gallery.transforms[fid].matrix
+        target = matrix.T @ probe.feature_vector(fid)
+        best = []
+        for label in labels:
+            closest = math.inf
+            for row in gallery.feature_samples(label, fid):
+                delta = matrix.T @ row - target
+                closest = min(closest, float(np.sqrt((delta * delta).sum())))
+            best.append(closest)
+        order = sorted(range(n), key=lambda i: (best[i], i))
+        orders[fid] = tuple(labels[i] for i in order)
+        distances[fid] = tuple(best[i] for i in order)
+        ranks[fid] = {labels[i]: r for r, i in enumerate(order, start=1)}
+    collective, best_rank = {}, {}
+    for label in labels:
+        values = [(n - ranks[fid][label] + 1) / n for fid in traits]
+        collective[label] = sum(values) / len(traits)
+        best_rank[label] = min(ranks[fid][label] for fid in traits)
+    final = sorted(
+        range(n), key=lambda i: (-collective[labels[i]], best_rank[labels[i]], i)
+    )
+    return {
+        "features": tuple(traits),
+        "orders": orders,
+        "distances": distances,
+        "ranks": ranks,
+        "collective": collective,
+        "ranking": tuple(labels[i] for i in final),
+    }
+
+
+def integer_box_bundle(rng, label=None, features=("clothing", "height", "build", "complexion")):
+    """Height from an integer box over a 200 px reference, so heights tie exactly."""
+    bundle = random_bundle(rng, label=label, features=features)
+    return dataclasses.replace(
+        bundle, height=HeightFeature(int(rng.integers(100, 160)) / 200)
+    )
+
+
+class TestVectorizedOracle:
+    def test_large_gallery_matches_naive_loops(self):
+        # 320 classes of 1 to 6 samples, so the packed class boundaries
+        # vary and single-sample classes occur; 60 distinct box heights
+        # over 1000+ samples force exact height ties; one class without
+        # complexion makes that trait sit out for every probe.
+        rng = np.random.default_rng(240)
+        gallery = Gallery()
+        for i in range(320):
+            label = f"c{i:03d}"
+            features = ("clothing", "height", "build") if i == 17 else (
+                "clothing", "height", "build", "complexion"
+            )
+            bundles = [
+                integer_box_bundle(rng, label, features)
+                for _ in range(int(rng.integers(1, 7)))
+            ]
+            gallery = gallery.enroll(label, bundles)
+        gallery = gallery.fit()
+        assert "complexion" in gallery.transforms
+        assert "complexion" not in gallery.covered_features()
+        sizes = [gallery.class_size(label) for label in gallery.labels]
+        assert min(sizes) == 1 and max(sizes) == 6
+
+        tied = 0
+        for k in range(6):
+            features = ("clothing", "height") if k % 2 else (
+                "clothing", "height", "build", "complexion"
+            )
+            probe = integer_box_bundle(rng, f"x{k}", features)
+            report = match_probe(probe, gallery)
+            expected = naive_match(probe, gallery)
+            assert report.features_used == expected["features"]
+            for ranking in report.per_feature:
+                fid = ranking.feature_id
+                assert ranking.labels == expected["orders"][fid]
+                assert ranking.distances == expected["distances"][fid]
+                for label, rank in expected["ranks"][fid].items():
+                    assert ranking.rank_of(label) == rank
+            for label, value in expected["collective"].items():
+                assert report.collective[label] == value
+            assert report.ranking == expected["ranking"]
+            height = expected["distances"]["height"]
+            tied += sum(a == b for a, b in zip(height, height[1:]))
+
+            records = report.to_records()
+            assert type(records["n"]) is int
+            for row in records["classes"]:
+                assert type(row["rank"]) is int
+                assert all(type(r) is int for r in row["ranks"])
+                assert all(type(c) is float for c in row["cf"])
+                assert type(row["CF"]) is float
+            assert parse_match_report(report.to_text()) == records
+        assert tied > 0
