@@ -117,27 +117,19 @@ def within_scatter(
 
 def between_scatter(classes: Sequence[ClassSamples]) -> np.ndarray:
     """Scatter of class means around the pooled mean, sample-count weighted."""
-    if len(classes) < 2:
-        raise DegenerateProblemError("between scatter needs at least two classes")
-    dim = _validate(classes)
-    counts = np.array([c.count for c in classes], dtype=np.float64)
-    means = np.stack([c.samples.mean(axis=0) for c in classes])
-    grand = (counts[:, None] * means).sum(axis=0) / counts.sum()
-    centered = means - grand
-    out = np.zeros((dim, dim), dtype=np.float64)
-    for m, diff in zip(counts, centered):
-        out += m * np.outer(diff, diff)
-    return out
+    return scatter_statistics(classes).between
 
 
 def scatter_statistics(classes: Sequence[ClassSamples]) -> ScatterStatistics:
     if len(classes) < 2:
         raise DegenerateProblemError("scatter statistics need at least two classes")
     _, within = within_scatter(classes)
-    between = between_scatter(classes)
     counts = np.array([c.count for c in classes], dtype=np.float64)
     means = np.stack([c.samples.mean(axis=0) for c in classes])
     grand = (counts[:, None] * means).sum(axis=0) / counts.sum()
+    between = np.zeros_like(within)
+    for m, diff in zip(counts, means - grand):
+        between += m * np.outer(diff, diff)
     return ScatterStatistics(
         within=within, between=between, class_means=means, grand_mean=grand
     )
@@ -210,13 +202,21 @@ def fit_transform(
     )
 
 
-def project(transform: FeatureTransform, vector: np.ndarray) -> np.ndarray:
-    """Map a feature vector into the transform's ranked subspace."""
-    v = np.asarray(vector, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != transform.input_dim:
+def project(transform: FeatureTransform, vectors: np.ndarray) -> np.ndarray:
+    """Map one feature vector, or a stack of them, into the ranked subspace.
+
+    Each vector goes through its own matrix-vector product, so a row of a
+    stacked call rounds exactly as that vector projected alone.
+    """
+    v = np.asarray(vectors, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.shape[-1] != transform.input_dim:
         raise DimensionMismatchError(
-            f"expected a vector of dimension {transform.input_dim}"
+            f"expected vectors of dimension {transform.input_dim}"
         )
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFiniteInputError("cannot project non-finite values")
-    return transform.matrix.T @ v
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (transform.matrix.T @ v[..., None])[..., 0]
+    if not np.isfinite(out).all():
+        raise NonFiniteInputError("projection overflows float64")
+    return out

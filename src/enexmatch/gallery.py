@@ -2,12 +2,16 @@
 
 A Gallery value is immutable; enroll, retire, and fit return new
 instances, so a reader can keep using the snapshot it already holds
-while a single writer produces the next one. Snapshots persist to a
-length-prefixed binary record stream guarded by a trailing CRC-32.
+while a single writer produces the next one. Snapshots persist the
+enrolled samples and fitted transforms as a length-prefixed binary
+record stream guarded by a trailing CRC-32; the projected samples are
+derived from them again on load.
 """
 
 from __future__ import annotations
 
+import os
+import secrets
 import struct
 import zlib
 from dataclasses import dataclass
@@ -29,7 +33,7 @@ from .errors import (
 )
 from .features import FEATURE_IDS, FeatureBundle
 
-MAGIC = b"ENEXGAL1"
+MAGIC = b"ENEXGAL2"
 
 
 def _check_label(label: str) -> None:
@@ -86,14 +90,14 @@ class Gallery:
         classes: Mapping[str, Mapping[str, np.ndarray]] | None = None,
         sizes: Mapping[str, int] | None = None,
         transforms: Mapping[str, FeatureTransform] | None = None,
-        projected: Mapping[str, ProjectedBlock] | None = None,
         fitted: bool = False,
     ) -> None:
+        # Class feature dicts are never mutated, so galleries share them.
         self._order = tuple(order)
-        self._classes = {k: dict(v) for k, v in (classes or {}).items()}
+        self._classes = dict(classes or {})
         self._sizes = dict(sizes or {})
         self._transforms = dict(transforms or {})
-        self._projected = dict(projected or {})
+        self._projected = self._project()
         self._fitted = bool(fitted)
 
     @property
@@ -120,6 +124,16 @@ class Gallery:
     def projected_block(self, feature_id: str) -> ProjectedBlock:
         """The packed projected rows of one fitted trait."""
         return self._projected[feature_id]
+
+    def _project(self) -> dict[str, ProjectedBlock]:
+        """Each transform's trait, projected in one stacked call over its holders."""
+        blocks = {}
+        for fid, transform in self._transforms.items():
+            holders = [label for label in self._order if fid in self._classes[label]]
+            parts = [self._classes[label][fid] for label in holders]
+            rows = project(transform, np.concatenate(parts))
+            blocks[fid] = ProjectedBlock.pack(holders, rows, [len(p) for p in parts])
+        return blocks
 
     def class_size(self, label: str) -> int:
         if label not in self._sizes:
@@ -194,7 +208,7 @@ class Gallery:
         )
 
     def fit(self, epsilon: float | None = None) -> "Gallery":
-        """Learn per-feature transforms and project the enrolled samples.
+        """Learn per-feature transforms; the result projects the enrolled samples.
 
         A feature is fitted when at least two classes hold samples of it;
         classes missing a feature are simply left out of that fit.
@@ -202,7 +216,6 @@ class Gallery:
         if self.n < 2:
             raise DegenerateProblemError("fitting needs at least two enrolled classes")
         transforms: dict[str, FeatureTransform] = {}
-        projected: dict[str, ProjectedBlock] = {}
         for fid in FEATURE_IDS:
             holders = [
                 label for label in self._order if fid in self._classes[label]
@@ -218,21 +231,12 @@ class Gallery:
                 ClassSamples(label=label, samples=self._classes[label][fid])
                 for label in holders
             ]
-            transform = fit_transform(class_samples, epsilon, feature_id=fid)
-            transforms[fid] = transform
-            # Row by row, so each projection rounds as project() does alone.
-            counts = [self._classes[label][fid].shape[0] for label in holders]
-            rows = np.empty((sum(counts), transform.rank))
-            samples = (row for label in holders for row in self._classes[label][fid])
-            for i, row in enumerate(samples):
-                rows[i] = project(transform, row)
-            projected[fid] = ProjectedBlock.pack(holders, rows, counts)
+            transforms[fid] = fit_transform(class_samples, epsilon, feature_id=fid)
         return Gallery(
             order=self._order,
             classes=self._classes,
             sizes=self._sizes,
             transforms=transforms,
-            projected=projected,
             fitted=True,
         )
 
@@ -263,16 +267,6 @@ class Gallery:
                 or not np.array_equal(t.eigenvalues, o.eigenvalues)
             ):
                 return False
-        if set(self._projected) != set(other._projected):
-            return False
-        for fid, block in self._projected.items():
-            o = other._projected[fid]
-            if (
-                block.labels != o.labels
-                or not np.array_equal(block.starts, o.starts)
-                or not np.array_equal(block.rows, o.rows)
-            ):
-                return False
         return True
 
     def __repr__(self) -> str:
@@ -280,11 +274,26 @@ class Gallery:
         return f"Gallery(n={self.n}, {state})"
 
     def save(self, path: str | Path) -> None:
-        """Write a snapshot; load(save(g)) reproduces g exactly."""
+        """Write a snapshot; load(save(g)) reproduces g exactly.
+
+        The bytes go to a new file beside ``path``, are synced to disk,
+        and then renamed over ``path``, so a save that fails part way
+        leaves any previous snapshot as it was.
+        """
         body = _encode_body(self)
         blob = MAGIC + struct.pack("<Q", len(body)) + body
         blob += struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-        Path(path).write_bytes(blob)
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+        try:
+            with open(tmp, "xb") as f:
+                f.write(blob)
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "Gallery":
@@ -339,9 +348,12 @@ class _BodyReader:
         self.pos = 0
         self.origin = origin
 
+    def error(self, message: str) -> SnapshotFormatError:
+        return SnapshotFormatError(f"{self.origin}: {message}")
+
     def _take(self, count: int) -> bytes:
         if self.pos + count > len(self.data):
-            raise SnapshotFormatError(f"{self.origin}: record stream ends early")
+            raise self.error("record stream ends early")
         out = self.data[self.pos : self.pos + count]
         self.pos += count
         return out
@@ -355,12 +367,32 @@ class _BodyReader:
     def f64(self) -> float:
         return struct.unpack("<d", self._take(8))[0]
 
+    def flag(self) -> bool:
+        value = self.u8()
+        if value > 1:
+            raise self.error(f"flag byte {value} is neither 0 nor 1")
+        return value == 1
+
     def text(self) -> str:
-        return self._take(self.u32()).decode("utf-8")
+        try:
+            return self._take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise self.error("text is not valid UTF-8") from None
+
+    def feature_id(self) -> str:
+        fid = self.text()
+        if fid not in FEATURE_IDS:
+            raise self.error(f"unknown feature id {fid!r}")
+        return fid
 
     def array(self, rows: int, cols: int) -> np.ndarray:
+        if rows == 0 or cols == 0:
+            raise self.error(f"empty {rows}x{cols} array")
         raw = self._take(rows * cols * 8)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rows, cols)
+        out = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rows, cols)
+        if not np.all(np.isfinite(out)):
+            raise self.error("non-finite array values")
+        return out
 
     def done(self) -> bool:
         return self.pos == len(self.data)
@@ -393,89 +425,56 @@ def _encode_body(gallery: Gallery) -> bytes:
         w.array(t.eigenvalues.reshape(1, -1))
         w.f64(t.regularization)
         w.u8(1 if t.discriminative else 0)
-    projected = gallery._projected
-    w.u32(len(projected))
-    for fid in sorted(projected):
-        per_class = projected[fid].class_rows()
-        w.text(fid)
-        w.u32(len(per_class))
-        for label in sorted(per_class):
-            samples = per_class[label]
-            w.text(label)
-            w.u32(samples.shape[0])
-            w.u32(samples.shape[1])
-            w.array(samples)
     return w.getvalue()
 
 
 def _decode_body(body: bytes, origin: str) -> Gallery:
     r = _BodyReader(body, origin)
-    fitted = r.u8() == 1
+    fitted = r.flag()
     n = r.u32()
-    order = []
     classes: dict[str, dict[str, np.ndarray]] = {}
     sizes: dict[str, int] = {}
     for _ in range(n):
         label = r.text()
-        order.append(label)
+        try:
+            _check_label(label)
+        except ValueError as exc:
+            raise r.error(str(exc)) from None
         sizes[label] = r.u32()
-        features: dict[str, np.ndarray] = {}
-        for _ in range(r.u32()):
-            fid = r.text()
-            rows, cols = r.u32(), r.u32()
-            features[fid] = r.array(rows, cols)
-        classes[label] = features
+        count = r.u32()
+        classes[label] = {r.feature_id(): r.array(r.u32(), r.u32()) for _ in range(count)}
+        if len(classes[label]) != count:
+            raise r.error(f"class {label!r} holds a feature twice")
+    if len(classes) != n:
+        raise r.error("a label is enrolled twice")
     transforms: dict[str, FeatureTransform] = {}
     for _ in range(r.u32()):
-        fid = r.text()
-        rows, cols = r.u32(), r.u32()
-        matrix = r.array(rows, cols)
-        n_eigs = r.u32()
-        eigenvalues = r.array(1, n_eigs).reshape(-1)
-        regularization = r.f64()
-        discriminative = r.u8() == 1
+        fid = r.feature_id()
+        matrix = r.array(r.u32(), r.u32())
+        widths = {f[fid].shape[1] for f in classes.values() if fid in f}
+        if fid in transforms or widths != {matrix.shape[0]}:
+            raise r.error(
+                f"{fid} transform of width {matrix.shape[0]} repeats or does not "
+                f"fit its holder classes' widths {sorted(widths)}"
+            )
         transforms[fid] = FeatureTransform(
             feature_id=fid,
             matrix=matrix,
-            eigenvalues=eigenvalues,
-            regularization=regularization,
-            discriminative=discriminative,
+            eigenvalues=r.array(1, r.u32()).reshape(-1),
+            regularization=r.f64(),
+            discriminative=r.flag(),
         )
-    projected: dict[str, ProjectedBlock] = {}
-    for _ in range(r.u32()):
-        fid = r.text()
-        per_class: dict[str, np.ndarray] = {}
-        for _ in range(r.u32()):
-            label = r.text()
-            rows, cols = r.u32(), r.u32()
-            per_class[label] = r.array(rows, cols)
-        projected[fid] = _pack_decoded(fid, per_class, classes, origin)
     if not r.done():
-        raise SnapshotFormatError(f"{origin}: unread bytes inside the record stream")
-    return Gallery(
-        order=tuple(order),
-        classes=classes,
-        sizes=sizes,
-        transforms=transforms,
-        projected=projected,
-        fitted=fitted,
-    )
-
-
-def _pack_decoded(
-    fid: str,
-    per_class: Mapping[str, np.ndarray],
-    classes: Mapping[str, object],
-    origin: str,
-) -> ProjectedBlock:
-    """Repack a snapshot's per-class projections in enrollment order."""
-    if not set(per_class) <= set(classes):
-        raise SnapshotFormatError(f"{origin}: {fid} projections of unenrolled classes")
-    holders = [label for label in classes if label in per_class]
-    parts = [per_class[label] for label in holders]
-    if any(part.shape[0] == 0 for part in parts):
-        raise SnapshotFormatError(f"{origin}: {fid} projections of a class without rows")
-    if len({part.shape[1] for part in parts}) > 1:
-        raise SnapshotFormatError(f"{origin}: {fid} projections of mixed widths")
-    rows = np.concatenate(parts) if parts else np.empty((0, 0))
-    return ProjectedBlock.pack(holders, rows, [part.shape[0] for part in parts])
+        raise r.error("unread bytes inside the record stream")
+    if transforms and not fitted:
+        raise r.error("an unfitted snapshot holds transforms")
+    try:
+        return Gallery(
+            order=tuple(classes),
+            classes=classes,
+            sizes=sizes,
+            transforms=transforms,
+            fitted=fitted,
+        )
+    except NonFiniteInputError as exc:
+        raise r.error(str(exc)) from None

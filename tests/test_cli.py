@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import pytest
 
 from enexmatch import Gallery, parse_match_report, parse_report
@@ -259,6 +262,25 @@ class TestMatch:
             ]
         )
         assert code == 1
+
+    def test_undecodable_snapshot_is_an_error_line(self, dataset, snapshot, tmp_path, capsys):
+        # The first label starts at body byte 9; 0xff never begins UTF-8.
+        blob = bytearray(snapshot.read_bytes())
+        blob[16 + 9] = 0xFF
+        body = bytes(blob[16:-4])
+        damaged = tmp_path / "damaged.bin"
+        damaged.write_bytes(bytes(blob[:-4]) + struct.pack("<I", zlib.crc32(body)))
+        code = main(
+            [
+                "match",
+                "--snapshot", str(damaged),
+                "--manifest", str(dataset / "manifest.csv"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "UTF-8" in err
+        assert "Traceback" not in err
 
     def test_bad_view_rejected(self, dataset, snapshot, capsys):
         image = next((dataset / "images").glob("*.ppm"))

@@ -256,3 +256,31 @@ class TestProject:
         transform = fit_transform(make_classes(rng, dim=5))
         with pytest.raises(NonFiniteInputError):
             project(transform, np.array([np.inf, 0, 0, 0, 0]))
+
+    def test_stacked_rows_match_single_vectors_bit_for_bit(self):
+        rng = np.random.default_rng(124)
+        for n_classes, dim in ((4, 1), (6, 5), (40, 30)):
+            transform = fit_transform(make_classes(rng, n_classes=n_classes, dim=dim))
+            rows = rng.normal(0, 1, (25, dim))
+            stacked = project(transform, rows)
+            assert stacked.shape == (25, transform.rank)
+            for row, out in zip(rows, stacked):
+                assert np.array_equal(out, project(transform, row))
+                assert np.array_equal(out, transform.matrix.T @ row)
+
+    def test_stack_shape_checked(self):
+        rng = np.random.default_rng(125)
+        transform = fit_transform(make_classes(rng, dim=5))
+        with pytest.raises(DimensionMismatchError):
+            project(transform, np.zeros((3, 4)))
+        with pytest.raises(DimensionMismatchError):
+            project(transform, np.zeros((2, 3, 5)))
+        with pytest.raises(NonFiniteInputError):
+            project(transform, np.array([np.zeros(5), [0, 0, np.nan, 0, 0]]))
+
+    def test_overflow_is_an_error_not_a_warning(self):
+        rng = np.random.default_rng(126)
+        transform = fit_transform(make_classes(rng, dim=5))
+        huge = np.full((2, 5), np.finfo(np.float64).max)
+        with pytest.raises(NonFiniteInputError):
+            project(transform, huge)

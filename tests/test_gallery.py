@@ -1,3 +1,4 @@
+import errno
 import struct
 import zlib
 
@@ -8,12 +9,14 @@ from enexmatch import (
     DegenerateProblemError,
     DimensionMismatchError,
     DuplicateLabelError,
+    EnexError,
     Gallery,
     SnapshotChecksumError,
     SnapshotFormatError,
     SnapshotTruncatedError,
     UnknownLabelError,
 )
+from enexmatch import gallery as gallery_module
 from enexmatch.discriminant import project
 from helpers import enrolled_gallery, random_bundle
 
@@ -245,6 +248,41 @@ def snapshot_bytes(tmp_path, gallery, name="g.bin"):
     return path, path.read_bytes()
 
 
+def with_body(body, magic=b"ENEXGAL2"):
+    """A snapshot around ``body`` whose header and checksum are valid."""
+    return magic + struct.pack("<Q", len(body)) + body + struct.pack("<I", zlib.crc32(body))
+
+
+def text(value):
+    raw = value if isinstance(value, bytes) else value.encode("utf-8")
+    return struct.pack("<I", len(raw)) + raw
+
+
+def array(values):
+    values = np.asarray(values, dtype="<f8")
+    return struct.pack("<II", *values.shape) + values.tobytes()
+
+
+def forged_body(classes, transforms=(), fitted=None, discriminative=1):
+    """Encode (label, [(fid, samples)]) classes and (fid, matrix) transforms."""
+    fitted = (1 if transforms else 0) if fitted is None else fitted
+    out = struct.pack("<BI", fitted, len(classes))
+    for label, features in classes:
+        out += text(label) + struct.pack("<II", 1, len(features))
+        out += b"".join(text(fid) + array(v) for fid, v in features)
+    out += struct.pack("<I", len(transforms))
+    for fid, matrix in transforms:
+        eigenvalues = np.ones(np.shape(matrix)[1])
+        out += text(fid) + array(matrix) + struct.pack("<I", len(eigenvalues))
+        out += eigenvalues.astype("<f8").tobytes() + struct.pack("<dB", 1e-6, discriminative)
+    return out
+
+
+HEIGHTS = [("height", [[0.5]])]
+TWO = [("a", HEIGHTS), ("b", HEIGHTS)]
+UNIT = ("height", [[1.0]])
+
+
 class TestSnapshot:
     def test_round_trip_unfitted(self, tmp_path):
         rng = np.random.default_rng(340)
@@ -283,7 +321,7 @@ class TestSnapshot:
     def test_layout(self, tmp_path):
         rng = np.random.default_rng(344)
         _, blob = snapshot_bytes(tmp_path, enrolled_gallery(rng, n=2))
-        assert blob[:8] == b"ENEXGAL1"
+        assert blob[:8] == b"ENEXGAL2"
         (body_len,) = struct.unpack("<Q", blob[8:16])
         body = blob[16 : 16 + body_len]
         (checksum,) = struct.unpack("<I", blob[16 + body_len :])
@@ -338,31 +376,169 @@ class TestSnapshot:
         with pytest.raises(SnapshotFormatError):
             Gallery.load(path)
 
-    def test_projections_of_unenrolled_class_rejected(self, tmp_path):
+    def test_previous_layout_rejected(self, tmp_path):
+        # The previous layout appended per-class projections to the same
+        # body; an unfitted gallery wrote an empty projection section.
         rng = np.random.default_rng(349)
-        fitted = enrolled_gallery(rng, n=3, samples=2).fit()
-        kept = fitted.labels[1:]
-        forged = Gallery(
-            order=kept,
-            classes={
-                label: {
-                    fid: fitted.feature_samples(label, fid)
-                    for fid in fitted.covered_features()
-                }
-                for label in kept
-            },
-            sizes={label: fitted.class_size(label) for label in kept},
-            transforms=fitted.transforms,
-            projected={fid: fitted.projected_block(fid) for fid in fitted.transforms},
-            fitted=True,
-        )
-        path, _ = snapshot_bytes(tmp_path, forged)
-        with pytest.raises(SnapshotFormatError):
+        path, blob = snapshot_bytes(tmp_path, enrolled_gallery(rng, n=2))
+        path.write_bytes(with_body(blob[16:-4] + struct.pack("<I", 0), b"ENEXGAL1"))
+        with pytest.raises(SnapshotFormatError, match="unknown snapshot magic"):
             Gallery.load(path)
+
+    def test_body_omits_projections(self, tmp_path):
+        rng = np.random.default_rng(351)
+        unfitted = enrolled_gallery(rng, n=3, samples=2)
+        _, plain = snapshot_bytes(tmp_path, unfitted, "plain.bin")
+        _, fitted = snapshot_bytes(tmp_path, unfitted.fit(), "fitted.bin")
+        # The fitted body adds only the transforms: per transform its id,
+        # matrix shape and values, eigenvalue count and values, ridge, flag.
+        extra = sum(
+            4 + len(fid) + 8 + t.matrix.size * 8 + 4 + t.rank * 8 + 8 + 1
+            for fid, t in unfitted.fit().transforms.items()
+        )
+        assert len(fitted) == len(plain) + extra
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             Gallery.load(tmp_path / "missing.bin")
+
+
+class TestForgedSnapshots:
+    """Bodies with a valid checksum that no save could have written."""
+
+    def test_forged_body_loads(self, tmp_path):
+        path = tmp_path / "g.bin"
+        path.write_bytes(with_body(forged_body(TWO, [UNIT])))
+        gallery = Gallery.load(path)
+        assert gallery.labels == ("a", "b")
+        assert gallery.projected_block("height").rows.tolist() == [[0.5], [0.5]]
+
+    @pytest.mark.parametrize(
+        "classes, transforms, message",
+        [
+            pytest.param([(b"p\xff", HEIGHTS)], [], "UTF-8", id="label-not-utf8"),
+            pytest.param([("p ", HEIGHTS)], [], "spaces", id="label-with-space"),
+            pytest.param([("a,b", HEIGHTS)], [], "commas", id="label-with-comma"),
+            pytest.param([("", HEIGHTS)], [], "non-empty", id="empty-label"),
+            pytest.param(
+                [("p", HEIGHTS), ("p", HEIGHTS)], [], "enrolled twice", id="duplicate-label"
+            ),
+            pytest.param(
+                [("a", [("shoe", [[1.0]])])], [], "unknown feature", id="unknown-feature"
+            ),
+            pytest.param(
+                [("a", HEIGHTS + HEIGHTS)], [], "feature twice", id="duplicate-feature"
+            ),
+            pytest.param([("a", [("height", [[np.nan]])])], [], "non-finite", id="nan"),
+            pytest.param(
+                [("a", [("height", np.zeros((0, 1)))])], [], "empty 0x1", id="rowless"
+            ),
+            pytest.param(TWO, [("height", [[np.inf]])], "non-finite", id="inf-transform"),
+            pytest.param(TWO, [UNIT, UNIT], "repeats", id="duplicate-transform"),
+            pytest.param(TWO, [("build", [[1.0]])], r"widths \[\]", id="unheld"),
+            pytest.param(TWO, [("height", [[1.0], [1.0]])], r"widths \[1\]", id="width"),
+            pytest.param(
+                [("a", [("height", [[1e200]])]), ("b", HEIGHTS)],
+                [("height", [[1e200]])],
+                "overflows",
+                id="projection-overflow",
+            ),
+        ],
+    )
+    def test_rejected(self, tmp_path, classes, transforms, message):
+        path = tmp_path / "g.bin"
+        path.write_bytes(with_body(forged_body(classes, transforms)))
+        with pytest.raises(SnapshotFormatError, match=message):
+            Gallery.load(path)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ({"fitted": 2}, "flag byte 2"),
+            ({"discriminative": 7}, "flag byte 7"),
+            ({"fitted": 0}, "unfitted snapshot holds transforms"),
+        ],
+    )
+    def test_flag_bytes(self, tmp_path, flags, message):
+        path = tmp_path / "g.bin"
+        path.write_bytes(with_body(forged_body(TWO, [UNIT], **flags)))
+        with pytest.raises(SnapshotFormatError, match=message):
+            Gallery.load(path)
+
+    def test_seeded_mutations_raise_only_library_errors(self, tmp_path):
+        # Flip and truncate bytes of a real body, then re-seal it with a
+        # valid length and checksum, so the decoder itself meets the damage.
+        rng = np.random.default_rng(360)
+        gallery = Gallery()
+        for label in ("alpha", "b", "gamma-7"):
+            gallery = gallery.enroll(
+                label, [random_bundle(rng, features=("height", "build", "complexion"))]
+            )
+        gallery = gallery.enroll("d", [random_bundle(rng) for _ in range(2)]).fit()
+        _, blob = snapshot_bytes(tmp_path, gallery)
+        body = blob[16:-4]
+        path = tmp_path / "mutant.bin"
+        outcomes = {"loaded": 0, "rejected": 0}
+        for trial in range(4000):
+            mutant = bytearray(body)
+            for pos in rng.integers(0, len(body), size=int(rng.integers(1, 4))):
+                mutant[pos] ^= int(rng.integers(1, 256))
+            if trial % 4 == 0:
+                del mutant[int(rng.integers(0, len(body))) :]
+            path.write_bytes(with_body(bytes(mutant)))
+            try:
+                Gallery.load(path)
+                outcomes["loaded"] += 1
+            except EnexError:
+                outcomes["rejected"] += 1
+        assert min(outcomes.values()) > 100, outcomes
+
+
+class TestAtomicSave:
+    def test_failed_write_keeps_previous_snapshot(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(370)
+        path, before = snapshot_bytes(tmp_path, enrolled_gallery(rng, n=2))
+        real_open = open
+
+        class ShortWrite:
+            """A file that takes half of a write, then reports a full disk."""
+
+            def __init__(self, *args):
+                self.file = real_open(*args)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, data):
+                self.file.write(data[: len(data) // 2])
+                self.file.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(gallery_module, "open", ShortWrite, raising=False)
+        with pytest.raises(OSError):
+            enrolled_gallery(rng, n=3).fit().save(path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path):
+        rng = np.random.default_rng(371)
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(OSError):
+            enrolled_gallery(rng, n=2).save(target)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert not any(target.iterdir())
+
+    def test_save_replaces_previous_snapshot(self, tmp_path):
+        rng = np.random.default_rng(372)
+        path, _ = snapshot_bytes(tmp_path, enrolled_gallery(rng, n=2))
+        gallery = enrolled_gallery(rng, n=3).fit()
+        gallery.save(path)
+        assert Gallery.load(path) == gallery
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
 class TestRandomizedOperations:
