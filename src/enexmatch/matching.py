@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
     EmptyGalleryError,
+    NonFiniteInputError,
     NoUsableFeatureError,
     UnfittedGalleryError,
 )
@@ -34,15 +36,20 @@ class PerFeatureRanking:
     feature_id: str
     labels: tuple[str, ...]
     distances: tuple[float, ...]
-    _ranks: dict[str, int] = field(init=False, repr=False, compare=False)
+    # Enrollment position of each class in rank order, set by rank_feature.
+    _positions: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.distances):
             raise ValueError("labels and distances must align")
         if len(self.labels) == 0:
             raise ValueError("ranking cannot be empty")
-        ranks = dict(zip(self.labels, range(1, len(self.labels) + 1)))
-        object.__setattr__(self, "_ranks", ranks)
+
+    @cached_property
+    def _ranks(self) -> dict[str, int]:
+        return dict(zip(self.labels, range(1, len(self.labels) + 1)))
 
     def rank_of(self, label: str) -> int:
         try:
@@ -54,14 +61,18 @@ class PerFeatureRanking:
         return self.distances[self.rank_of(label) - 1]
 
 
-class _ReprMemo(dict):
-    """repr of numbers, computed once per distinct nonzero value."""
+@lru_cache(maxsize=8)
+def _text_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only text of each rank among n classes and of its cf, by rank.
 
-    def __missing__(self, value: float) -> str:
-        text = repr(value)
-        if value:  # 0.0 == -0.0, but their reprs differ
-            self[value] = text
-        return text
+    A rank r always has the confidence (n - r + 1)/n, so a gallery size
+    has only n distinct cf strings. Index 0 is no rank and holds "".
+    """
+    ranks = range(1, n + 1)
+    rank_text = np.array(["", *map(str, ranks)], dtype=object)
+    cf_text = np.array(["", *[repr(confidence(r, n)) for r in ranks]], dtype=object)
+    rank_text.flags.writeable = cf_text.flags.writeable = False
+    return rank_text, cf_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,34 +83,42 @@ class MatchReport:
     n: int
     features_used: tuple[str, ...]
     per_feature: tuple[PerFeatureRanking, ...]
-    confidences: Mapping[str, Mapping[str, float]]
-    collective: Mapping[str, float]
+    collective: dict[str, float]
     ranking: tuple[str, ...]
 
-    def _columns(self) -> tuple[list[tuple], list[tuple], list[float]]:
-        """Per class in final order: its ranks, its cf values and its CF."""
-        labels = self.ranking
-        ranks = zip(*[list(map(pf.rank_of, labels)) for pf in self.per_feature])
-        cf = zip(
-            *[
-                list(map(self.confidences[fid].__getitem__, labels))
-                for fid in self.features_used
-            ]
-        )
-        return list(ranks), list(cf), list(map(self.collective.__getitem__, labels))
+    @cached_property
+    def confidences(self) -> dict[str, dict[str, float]]:
+        """Per feature, each class's confidence (n - r + 1)/n, closest first."""
+        n = self.n
+        return {
+            pf.feature_id: {
+                label: confidence(r, n) for r, label in enumerate(pf.labels, start=1)
+            }
+            for pf in self.per_feature
+        }
+
+    def _rank_columns(self) -> list[list[int]]:
+        """Per feature, the rank of each class in final order."""
+        return [list(map(pf.rank_of, self.ranking)) for pf in self.per_feature]
 
     def to_records(self) -> dict:
         """Plain-data view, the same shape parse_match_report returns."""
-        ranks, cf, collective = self._columns()
+        n = self.n
         classes = [
-            {"label": label, "ranks": r, "cf": c, "CF": v, "rank": position}
-            for position, label, r, c, v in zip(
-                range(1, len(self.ranking) + 1), self.ranking, ranks, cf, collective
+            {
+                "label": label,
+                "ranks": ranks,
+                "cf": tuple([confidence(r, n) for r in ranks]),
+                "CF": self.collective[label],
+                "rank": position,
+            }
+            for position, label, ranks in zip(
+                range(1, n + 1), self.ranking, zip(*self._rank_columns())
             )
         ]
         return {
             "probe_id": self.probe_id,
-            "n": self.n,
+            "n": n,
             "features": self.features_used,
             "classes": classes,
         }
@@ -111,31 +130,27 @@ class MatchReport:
         Then one line per class in final order:
                   <label> ranks=<r>,... cf=<c>,... CF=<v> rank=<k>
         Numbers are written with repr so parsing recovers them exactly;
-        a missing probe id is written as "-".
+        a missing probe id is written as "-". Rank and cf strings come
+        from tables shared by every report on a gallery of n classes.
         """
-        ranks, cf, collective = self._columns()
-        # Every feature ranks the same n classes, so its ranks and cf
-        # values repeat across features: each distinct number is written
-        # once and looked up after that.
-        rank_text, cf_text = _ReprMemo(), _ReprMemo()
-        lines = [
-            "probe={} n={} features={}".format(
-                self.probe_id if self.probe_id else "-",
-                self.n,
-                ",".join(self.features_used),
-            )
-        ]
-        lines.extend(
-            map(
-                "{} ranks={} cf={} CF={!r} rank={}".format,
-                self.ranking,
-                (",".join(map(rank_text.__getitem__, r)) for r in ranks),
-                (",".join(map(cf_text.__getitem__, c)) for c in cf),
-                collective,
-                range(1, len(self.ranking) + 1),
-            )
+        rank_text, cf_text = _text_tables(self.n)
+        # ranks[f, k]: rank under feature f of the class in final place k.
+        ranks = np.array(self._rank_columns(), dtype=np.intp)
+        slots = ",".join(["%s"] * len(ranks))
+        line = f"%s ranks={slots} cf={slots} CF=%r rank=%s"
+        rows = zip(
+            self.ranking,
+            *rank_text[ranks].tolist(),
+            *cf_text[ranks].tolist(),
+            map(self.collective.__getitem__, self.ranking),
+            rank_text[1:].tolist(),  # final places 1..n, written as ranks are
         )
-        return "\n".join(lines) + "\n"
+        head = "probe={} n={} features={}".format(
+            self.probe_id if self.probe_id else "-",
+            self.n,
+            ",".join(self.features_used),
+        )
+        return "\n".join([head, *map(line.__mod__, rows)]) + "\n"
 
 
 def parse_match_report(text: str) -> dict:
@@ -226,15 +241,20 @@ def rank_feature(
         )
     # The direct difference, squared and summed row by row, rounds each
     # sample's distance exactly as a lone vector would.
-    deltas = block.rows - v
-    np.multiply(deltas, deltas, out=deltas)
-    distances = np.minimum.reduceat(np.sqrt(deltas.sum(axis=1)), block.starts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas = block.rows - v
+        np.multiply(deltas, deltas, out=deltas)
+        distances = np.minimum.reduceat(np.sqrt(deltas.sum(axis=1)), block.starts)
+    if not np.isfinite(distances).all():
+        raise NonFiniteInputError(f"{feature_id} distances overflow float64")
     order = np.argsort(distances, kind="stable")
-    return PerFeatureRanking(
+    ranking = PerFeatureRanking(
         feature_id=feature_id,
         labels=tuple([block.labels[i] for i in order.tolist()]),
         distances=tuple(distances[order].tolist()),
     )
+    object.__setattr__(ranking, "_positions", order)
+    return ranking
 
 
 def confidence(rank: int, n: int) -> float:
@@ -254,6 +274,11 @@ def _ordered_sum(values: Sequence[np.ndarray]) -> np.ndarray:
     """
     if sys.version_info < (3, 12):
         return sum(values)
+    return _neumaier_sum(values)
+
+
+def _neumaier_sum(values: Sequence[np.ndarray]) -> np.ndarray:
+    """Elementwise sum rounded as Python 3.12's builtin sum of floats."""
     total = values[0]
     compensation = np.zeros_like(total)
     for x in values[1:]:
@@ -319,29 +344,23 @@ def match_probe(bundle: FeatureBundle, gallery: "Gallery") -> MatchReport:
 
     labels = gallery.labels
     n = gallery.n
+    steps = np.arange(1, n + 1)
     rankings = []
-    for fid in usable:
-        projected_probe = project(transforms[fid], bundle.feature_vector(fid))
-        rankings.append(
-            rank_feature(projected_probe, gallery.projected_block(fid), fid)
-        )
     # ranks[f, i]: rank of enrolled class i under usable feature f.
-    ranks = np.array(
-        [list(map(ranking._ranks.__getitem__, labels)) for ranking in rankings],
-        dtype=np.intp,
-    )
+    ranks = np.empty((len(usable), n), dtype=np.intp)
+    for fid, row in zip(usable, ranks):
+        projected_probe = project(transforms[fid], bundle.feature_vector(fid))
+        ranking = rank_feature(projected_probe, gallery.projected_block(fid), fid)
+        row[ranking._positions] = steps
+        rankings.append(ranking)
     confidences = (n - ranks + 1) / n
     collective = collective_confidence(list(confidences), len(usable))
-    final = np.lexsort((np.arange(n), ranks.min(axis=0), -collective))
+    final = np.lexsort((steps, ranks.min(axis=0), -collective))
     return MatchReport(
         probe_id=bundle.label,
         n=n,
         features_used=tuple(usable),
         per_feature=tuple(rankings),
-        confidences={
-            fid: dict(zip(labels, row.tolist()))
-            for fid, row in zip(usable, confidences)
-        },
         collective=dict(zip(labels, collective.tolist())),
         ranking=tuple([labels[i] for i in final.tolist()]),
     )

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import numpy as np
 
 from enexmatch import (
@@ -71,3 +74,33 @@ def enrolled_gallery(
         bundles = [random_bundle(rng, label=label, features=features) for _ in range(samples)]
         gallery = gallery.enroll(label, bundles)
     return gallery
+
+
+def with_body(body, magic=b"ENEXGAL2"):
+    """A snapshot around ``body`` whose header and checksum are valid."""
+    return magic + struct.pack("<Q", len(body)) + body + struct.pack("<I", zlib.crc32(body))
+
+
+def _text(value):
+    raw = value if isinstance(value, bytes) else value.encode("utf-8")
+    return struct.pack("<I", len(raw)) + raw
+
+
+def _array(values):
+    values = np.asarray(values, dtype="<f8")
+    return struct.pack("<II", *values.shape) + values.tobytes()
+
+
+def forged_body(classes, transforms=(), fitted=None, discriminative=1):
+    """Encode (label, [(fid, samples)]) classes and (fid, matrix) transforms."""
+    fitted = (1 if transforms else 0) if fitted is None else fitted
+    out = struct.pack("<BI", fitted, len(classes))
+    for label, features in classes:
+        out += _text(label) + struct.pack("<II", 1, len(features))
+        out += b"".join(_text(fid) + _array(v) for fid, v in features)
+    out += struct.pack("<I", len(transforms))
+    for fid, matrix in transforms:
+        eigenvalues = np.ones(np.shape(matrix)[1])
+        out += _text(fid) + _array(matrix) + struct.pack("<I", len(eigenvalues))
+        out += eigenvalues.astype("<f8").tobytes() + struct.pack("<dB", 1e-6, discriminative)
+    return out

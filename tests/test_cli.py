@@ -5,6 +5,7 @@ import pytest
 
 from enexmatch import Gallery, parse_match_report, parse_report
 from enexmatch.cli import SNAPSHOT_ENV, main
+from helpers import forged_body, with_body
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +281,30 @@ class TestMatch:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_overflowing_distance_is_an_error_line(self, dataset, tmp_path, capsys):
+        # A height sample of 1e200 projects finitely, so the snapshot
+        # loads; its squared distance to any probe overflows.
+        forged = tmp_path / "forged.bin"
+        forged.write_bytes(
+            with_body(
+                forged_body(
+                    [("far", [("height", [[1e200]])]), ("near", [("height", [[0.5]])])],
+                    [("height", [[1.0]])],
+                )
+            )
+        )
+        code = main(
+            [
+                "match",
+                "--snapshot", str(forged),
+                "--manifest", str(dataset / "manifest.csv"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "distances overflow" in err
         assert "Traceback" not in err
 
     def test_bad_view_rejected(self, dataset, snapshot, capsys):

@@ -15,10 +15,11 @@ from enexmatch import (
     SnapshotFormatError,
     SnapshotTruncatedError,
     UnknownLabelError,
+    match_probe,
 )
 from enexmatch import gallery as gallery_module
 from enexmatch.discriminant import project
-from helpers import enrolled_gallery, random_bundle
+from helpers import enrolled_gallery, forged_body, random_bundle, with_body
 
 
 class TestLifecycle:
@@ -248,36 +249,6 @@ def snapshot_bytes(tmp_path, gallery, name="g.bin"):
     return path, path.read_bytes()
 
 
-def with_body(body, magic=b"ENEXGAL2"):
-    """A snapshot around ``body`` whose header and checksum are valid."""
-    return magic + struct.pack("<Q", len(body)) + body + struct.pack("<I", zlib.crc32(body))
-
-
-def text(value):
-    raw = value if isinstance(value, bytes) else value.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
-
-
-def array(values):
-    values = np.asarray(values, dtype="<f8")
-    return struct.pack("<II", *values.shape) + values.tobytes()
-
-
-def forged_body(classes, transforms=(), fitted=None, discriminative=1):
-    """Encode (label, [(fid, samples)]) classes and (fid, matrix) transforms."""
-    fitted = (1 if transforms else 0) if fitted is None else fitted
-    out = struct.pack("<BI", fitted, len(classes))
-    for label, features in classes:
-        out += text(label) + struct.pack("<II", 1, len(features))
-        out += b"".join(text(fid) + array(v) for fid, v in features)
-    out += struct.pack("<I", len(transforms))
-    for fid, matrix in transforms:
-        eigenvalues = np.ones(np.shape(matrix)[1])
-        out += text(fid) + array(matrix) + struct.pack("<I", len(eigenvalues))
-        out += eigenvalues.astype("<f8").tobytes() + struct.pack("<dB", 1e-6, discriminative)
-    return out
-
-
 HEIGHTS = [("height", [[0.5]])]
 TWO = [("a", HEIGHTS), ("b", HEIGHTS)]
 UNIT = ("height", [[1.0]])
@@ -468,6 +439,9 @@ class TestForgedSnapshots:
     def test_seeded_mutations_raise_only_library_errors(self, tmp_path):
         # Flip and truncate bytes of a real body, then re-seal it with a
         # valid length and checksum, so the decoder itself meets the damage.
+        # Every mutant that loads fitted is matched too: a loadable sample
+        # can still overflow the distances.
+        probe = random_bundle(np.random.default_rng(361))
         rng = np.random.default_rng(360)
         gallery = Gallery()
         for label in ("alpha", "b", "gamma-7"):
@@ -479,6 +453,7 @@ class TestForgedSnapshots:
         body = blob[16:-4]
         path = tmp_path / "mutant.bin"
         outcomes = {"loaded": 0, "rejected": 0}
+        matches = {"ranked": 0, "refused": 0}
         for trial in range(4000):
             mutant = bytearray(body)
             for pos in rng.integers(0, len(body), size=int(rng.integers(1, 4))):
@@ -487,11 +462,20 @@ class TestForgedSnapshots:
                 del mutant[int(rng.integers(0, len(body))) :]
             path.write_bytes(with_body(bytes(mutant)))
             try:
-                Gallery.load(path)
+                loaded = Gallery.load(path)
                 outcomes["loaded"] += 1
             except EnexError:
                 outcomes["rejected"] += 1
+                continue
+            if not loaded.fitted:
+                continue
+            try:
+                match_probe(probe, loaded).to_text()
+                matches["ranked"] += 1
+            except EnexError:
+                matches["refused"] += 1
         assert min(outcomes.values()) > 100, outcomes
+        assert matches["ranked"] > 100 and matches["refused"] > 0, matches
 
 
 class TestAtomicSave:

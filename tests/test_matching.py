@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from enexmatch import (
     FeatureBundle,
     Gallery,
     HeightFeature,
+    NonFiniteInputError,
     NoUsableFeatureError,
     UnfittedGalleryError,
     collective_confidence,
@@ -19,6 +21,7 @@ from enexmatch import (
     parse_match_report,
     rank_feature,
 )
+from enexmatch.matching import _neumaier_sum
 from helpers import enrolled_gallery, random_bundle
 
 
@@ -117,6 +120,12 @@ class TestRankFeature:
         with pytest.raises(ValueError):
             got.rank_of("c")
 
+    def test_overflowing_distance_is_an_error(self):
+        # Both squared distances overflow; neither class may win on inf.
+        class_sets = [("a", np.array([[2e200]])), ("b", np.array([[1e200]]))]
+        with pytest.raises(NonFiniteInputError, match="height distances overflow"):
+            rank_feature(np.array([0.0]), class_sets, "height")
+
 
 class TestConfidence:
     @pytest.mark.parametrize(
@@ -176,6 +185,46 @@ class TestConfidence:
             for i in range(n):
                 values = [float(column[i]) for column in columns]
                 assert fused[i] == collective_confidence(values, count)
+
+    def test_neumaier_sum_rounds_as_cpython_312_sum(self):
+        # The Python 3.12+ branch of the fused sum, checked on every
+        # interpreter against CPython 3.12's float loop.
+        rng = np.random.default_rng(206)
+        rows = [[1.0, 1e-16, 1e-16, 1e-16], [1e-16, 1.0, -1.0, 1e-16]]
+        for _ in range(2000):
+            n = int(rng.integers(2, 1000))
+            rows.append([(n - int(r) + 1) / n for r in rng.integers(1, n + 1, size=4)])
+        columns = [np.array(column) for column in zip(*rows)]
+        fused = _neumaier_sum(columns).tolist()
+        assert fused == [cpython312_sum(row) for row in rows]
+        # Rows where the compensation moved the result off the plain sum.
+        compensated = sum(value != _left_to_right(row) for value, row in zip(fused, rows))
+        assert compensated > 100
+        if sys.version_info >= (3, 12):
+            assert fused == [sum(row) for row in rows]
+
+
+def _left_to_right(values):
+    total = 0
+    for x in values:
+        total += x
+    return total
+
+
+def cpython312_sum(values):
+    """CPython 3.12's builtin sum of floats with start 0, step for step."""
+    total = 0 + values[0]
+    compensation = 0.0
+    for x in values[1:]:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
 
 
 def metric_bundle(height, build, label=None):
@@ -354,6 +403,50 @@ class TestReportSerialization:
             parse_match_report("totally wrong\n")
         with pytest.raises(ValueError):
             parse_match_report("probe=- n=2 features=height\nbad line\n")
+
+
+def naive_text(report):
+    """The report format written one repr per number, one line per class."""
+    n = report.n
+    lines = [
+        f"probe={report.probe_id or '-'} n={n} "
+        f"features={','.join(report.features_used)}"
+    ]
+    for position, label in enumerate(report.ranking, start=1):
+        ranks = [ranking.rank_of(label) for ranking in report.per_feature]
+        lines.append(
+            f"{label} ranks={','.join(repr(r) for r in ranks)} "
+            f"cf={','.join(repr(confidence(r, n)) for r in ranks)} "
+            f"CF={report.collective[label]!r} rank={position!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+class TestReportText:
+    def test_matches_naive_renderer_across_interleaved_sizes(self):
+        # Sizes are matched in turn, so text cached for one gallery size
+        # would show up in another size's report.
+        rng = np.random.default_rng(233)
+        galleries = [enrolled_gallery(rng, n=n, samples=2).fit() for n in (2, 7, 61)]
+        probes = [
+            random_bundle(rng, label="exit01"),
+            random_bundle(rng, label="exit02", features=("clothing", "height", "build")),
+            random_bundle(rng),
+        ]
+        seen = set()
+        for _ in range(2):
+            for gallery in galleries:
+                for probe in probes:
+                    report = match_probe(probe, gallery)
+                    seen.add((report.n, len(report.features_used), report.probe_id))
+                    assert report.to_text() == naive_text(report)
+                    swapped = dataclasses.replace(
+                        report, ranking=tuple(reversed(report.ranking))
+                    )
+                    assert swapped.to_text() == naive_text(swapped)
+                    assert parse_match_report(swapped.to_text()) == swapped.to_records()
+        assert {(n, f) for n, f, _ in seen} >= {(2, 3), (2, 4), (61, 3), (61, 4)}
+        assert None in {probe_id for _, _, probe_id in seen}
 
 
 def naive_match(probe, gallery):
