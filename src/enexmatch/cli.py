@@ -50,12 +50,6 @@ def _feature_config(args: argparse.Namespace) -> FeatureConfig:
     return FeatureConfig(build_threshold=args.threshold)
 
 
-def _snapshot_path(args: argparse.Namespace) -> Path | None:
-    if args.snapshot:
-        return Path(args.snapshot)
-    return None
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     try:
         config = SyntheticConfig(
@@ -88,9 +82,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_enroll(args: argparse.Namespace) -> int:
-    snapshot = _snapshot_path(args)
-    if snapshot is None:
+    if not args.snapshot:
         return _usage(f"snapshot path required (--snapshot or {SNAPSHOT_ENV})")
+    snapshot = Path(args.snapshot)
     if args.epsilon is not None and args.epsilon <= 0:
         return _usage("--epsilon must be positive")
     try:
@@ -130,9 +124,9 @@ def _single_probe(args: argparse.Namespace, config: FeatureConfig):
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    snapshot = _snapshot_path(args)
-    if snapshot is None:
+    if not args.snapshot:
         return _usage(f"snapshot path required (--snapshot or {SNAPSHOT_ENV})")
+    snapshot = Path(args.snapshot)
     if (args.manifest is None) == (args.image is None):
         return _usage("give exactly one probe source: --manifest or --image")
     if args.top < 1:
@@ -206,6 +200,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
+    # Options that several subcommands share.
+    snapshot_opt = argparse.ArgumentParser(add_help=False)
+    snapshot_opt.add_argument(
+        "--snapshot",
+        default=os.environ.get(SNAPSHOT_ENV),
+        help=f"snapshot file (default: ${SNAPSHOT_ENV})",
+    )
+    epsilon_opt = argparse.ArgumentParser(add_help=False)
+    epsilon_opt.add_argument(
+        "--epsilon",
+        type=float,
+        default=None,
+        help="ridge added to the within-class scatter (default: scale-aware)",
+    )
+    threshold_opt = argparse.ArgumentParser(add_help=False)
+    threshold_opt.add_argument(
+        "--threshold",
+        type=float,
+        default=0.5,
+        help="profile fraction a column needs to count toward body width",
+    )
+
     p = sub.add_parser("generate", help="write a synthetic dataset", formatter_class=fmt)
     p.add_argument("--subjects", type=int, required=True, help="number of subjects")
     p.add_argument("--samples", type=int, default=30, help="gallery samples per subject")
@@ -241,33 +257,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser(
-        "enroll", help="extract gallery features into a snapshot", formatter_class=fmt
+        "enroll",
+        help="extract gallery features into a snapshot",
+        formatter_class=fmt,
+        parents=[snapshot_opt, epsilon_opt, threshold_opt],
     )
     p.add_argument("--manifest", required=True, help="dataset manifest CSV")
-    p.add_argument(
-        "--snapshot",
-        default=os.environ.get(SNAPSHOT_ENV),
-        help=f"snapshot file (default: ${SNAPSHOT_ENV})",
-    )
-    p.add_argument(
-        "--epsilon",
-        type=float,
-        default=None,
-        help="ridge added to the within-class scatter (default: scale-aware)",
-    )
-    p.add_argument(
-        "--threshold",
-        type=float,
-        default=0.5,
-        help="profile fraction a column needs to count toward body width",
-    )
     p.set_defaults(func=cmd_enroll)
 
-    p = sub.add_parser("match", help="rank enrolled subjects for probes", formatter_class=fmt)
-    p.add_argument(
-        "--snapshot",
-        default=os.environ.get(SNAPSHOT_ENV),
-        help=f"snapshot file (default: ${SNAPSHOT_ENV})",
+    p = sub.add_parser(
+        "match",
+        help="rank enrolled subjects for probes",
+        formatter_class=fmt,
+        parents=[snapshot_opt, threshold_opt],
     )
     p.add_argument("--manifest", default=None, help="manifest whose probe rows are matched")
     p.add_argument("--image", default=None, help="single probe image (P6)")
@@ -278,30 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--camera", default="c1", help="camera id for the single probe")
     p.add_argument("--view", default="unknown", help="probe view (front/back/lateral/oblique/unknown)")
     p.add_argument("--top", type=int, default=3, help="candidates in the summary line")
-    p.add_argument(
-        "--threshold",
-        type=float,
-        default=0.5,
-        help="profile fraction a column needs to count toward body width",
-    )
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser(
-        "evaluate", help="closed-set protocol with a matching-rate table", formatter_class=fmt
+        "evaluate",
+        help="closed-set protocol with a matching-rate table",
+        formatter_class=fmt,
+        parents=[epsilon_opt, threshold_opt],
     )
     p.add_argument("--manifest", required=True, help="dataset manifest CSV")
-    p.add_argument(
-        "--epsilon",
-        type=float,
-        default=None,
-        help="ridge added to the within-class scatter (default: scale-aware)",
-    )
-    p.add_argument(
-        "--threshold",
-        type=float,
-        default=0.5,
-        help="profile fraction a column needs to count toward body width",
-    )
     p.add_argument("--ranks", default="1,5,10", help="comma-separated ranks to tabulate")
     p.add_argument(
         "--features",

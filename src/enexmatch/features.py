@@ -39,20 +39,16 @@ HISTOGRAM_BINS = 24
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Extraction tunables shared across a dataset."""
+    """Extraction settings shared across a dataset: the build threshold only.
 
-    target_height: int = 128
-    target_width: int = 64
-    bins: int = HISTOGRAM_BINS
+    Frame size, histogram bins and the skin box are fixed module defaults.
+    """
+
     build_threshold: float = 0.5
-    skin_cb: tuple[int, int] = SKIN_CB_RANGE
-    skin_cr: tuple[int, int] = SKIN_CR_RANGE
 
     def __post_init__(self) -> None:
         if not 0.0 < self.build_threshold < 1.0:
             raise ValueError("build_threshold must lie in (0, 1)")
-        if self.bins < 1:
-            raise ValueError("bins must be positive")
 
 
 @dataclass(frozen=True)
@@ -97,25 +93,24 @@ class SubjectSample:
 class ClothingHistogram:
     """Concatenated Cb/Cr histograms of the torso and leg bands.
 
-    One camera contributes four blocks of ``bins`` values each, ordered
-    torso-Cb, torso-Cr, legs-Cb, legs-Cr; paired cameras concatenate
-    their blocks in camera order. Every block is L1-normalized, or all
-    zero when its band held no pixels.
+    One camera contributes four blocks of ``HISTOGRAM_BINS`` values
+    each, ordered torso-Cb, torso-Cr, legs-Cb, legs-Cr; paired cameras
+    concatenate their blocks in camera order. Every block is
+    L1-normalized, or all zero when its band held no pixels.
     """
 
     values: np.ndarray
-    bins: int = HISTOGRAM_BINS
 
     def __post_init__(self) -> None:
         v = self.values
         if not isinstance(v, np.ndarray) or v.ndim != 1:
             raise ValueError("values must be a 1-D array")
-        block = 4 * self.bins
+        block = 4 * HISTOGRAM_BINS
         if v.size == 0 or v.size % block != 0:
             raise ValueError(f"length must be a positive multiple of {block}")
         if np.any(v < 0):
             raise ValueError("histogram values cannot be negative")
-        sums = v.reshape(-1, self.bins).sum(axis=1)
+        sums = v.reshape(-1, HISTOGRAM_BINS).sum(axis=1)
         if not np.all((np.abs(sums - 1.0) < 1e-9) | (sums == 0.0)):
             raise ValueError("each block must sum to 1 or be all zero")
 
@@ -217,24 +212,24 @@ class FeatureBundle:
         )
 
 
-def _chroma_histogram(region: YCbCrImage, channel: int, bins: int) -> np.ndarray:
+def _chroma_histogram(region: YCbCrImage, channel: int) -> np.ndarray:
     values = region.planes[..., channel].ravel()
     if values.size == 0:
-        return np.zeros(bins, dtype=np.float64)
-    idx = values.astype(np.int64) * bins // 256
-    counts = np.bincount(idx, minlength=bins).astype(np.float64)
+        return np.zeros(HISTOGRAM_BINS, dtype=np.float64)
+    idx = values.astype(np.int64) * HISTOGRAM_BINS // 256
+    counts = np.bincount(idx, minlength=HISTOGRAM_BINS).astype(np.float64)
     return counts / values.size
 
 
-def clothing_histogram(regions: BodyRegions, bins: int = HISTOGRAM_BINS) -> ClothingHistogram:
+def clothing_histogram(regions: BodyRegions) -> ClothingHistogram:
     """Chroma histograms over the torso and leg bands of one frame."""
     blocks = [
-        _chroma_histogram(regions.torso, 1, bins),
-        _chroma_histogram(regions.torso, 2, bins),
-        _chroma_histogram(regions.legs, 1, bins),
-        _chroma_histogram(regions.legs, 2, bins),
+        _chroma_histogram(regions.torso, 1),
+        _chroma_histogram(regions.torso, 2),
+        _chroma_histogram(regions.legs, 1),
+        _chroma_histogram(regions.legs, 2),
     ]
-    return ClothingHistogram(np.concatenate(blocks), bins=bins)
+    return ClothingHistogram(np.concatenate(blocks))
 
 
 def extract_height(sample: SubjectSample) -> HeightFeature:
@@ -275,34 +270,26 @@ def build_ratio(
     return BuildFeature(best)
 
 
-def skin_mask(
-    region: YCbCrImage,
-    cb_range: tuple[int, int] = SKIN_CB_RANGE,
-    cr_range: tuple[int, int] = SKIN_CR_RANGE,
-) -> SilhouetteMask:
+def skin_mask(region: YCbCrImage) -> SilhouetteMask:
     """Pixels whose chroma falls in the skin box (bounds inclusive)."""
     cb = region.planes[..., 1]
     cr = region.planes[..., 2]
     bits = (
-        (cb >= cb_range[0])
-        & (cb <= cb_range[1])
-        & (cr >= cr_range[0])
-        & (cr <= cr_range[1])
+        (cb >= SKIN_CB_RANGE[0])
+        & (cb <= SKIN_CB_RANGE[1])
+        & (cr >= SKIN_CR_RANGE[0])
+        & (cr <= SKIN_CR_RANGE[1])
     )
     return SilhouetteMask(bits)
 
 
-def complexion(
-    region: YCbCrImage,
-    cb_range: tuple[int, int] = SKIN_CB_RANGE,
-    cr_range: tuple[int, int] = SKIN_CR_RANGE,
-) -> ComplexionFeature:
+def complexion(region: YCbCrImage) -> ComplexionFeature:
     """Mean chroma over skin pixels of the head band.
 
     Returns an invalid feature when the band shows no skin at all, which
     is the normal outcome for a subject walking away from the camera.
     """
-    skin = skin_mask(region, cb_range, cr_range)
+    skin = skin_mask(region)
     if not skin.bits.any():
         return ComplexionFeature((math.nan, math.nan), valid=False)
     cb = float(region.planes[..., 1][skin.bits].mean())
@@ -321,10 +308,9 @@ def extract_bundle(
     and build come from the entrance box metrics and silhouette, and are
     left out when those are missing.
     """
-    normalized = normalize_size(sample.image, config.target_height, config.target_width)
-    regions = decompose_regions(rgb_to_ycbcr(normalized))
-    clothing = clothing_histogram(regions, bins=config.bins)
-    skin = complexion(regions.head, config.skin_cb, config.skin_cr)
+    regions = decompose_regions(rgb_to_ycbcr(normalize_size(sample.image)))
+    clothing = clothing_histogram(regions)
+    skin = complexion(regions.head)
 
     height: HeightFeature | None
     try:
@@ -381,8 +367,7 @@ def fuse_bundles(
         clothing = None
     else:
         clothing = ClothingHistogram(
-            np.concatenate([b.clothing.values for b in bundles]),
-            bins=bundles[0].clothing.bins,
+            np.concatenate([b.clothing.values for b in bundles])
         )
 
     if any(b.complexion is None or not b.complexion.valid for b in bundles):

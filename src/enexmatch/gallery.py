@@ -41,6 +41,13 @@ def _check_label(label: str) -> None:
         raise ValueError(f"label {label!r} must be non-empty without spaces or commas")
 
 
+def _holders(
+    classes: Mapping[str, Mapping[str, np.ndarray]], fid: str
+) -> dict[str, np.ndarray]:
+    """Samples of one trait for each class holding it, in enrollment order."""
+    return {label: features[fid] for label, features in classes.items() if fid in features}
+
+
 @dataclass(frozen=True, eq=False)
 class ProjectedBlock:
     """One trait's projected gallery samples, packed in enrollment order.
@@ -82,19 +89,19 @@ class ProjectedBlock:
 class Gallery:
     """Immutable set of enrolled classes plus optional fitted transforms."""
 
-    __slots__ = ("_order", "_classes", "_sizes", "_transforms", "_projected", "_fitted")
+    __slots__ = ("_labels", "_classes", "_sizes", "_transforms", "_projected", "_fitted")
 
     def __init__(
         self,
-        order: tuple[str, ...] = (),
         classes: Mapping[str, Mapping[str, np.ndarray]] | None = None,
         sizes: Mapping[str, int] | None = None,
         transforms: Mapping[str, FeatureTransform] | None = None,
         fitted: bool = False,
     ) -> None:
-        # Class feature dicts are never mutated, so galleries share them.
-        self._order = tuple(order)
+        # Class feature dicts are never mutated, so galleries share them;
+        # their key order is the enrollment order.
         self._classes = dict(classes or {})
+        self._labels = tuple(self._classes)
         self._sizes = dict(sizes or {})
         self._transforms = dict(transforms or {})
         self._projected = self._project()
@@ -102,11 +109,11 @@ class Gallery:
 
     @property
     def n(self) -> int:
-        return len(self._order)
+        return len(self._labels)
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return self._order
+        return self._labels
 
     @property
     def fitted(self) -> bool:
@@ -129,8 +136,8 @@ class Gallery:
         """Each transform's trait, projected in one stacked call over its holders."""
         blocks = {}
         for fid, transform in self._transforms.items():
-            holders = [label for label in self._order if fid in self._classes[label]]
-            parts = [self._classes[label][fid] for label in holders]
+            holders = _holders(self._classes, fid)
+            parts = list(holders.values())
             rows = project(transform, np.concatenate(parts))
             blocks[fid] = ProjectedBlock.pack(holders, rows, [len(p) for p in parts])
         return blocks
@@ -189,11 +196,7 @@ class Gallery:
         classes[label] = stacked
         sizes = dict(self._sizes)
         sizes[label] = len(bundles)
-        return Gallery(
-            order=self._order + (label,),
-            classes=classes,
-            sizes=sizes,
-        )
+        return Gallery(classes=classes, sizes=sizes)
 
     def retire(self, label: str) -> "Gallery":
         """Remove a class; clears any previous fit."""
@@ -201,11 +204,7 @@ class Gallery:
             raise UnknownLabelError(f"label {label!r} is not enrolled")
         classes = {k: v for k, v in self._classes.items() if k != label}
         sizes = {k: v for k, v in self._sizes.items() if k != label}
-        return Gallery(
-            order=tuple(l for l in self._order if l != label),
-            classes=classes,
-            sizes=sizes,
-        )
+        return Gallery(classes=classes, sizes=sizes)
 
     def fit(self, epsilon: float | None = None) -> "Gallery":
         """Learn per-feature transforms; the result projects the enrolled samples.
@@ -217,23 +216,20 @@ class Gallery:
             raise DegenerateProblemError("fitting needs at least two enrolled classes")
         transforms: dict[str, FeatureTransform] = {}
         for fid in FEATURE_IDS:
-            holders = [
-                label for label in self._order if fid in self._classes[label]
-            ]
+            holders = _holders(self._classes, fid)
             if len(holders) < 2:
                 continue
-            dims = {self._classes[label][fid].shape[1] for label in holders}
+            dims = {samples.shape[1] for samples in holders.values()}
             if len(dims) != 1:
                 raise DimensionMismatchError(
                     f"{fid} dimensions differ across classes: {sorted(dims)}"
                 )
             class_samples = [
-                ClassSamples(label=label, samples=self._classes[label][fid])
-                for label in holders
+                ClassSamples(label=label, samples=samples)
+                for label, samples in holders.items()
             ]
             transforms[fid] = fit_transform(class_samples, epsilon, feature_id=fid)
         return Gallery(
-            order=self._order,
             classes=self._classes,
             sizes=self._sizes,
             transforms=transforms,
@@ -241,33 +237,14 @@ class Gallery:
         )
 
     def __eq__(self, other: object) -> bool:
+        """Equal when both encode to the same snapshot body.
+
+        That is stricter than ``np.array_equal`` on the samples and the
+        transforms only in telling 0.0 from -0.0.
+        """
         if not isinstance(other, Gallery):
             return NotImplemented
-        if self._order != other._order or self._fitted != other._fitted:
-            return False
-        if self._sizes != other._sizes:
-            return False
-        if set(self._classes) != set(other._classes):
-            return False
-        for label, features in self._classes.items():
-            if set(features) != set(other._classes[label]):
-                return False
-            for fid, samples in features.items():
-                if not np.array_equal(samples, other._classes[label][fid]):
-                    return False
-        if set(self._transforms) != set(other._transforms):
-            return False
-        for fid, t in self._transforms.items():
-            o = other._transforms[fid]
-            if (
-                t.feature_id != o.feature_id
-                or t.regularization != o.regularization
-                or t.discriminative != o.discriminative
-                or not np.array_equal(t.matrix, o.matrix)
-                or not np.array_equal(t.eigenvalues, o.eigenvalues)
-            ):
-                return False
-        return True
+        return _encode_body(self) == _encode_body(other)
 
     def __repr__(self) -> str:
         state = "fitted" if self._fitted else "unfitted"
@@ -451,7 +428,7 @@ def _decode_body(body: bytes, origin: str) -> Gallery:
     for _ in range(r.u32()):
         fid = r.feature_id()
         matrix = r.array(r.u32(), r.u32())
-        widths = {f[fid].shape[1] for f in classes.values() if fid in f}
+        widths = {samples.shape[1] for samples in _holders(classes, fid).values()}
         if fid in transforms or widths != {matrix.shape[0]}:
             raise r.error(
                 f"{fid} transform of width {matrix.shape[0]} repeats or does not "
@@ -470,11 +447,7 @@ def _decode_body(body: bytes, origin: str) -> Gallery:
         raise r.error("an unfitted snapshot holds transforms")
     try:
         return Gallery(
-            order=tuple(classes),
-            classes=classes,
-            sizes=sizes,
-            transforms=transforms,
-            fitted=fitted,
+            classes=classes, sizes=sizes, transforms=transforms, fitted=fitted
         )
     except NonFiniteInputError as exc:
         raise r.error(str(exc)) from None

@@ -132,7 +132,14 @@ def _parse_header(data: bytes, magic: bytes, path: Path) -> tuple[int, int, int]
             pos += 1
         if pos == start:
             raise ImageFormatError(f"{path}: malformed header")
-        fields.append(int(data[start:pos]))
+        # Bound the digit run before int(), which refuses very long ones.
+        digits = data[start:pos].lstrip(b"0")
+        if len(digits) > len(str(MAX_PIXELS)):
+            raise DimensionOverflowError(
+                f"{path}: a {len(digits)}-digit header field exceeds the "
+                f"{MAX_PIXELS} pixel budget"
+            )
+        fields.append(int(digits or b"0"))
     if pos >= len(data) or data[pos] not in _WHITESPACE:
         raise ImageFormatError(f"{path}: header not terminated by whitespace")
     pos += 1

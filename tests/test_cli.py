@@ -1,3 +1,4 @@
+import shutil
 import struct
 import zlib
 
@@ -147,6 +148,23 @@ class TestEnroll:
             ]
         )
         assert code == 2
+
+    def test_oversized_image_header_is_an_error_line(self, dataset, tmp_path, capsys):
+        copy = tmp_path / "data"
+        shutil.copytree(dataset, copy)
+        victim = next((copy / "images").glob("*.ppm"))
+        victim.write_bytes(b"P6\n" + b"9" * 5000 + b" 1\n255\n")
+        code = main(
+            [
+                "enroll",
+                "--manifest", str(copy / "manifest.csv"),
+                "--snapshot", str(tmp_path / "g.bin"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and victim.name in err
+        assert "Traceback" not in err
 
     def test_missing_manifest(self, tmp_path, capsys):
         code = main(

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import struct
 import zlib
@@ -10,7 +11,9 @@ from enexmatch import (
     DimensionMismatchError,
     DuplicateLabelError,
     EnexError,
+    FeatureBundle,
     Gallery,
+    HeightFeature,
     SnapshotChecksumError,
     SnapshotFormatError,
     SnapshotTruncatedError,
@@ -241,6 +244,49 @@ class TestEquality:
 
     def test_not_equal_to_other_types(self):
         assert Gallery() != "gallery"
+
+    @staticmethod
+    def _pair(change):
+        """Two galleries that differ only in what ``change`` names."""
+        rng = np.random.default_rng(333)
+        bundles = [random_bundle(rng) for _ in range(2)]
+        others = [[random_bundle(rng)] for _ in range(2)]
+        altered = list(bundles)
+        if change == "bundle count":
+            # A bundle without traits counts toward the size only.
+            altered.append(FeatureBundle())
+        elif change == "sample value":
+            height = HeightFeature(float(np.nextafter(bundles[1].height.value, 0.0)))
+            altered[1] = dataclasses.replace(bundles[1], height=height)
+        pair = []
+        for first in (bundles, altered):
+            gallery = Gallery().enroll("a", first)
+            for i, rest in enumerate(others):
+                gallery = gallery.enroll(f"b{i}", rest)
+            pair.append(gallery)
+        if change == "regularization":
+            return pair[0].fit(epsilon=1e-4), pair[1].fit(epsilon=2e-4)
+        return pair[0].fit(), pair[1].fit()
+
+    @pytest.mark.parametrize("change", ["bundle count", "sample value", "regularization"])
+    def test_single_field_difference_is_unequal(self, tmp_path, change):
+        g, h = self._pair(change)
+        assert g != h and h != g
+        for gallery in (g, h):
+            path, _ = snapshot_bytes(tmp_path, gallery)
+            assert Gallery.load(path) == gallery
+
+    def test_regularization_alone_matters(self, tmp_path):
+        gallery = enrolled_gallery(np.random.default_rng(334), n=3, features=("height",))
+        gallery = gallery.fit(epsilon=1e-4)
+        _, blob = snapshot_bytes(tmp_path, gallery)
+        body, ridge = blob[16:-4], struct.pack("<d", 1e-4)
+        assert body.count(ridge) == 1
+        path = tmp_path / "ridge.bin"
+        path.write_bytes(with_body(body.replace(ridge, struct.pack("<d", 2e-4))))
+        other = Gallery.load(path)
+        assert other.transforms["height"].regularization == 2e-4
+        assert other != gallery
 
 
 def snapshot_bytes(tmp_path, gallery, name="g.bin"):

@@ -4,6 +4,7 @@ import pytest
 from enexmatch import (
     DegenerateImageError,
     DimensionOverflowError,
+    EnexError,
     Image,
     ImageFormatError,
     ImagePayloadError,
@@ -115,6 +116,54 @@ class TestNetpbm:
         path.write_bytes(b"P6\n100000 100000\n255\n")
         with pytest.raises(DimensionOverflowError):
             load_image(path)
+
+    @pytest.mark.parametrize("loader, magic", [(load_image, b"P6"), (load_mask, b"P5")])
+    @pytest.mark.parametrize("field", range(3))
+    def test_oversized_header_field(self, tmp_path, loader, magic, field):
+        # int() refuses runs of more than 4300 digits with a ValueError.
+        fields = [b"1", b"1", b"255"]
+        fields[field] = b"9" * 5000
+        path = tmp_path / "long.pnm"
+        path.write_bytes(magic + b"\n" + b" ".join(fields) + b"\n" + b"\x00" * 3)
+        with pytest.raises(DimensionOverflowError):
+            loader(path)
+
+    def test_leading_zeros_do_not_count_toward_the_digit_bound(self, tmp_path):
+        path = tmp_path / "zeros.ppm"
+        path.write_bytes(b"P6\n" + b"0" * 5000 + b"1 1\n0255\n" + b"\x00" * 3)
+        assert load_image(path).pixels.shape == (1, 1, 3)
+
+    @pytest.mark.parametrize("loader, saver", [(load_image, save_image), (load_mask, save_mask)])
+    def test_seeded_header_mutations_raise_only_library_errors(self, tmp_path, loader, saver):
+        rng = np.random.default_rng(41)
+        source = tmp_path / "source.pnm"
+        if saver is save_image:
+            saver(random_image(rng, 7, 5), source)
+        else:
+            saver(SilhouetteMask(rng.random((7, 5)) < 0.5), source)
+        raw = source.read_bytes()
+        header = raw.index(b"255\n") + 4
+        path = tmp_path / "mutant.pnm"
+        outcomes = {"loaded": 0, "refused": 0}
+        for _ in range(1500):
+            blob = bytearray(raw)
+            kind = rng.integers(3)
+            if kind == 0:
+                blob[rng.integers(header)] = rng.integers(256)
+            elif kind == 1:
+                del blob[rng.integers(header) :]
+            else:
+                at = int(rng.integers(2, header))
+                run = rng.integers(ord("0"), ord("9") + 1, int(rng.integers(1, 6000)))
+                blob[at:at] = run.astype(np.uint8).tobytes()
+            path.write_bytes(bytes(blob))
+            try:
+                loader(path)
+            except EnexError:
+                outcomes["refused"] += 1
+            else:
+                outcomes["loaded"] += 1
+        assert outcomes["refused"] > 1000 and outcomes["loaded"] > 0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

@@ -1,0 +1,96 @@
+"""Every name a library module imports is used in that module.
+
+Names that ``enexmatch/__init__.py`` lists in ``__all__`` are re-exports
+and count as used there.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import enexmatch
+
+PACKAGE = Path(enexmatch.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def imported_names(tree):
+    """Names bound by every import outside ``from __future__``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def used_names(tree):
+    """Names read anywhere, including inside quoted annotations."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for annotation in filter(None, annotations(tree)):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                inner = ast.parse(node.value, mode="eval")
+                used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return used
+
+
+def exported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    spare = imported_names(tree) - used_names(tree) - exported_names(tree)
+    return sorted(spare)
+
+
+def test_package_has_modules():
+    assert len(MODULES) > 5
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(module):
+    assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+class TestChecker:
+    def test_flags_an_unused_import(self):
+        source = "import os\nfrom typing import Mapping, Sequence\nx: Mapping = {}\n"
+        assert unused_imports(source) == ["Sequence", "os"]
+
+    def test_reads_quoted_annotations_and_aliases(self):
+        source = (
+            "from __future__ import annotations\n"
+            "import numpy as np\n"
+            "from pathlib import Path\n"
+            "from typing import Sequence\n"
+            "def f(p: 'Path', q: list['Sequence']) -> None:\n"
+            "    return np.zeros(1)\n"
+        )
+        assert unused_imports(source) == []
+
+    def test_plain_strings_do_not_count_as_use(self):
+        source = "from pathlib import Path\nNAME = 'Path'\n"
+        assert unused_imports(source) == ["Path"]
+
+    def test_all_exempts_re_exports(self):
+        source = "from .gallery import Gallery, MAGIC\n__all__ = ['Gallery']\n"
+        assert unused_imports(source) == ["MAGIC"]
