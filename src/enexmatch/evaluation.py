@@ -153,15 +153,18 @@ def load_sample(entry: ManifestEntry, root: str | Path) -> SubjectSample:
         mask = load_mask(root / entry.mask) if entry.mask else None
     except OSError as exc:
         raise ManifestError(f"cannot read {entry.image!r}: {exc}") from exc
-    return SubjectSample(
-        image=image,
-        mask=mask,
-        bbox_height=entry.bbox_height,
-        bbox_width=entry.bbox_width,
-        entrance_ref_height=entry.entrance_ref_height,
-        camera_id=entry.camera_id,
-        view=entry.view,
-    )
+    try:
+        return SubjectSample(
+            image=image,
+            mask=mask,
+            bbox_height=entry.bbox_height,
+            bbox_width=entry.bbox_width,
+            entrance_ref_height=entry.entrance_ref_height,
+            camera_id=entry.camera_id,
+            view=entry.view,
+        )
+    except ValueError as exc:
+        raise ManifestError(f"bad row for {entry.image!r}: {exc}") from exc
 
 
 def _observations(

@@ -207,7 +207,6 @@ def normalize_size(image: Image, height: int = 128, width: int = 64) -> Image:
         raise ValueError("target dimensions must be positive")
     if image.height == height and image.width == width:
         return Image(image.pixels.copy())
-    src = image.pixels.astype(np.float64)
     src_h, src_w = image.height, image.width
     ys = (np.arange(height, dtype=np.float64) + 0.5) * (src_h / height) - 0.5
     xs = (np.arange(width, dtype=np.float64) + 0.5) * (src_w / width) - 0.5
@@ -219,28 +218,48 @@ def normalize_size(image: Image, height: int = 128, width: int = 64) -> Image:
     x1 = np.minimum(x0 + 1, src_w - 1)
     wy = (ys - y0)[:, None, None]
     wx = (xs - x0)[None, :, None]
-    p00 = src[y0][:, x0]
-    p01 = src[y0][:, x1]
-    p10 = src[y1][:, x0]
-    p11 = src[y1][:, x1]
-    out = (
-        (1.0 - wy) * (1.0 - wx) * p00
-        + (1.0 - wy) * wx * p01
-        + wy * (1.0 - wx) * p10
-        + wy * wx * p11
-    )
-    return Image(np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8))
+    r0 = (y0 * src_w)[:, None]
+    r1 = (y1 * src_w)[:, None]
+    flat = image.pixels.reshape(-1, 3)
+    # The neighbours are gathered from the uint8 pixels, and the terms are
+    # summed in place and left to right, as w00*p00 + w01*p01 + w10*p10 +
+    # w11*p11 reads: another order can round a sum near .5 to a different
+    # byte, and a fresh full-size array per operation made enroll jobs
+    # page-fault heavily.
+    out = (1.0 - wy) * (1.0 - wx) * np.take(flat, r0 + x0, axis=0)
+    term = np.empty_like(out)
+    out += np.multiply((1.0 - wy) * wx, np.take(flat, r0 + x1, axis=0), out=term)
+    out += np.multiply(wy * (1.0 - wx), np.take(flat, r1 + x0, axis=0), out=term)
+    out += np.multiply(wy * wx, np.take(flat, r1 + x1, axis=0), out=term)
+    out += 0.5
+    np.floor(out, out=out)
+    np.clip(out, 0, 255, out=out)
+    return Image(out.astype(np.uint8))
 
 
 def rgb_to_ycbcr(image: Image) -> YCbCrImage:
     """Full-range BT.601 conversion, rounded half-up and clamped to [0, 255]."""
-    rgb = image.pixels.astype(np.float64)
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    y = 0.299 * r + 0.587 * g + 0.114 * b
-    cb = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
-    cr = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
-    planes = np.stack([y, cb, cr], axis=-1)
-    return YCbCrImage(np.clip(np.floor(planes + 0.5), 0, 255).astype(np.uint8))
+    rgb = np.ascontiguousarray(image.pixels.transpose(2, 0, 1), dtype=np.float64)
+    r, g, b = rgb
+    planes = np.empty_like(rgb)
+    y, cb, cr = planes
+    term = np.empty_like(r)
+    # Evaluated in place, term by term and left to right, so every value
+    # rounds as the formula 0.299 * r + 0.587 * g + 0.114 * b and so on
+    # does; a fresh array per operation made enroll jobs page-fault heavily.
+    np.multiply(r, 0.299, out=y)
+    y += np.multiply(g, 0.587, out=term)
+    y += np.multiply(b, 0.114, out=term)
+    np.subtract(128.0, np.multiply(r, 0.168736, out=cb), out=cb)
+    cb -= np.multiply(g, 0.331264, out=term)
+    cb += np.multiply(b, 0.5, out=term)
+    np.add(128.0, np.multiply(r, 0.5, out=cr), out=cr)
+    cr -= np.multiply(g, 0.418688, out=term)
+    cr -= np.multiply(b, 0.081312, out=term)
+    planes += 0.5
+    np.floor(planes, out=planes)
+    np.clip(planes, 0, 255, out=planes)
+    return YCbCrImage(np.ascontiguousarray(planes.astype(np.uint8).transpose(1, 2, 0)))
 
 
 def band_boundaries(height: int) -> tuple[int, int]:

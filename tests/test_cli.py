@@ -2,9 +2,10 @@ import shutil
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
-from enexmatch import Gallery, parse_match_report, parse_report
+from enexmatch import Gallery, SilhouetteMask, parse_match_report, parse_report, save_mask
 from enexmatch.cli import SNAPSHOT_ENV, main
 from helpers import forged_body, with_body
 
@@ -164,6 +165,30 @@ class TestEnroll:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and victim.name in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "column,value",
+        [("mask", "masks/tiny.pgm"), ("bbox_width", "0"), ("bbox_height", "201")],
+    )
+    def test_inconsistent_row_is_an_error_line(self, dataset, tmp_path, capsys, column, value):
+        copy = tmp_path / "data"
+        shutil.copytree(dataset, copy)
+        save_mask(SilhouetteMask(np.ones((3, 3), dtype=bool)), copy / "masks" / "tiny.pgm")
+        manifest = copy / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[1].split(",")
+        assert row[header.index("entrance_ref_height")] == "200"
+        row[header.index(column)] = value
+        lines[1] = ",".join(row)
+        manifest.write_text("\n".join(lines) + "\n")
+        code = main(
+            ["enroll", "--manifest", str(manifest), "--snapshot", str(tmp_path / "g.bin")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and row[header.index("image")] in err
         assert "Traceback" not in err
 
     def test_missing_manifest(self, tmp_path, capsys):

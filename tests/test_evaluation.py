@@ -1,10 +1,13 @@
+import numpy as np
 import pytest
 
 from enexmatch import (
     CMCCurve,
     DatasetManifest,
+    Image,
     ManifestEntry,
     ManifestError,
+    SilhouetteMask,
     SyntheticConfig,
     UnknownLabelError,
     cmc_csv,
@@ -17,6 +20,8 @@ from enexmatch import (
     parse_report,
     probe_bundles,
     read_manifest,
+    save_image,
+    save_mask,
     write_manifest,
 )
 
@@ -139,6 +144,24 @@ class TestManifestIO:
     def test_missing_image_fails_at_load(self, tmp_path):
         entry = ManifestEntry(label="s001", role="probe", image="images/gone.ppm")
         with pytest.raises(ManifestError):
+            load_sample(entry, tmp_path)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"mask": "small.pgm"},
+            {"bbox_height": 0},
+            {"bbox_width": 0, "bbox_height": 40},
+            {"entrance_ref_height": 0},
+            {"bbox_height": 201, "entrance_ref_height": 200},
+        ],
+    )
+    def test_inconsistent_row_fails_at_load(self, tmp_path, fields):
+        image = Image(np.zeros((6, 4, 3), dtype=np.uint8))
+        save_image(image, tmp_path / "a.ppm")
+        save_mask(SilhouetteMask(np.ones((5, 4), dtype=bool)), tmp_path / "small.pgm")
+        entry = ManifestEntry(label="s001", role="probe", image="a.ppm", **fields)
+        with pytest.raises(ManifestError, match="'a.ppm'"):
             load_sample(entry, tmp_path)
 
 

@@ -49,6 +49,38 @@ def bilinear_reference(pixels, out_h, out_w):
     return out
 
 
+def vectorized_reference(pixels, height, width):
+    """Frozen copy of the per-call index-and-weight resampler.
+
+    This is the vectorized body ``normalize_size`` had before it gathered
+    from the uint8 pixels with flat indices; outputs must stay equal to
+    it byte for byte.
+    """
+    src = pixels.astype(np.float64)
+    src_h, src_w = pixels.shape[:2]
+    ys = (np.arange(height, dtype=np.float64) + 0.5) * (src_h / height) - 0.5
+    xs = (np.arange(width, dtype=np.float64) + 0.5) * (src_w / width) - 0.5
+    ys = np.clip(ys, 0.0, src_h - 1.0)
+    xs = np.clip(xs, 0.0, src_w - 1.0)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, src_h - 1)
+    x1 = np.minimum(x0 + 1, src_w - 1)
+    wy = (ys - y0)[:, None, None]
+    wx = (xs - x0)[None, :, None]
+    p00 = src[y0][:, x0]
+    p01 = src[y0][:, x1]
+    p10 = src[y1][:, x0]
+    p11 = src[y1][:, x1]
+    out = (
+        (1.0 - wy) * (1.0 - wx) * p00
+        + (1.0 - wy) * wx * p01
+        + wy * (1.0 - wx) * p10
+        + wy * wx * p11
+    )
+    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+
+
 class TestNetpbm:
     def test_image_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -224,6 +256,44 @@ class TestNormalizeSize:
         with pytest.raises(ValueError):
             normalize_size(random_image(rng, 4, 4), 0, 10)
 
+    @pytest.mark.parametrize(
+        "source,target",
+        [
+            ((256, 128), (128, 64)),
+            ((1, 1), (128, 64)),
+            ((1, 57), (128, 64)),
+            ((90, 1), (128, 64)),
+            ((256, 128), (1, 1)),
+            ((256, 128), (1, 64)),
+            ((256, 128), (128, 1)),
+            ((5, 4), (128, 64)),
+            ((97, 300), (128, 64)),
+            ((200, 90), (128, 64)),
+            ((200, 90), (33, 71)),
+        ],
+    )
+    def test_matches_frozen_vectorized_body(self, source, target):
+        rng = np.random.default_rng(source[0] * 1000 + source[1] + target[0])
+        for _ in range(3):
+            image = random_image(rng, *source)
+            out = normalize_size(image, *target)
+            assert np.array_equal(out.pixels, vectorized_reference(image.pixels, *target))
+
+    def test_keeps_the_left_to_right_sum_near_a_rounding_boundary(self):
+        # At output (1, 35) the four weighted neighbours sum to within one
+        # ulp of 94.5, so any other order of the three additions rounds to
+        # a different byte.
+        pixels = np.zeros((200, 90, 3), dtype=np.uint8)
+        for (y, x), value in zip([(8, 44), (8, 45), (9, 44), (9, 45)], [117, 59, 74, 124]):
+            pixels[y, x] = value
+        out = normalize_size(Image(pixels), 33, 71)
+        expected = vectorized_reference(pixels, 33, 71)
+        assert np.array_equal(out.pixels, expected)
+        terms = [0.20454545454545503 * 117, 0.20454545454545503 * 59]
+        terms += [0.29545454545454497 * 74, 0.29545454545454497 * 124]
+        assert expected[1, 35, 0] == np.floor(((terms[0] + terms[1]) + terms[2]) + terms[3] + 0.5)
+        assert expected[1, 35, 0] != np.floor((terms[0] + terms[1]) + (terms[2] + terms[3]) + 0.5)
+
 
 class TestColorConversion:
     @pytest.mark.parametrize(
@@ -261,6 +331,20 @@ class TestColorConversion:
                 for channel, value in enumerate((y, cb, cr)):
                     rounded = min(max(int(np.floor(value + 0.5)), 0), 255)
                     assert planes[i, j, channel] == rounded
+
+    def test_every_color_matches_the_formula(self):
+        side = 1024
+        for chunk in range(16):
+            index = np.arange(chunk * side * side, (chunk + 1) * side * side)
+            rgb = np.stack([index >> 16, (index >> 8) & 255, index & 255], axis=-1)
+            image = Image(rgb.astype(np.uint8).reshape(side, side, 3))
+            r, g, b = (rgb[:, channel].astype(np.float64) for channel in range(3))
+            y = 0.299 * r + 0.587 * g + 0.114 * b
+            cb = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
+            cr = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
+            expected = np.clip(np.floor(np.stack([y, cb, cr], axis=-1) + 0.5), 0, 255)
+            planes = rgb_to_ycbcr(image).planes
+            assert np.array_equal(planes.reshape(-1, 3), expected.astype(np.uint8))
 
     def test_preserves_shape(self):
         rng = np.random.default_rng(32)
