@@ -15,6 +15,7 @@ ENEXMATCH_SNAPSHOT environment variable.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -44,6 +45,11 @@ SNAPSHOT_ENV = "ENEXMATCH_SNAPSHOT"
 def _usage(message: str) -> int:
     print(f"usage error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _bad_epsilon(epsilon: float | None) -> bool:
+    """True for a ridge that was given but is not a finite positive number."""
+    return epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0)
 
 
 def _feature_config(args: argparse.Namespace) -> FeatureConfig:
@@ -85,8 +91,8 @@ def cmd_enroll(args: argparse.Namespace) -> int:
     if not args.snapshot:
         return _usage(f"snapshot path required (--snapshot or {SNAPSHOT_ENV})")
     snapshot = Path(args.snapshot)
-    if args.epsilon is not None and args.epsilon <= 0:
-        return _usage("--epsilon must be positive")
+    if _bad_epsilon(args.epsilon):
+        return _usage("--epsilon must be finite and positive")
     try:
         config = _feature_config(args)
     except ValueError as exc:
@@ -160,8 +166,8 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if args.epsilon is not None and args.epsilon <= 0:
-        return _usage("--epsilon must be positive")
+    if _bad_epsilon(args.epsilon):
+        return _usage("--epsilon must be finite and positive")
     try:
         ks = tuple(int(tok) for tok in args.ranks.split(","))
     except ValueError:

@@ -10,6 +10,7 @@ derived from them again on load.
 
 from __future__ import annotations
 
+import math
 import os
 import secrets
 import struct
@@ -434,11 +435,22 @@ def _decode_body(body: bytes, origin: str) -> Gallery:
                 f"{fid} transform of width {matrix.shape[0]} repeats or does not "
                 f"fit its holder classes' widths {sorted(widths)}"
             )
+        eigenvalues = r.array(1, r.u32()).reshape(-1)
+        if eigenvalues.shape[0] != matrix.shape[1]:
+            raise r.error(
+                f"{fid} transform has {eigenvalues.shape[0]} eigenvalues "
+                f"for {matrix.shape[1]} columns"
+            )
+        if (eigenvalues < 0.0).any():
+            raise r.error(f"{fid} transform has a negative eigenvalue")
+        ridge = r.f64()
+        if not (math.isfinite(ridge) and ridge > 0.0):
+            raise r.error(f"{fid} transform ridge {ridge!r} is not finite and positive")
         transforms[fid] = FeatureTransform(
             feature_id=fid,
             matrix=matrix,
-            eigenvalues=r.array(1, r.u32()).reshape(-1),
-            regularization=r.f64(),
+            eigenvalues=eigenvalues,
+            regularization=ridge,
             discriminative=r.flag(),
         )
     if not r.done():

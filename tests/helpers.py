@@ -91,8 +91,14 @@ def _array(values):
     return struct.pack("<II", *values.shape) + values.tobytes()
 
 
-def forged_body(classes, transforms=(), fitted=None, discriminative=1):
-    """Encode (label, [(fid, samples)]) classes and (fid, matrix) transforms."""
+def forged_body(
+    classes, transforms=(), fitted=None, discriminative=1, eigenvalues=None, ridge=1e-6
+):
+    """Encode (label, [(fid, samples)]) classes and (fid, matrix) transforms.
+
+    Each transform gets ``eigenvalues`` (default: a 1 per matrix column)
+    and the ridge ``ridge``.
+    """
     fitted = (1 if transforms else 0) if fitted is None else fitted
     out = struct.pack("<BI", fitted, len(classes))
     for label, features in classes:
@@ -100,7 +106,8 @@ def forged_body(classes, transforms=(), fitted=None, discriminative=1):
         out += b"".join(_text(fid) + _array(v) for fid, v in features)
     out += struct.pack("<I", len(transforms))
     for fid, matrix in transforms:
-        eigenvalues = np.ones(np.shape(matrix)[1])
-        out += _text(fid) + _array(matrix) + struct.pack("<I", len(eigenvalues))
-        out += eigenvalues.astype("<f8").tobytes() + struct.pack("<dB", 1e-6, discriminative)
+        values = np.ones(np.shape(matrix)[1]) if eigenvalues is None else eigenvalues
+        values = np.asarray(values, dtype="<f8")
+        out += _text(fid) + _array(matrix) + struct.pack("<I", len(values))
+        out += values.tobytes() + struct.pack("<dB", ridge, discriminative)
     return out

@@ -140,15 +140,18 @@ class TestEnroll:
         assert "error:" in capsys.readouterr().err
 
     def test_bad_epsilon(self, dataset, tmp_path, capsys):
-        code = main(
-            [
-                "enroll",
-                "--manifest", str(dataset / "manifest.csv"),
-                "--snapshot", str(tmp_path / "g.bin"),
-                "--epsilon", "-1",
-            ]
-        )
-        assert code == 2
+        for value in ("-1", "nan", "inf"):
+            code = main(
+                [
+                    "enroll",
+                    "--manifest", str(dataset / "manifest.csv"),
+                    "--snapshot", str(tmp_path / "g.bin"),
+                    "--epsilon", value,
+                ]
+            )
+            assert code == 2, value
+            assert "--epsilon must be finite and positive" in capsys.readouterr().err
+            assert not (tmp_path / "g.bin").exists()
 
     def test_oversized_image_header_is_an_error_line(self, dataset, tmp_path, capsys):
         copy = tmp_path / "data"
@@ -394,6 +397,12 @@ class TestEvaluate:
         )
         assert code == 0
         assert set(parse_report(capsys.readouterr().out)[0][1]) == {1, 2, 3}
+
+    def test_non_finite_epsilon_is_usage_error(self, dataset, capsys):
+        for value in ("nan", "inf", "0"):
+            argv = ["evaluate", "--manifest", str(dataset / "manifest.csv")]
+            assert main(argv + ["--epsilon", value]) == 2, value
+            assert "--epsilon must be finite and positive" in capsys.readouterr().err
 
     def test_unknown_feature(self, dataset, capsys):
         code = main(

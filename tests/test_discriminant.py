@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from enexmatch import (
     scatter_statistics,
     within_scatter,
 )
+from helpers import enrolled_gallery
 
 
 def within_reference(classes):
@@ -134,6 +137,177 @@ class TestScatter:
             within_scatter([])
 
 
+def frozen_within(classes):
+    """The per-class loop ``within_scatter`` used to run, kept verbatim."""
+    dim = classes[0].dim
+    per_class = []
+    total = np.zeros((dim, dim), dtype=np.float64)
+    for c in classes:
+        centered = c.samples.astype(np.float64) - c.samples.mean(axis=0)
+        scatter = centered.T @ centered
+        per_class.append(scatter)
+        total += scatter
+    return per_class, total
+
+
+def frozen_statistics(classes):
+    """The per-class loops of the former ``scatter_statistics``."""
+    _, within = frozen_within(classes)
+    counts = np.array([c.count for c in classes], dtype=np.float64)
+    means = np.stack([c.samples.mean(axis=0) for c in classes])
+    grand = (counts[:, None] * means).sum(axis=0) / counts.sum()
+    between = np.zeros_like(within)
+    for m, diff in zip(counts, means - grand):
+        between += m * np.outer(diff, diff)
+    return within, between, means, grand
+
+
+def frozen_fit(classes):
+    """The former ``fit_transform`` with the default ridge, on the frozen loops."""
+    within, between, _, _ = frozen_statistics(classes)
+    dim = within.shape[0]
+    epsilon = default_ridge(within)
+    chol = np.linalg.cholesky(within + epsilon * np.eye(dim))
+    half = np.linalg.solve(chol, between)
+    whitened = np.linalg.solve(chol, half.T).T
+    whitened = (whitened + whitened.T) / 2.0
+    eigvals, eigvecs = np.linalg.eigh(whitened)
+    order = np.argsort(eigvals)[::-1]
+    eigvals = np.maximum(eigvals[order], 0.0)
+    vectors = np.linalg.solve(chol.T, eigvecs[:, order])
+    vectors /= np.linalg.norm(vectors, axis=0)
+    for j in range(vectors.shape[1]):
+        k = int(np.argmax(np.abs(vectors[:, j])))
+        if vectors[k, j] < 0:
+            vectors[:, j] = -vectors[:, j]
+    discriminative = float(np.trace(between)) > 1e-12 * (
+        float(np.trace(within)) + float(np.trace(between))
+    )
+    if not discriminative:
+        return vectors[:, :1], np.zeros(1), epsilon, False
+    keep = eigvals > 1e-12 * eigvals[0]
+    keep[0] = True
+    return vectors[:, keep] * eigvals[keep], eigvals[keep], epsilon, True
+
+
+def mixed_classes(rng, n_classes, dim):
+    """Classes of 1 to 20 samples, each scaled by 1e-3 to 1e3, with one
+    zero-spread class and one of integer samples among them."""
+    classes = []
+    for i in range(n_classes):
+        count = int(rng.integers(1, 21))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        samples = rng.normal(0.0, 4.0, dim) + scale * rng.normal(size=(count, dim))
+        if i == 1:
+            samples = np.repeat(samples[:1], max(count, 2), axis=0)
+        if i == 2:
+            samples = rng.integers(-50, 50, size=(count, dim))
+        classes.append(ClassSamples(f"c{i}", samples))
+    return classes
+
+
+def same_bytes(got, want):
+    """Equal dtype, shape and bytes, so that 0.0 and -0.0 differ."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and (
+        got.tobytes() == want.tobytes()
+    )
+
+
+class TestFrozenLoopOracle:
+    """The batched scatter code against the per-class loops it replaced,
+    byte for byte. The cases include the shapes where a reordered sum
+    shows: 1-D traits with many classes and with classes of 8 or more
+    samples, where numpy's pairwise summation differs from a loop."""
+
+    CASES = [(1, 300), (1, 12), (2, 80), (3, 60), (96, 45), (192, 12)]
+
+    @pytest.mark.parametrize("dim, n_classes", CASES)
+    def test_statistics_are_byte_identical(self, dim, n_classes):
+        rng = np.random.default_rng(130 + dim + n_classes)
+        for _ in range(3):
+            classes = mixed_classes(rng, n_classes, dim)
+            within, between, means, grand = frozen_statistics(classes)
+            stats = scatter_statistics(classes)
+            assert same_bytes(stats.within, within)
+            assert same_bytes(stats.between, between)
+            assert same_bytes(stats.class_means, means)
+            assert same_bytes(stats.grand_mean, grand)
+            assert same_bytes(between_scatter(classes), between)
+            per_class, total = within_scatter(classes)
+            want_per_class, want_total = frozen_within(classes)
+            assert same_bytes(total, want_total)
+            assert len(per_class) == len(want_per_class)
+            for got, want in zip(per_class, want_per_class):
+                assert same_bytes(got, want)
+
+    @pytest.mark.parametrize("dim, n_classes", CASES)
+    def test_transform_is_byte_identical(self, dim, n_classes):
+        rng = np.random.default_rng(140 + dim + n_classes)
+        classes = mixed_classes(rng, n_classes, dim)
+        matrix, eigenvalues, epsilon, discriminative = frozen_fit(classes)
+        transform = fit_transform(classes)
+        assert same_bytes(transform.matrix, matrix)
+        assert same_bytes(transform.eigenvalues, eigenvalues)
+        assert transform.regularization == epsilon
+        assert transform.discriminative == discriminative
+
+    def test_long_one_dimensional_classes(self):
+        # Classes of 8 to 40 samples: their own means are pairwise sums.
+        rng = np.random.default_rng(150)
+        classes = [
+            ClassSamples(f"c{i}", rng.normal(0, 10.0 ** rng.uniform(-3, 3), (int(k), 1)))
+            for i, k in enumerate(rng.integers(8, 41, size=40))
+        ]
+        within, between, means, grand = frozen_statistics(classes)
+        stats = scatter_statistics(classes)
+        for got, want in zip(
+            (stats.within, stats.between, stats.class_means, stats.grand_mean),
+            (within, between, means, grand),
+        ):
+            assert same_bytes(got, want)
+
+    def test_all_integer_samples(self):
+        rng = np.random.default_rng(151)
+        for dim in (1, 3):
+            classes = [
+                ClassSamples(f"c{i}", rng.integers(0, 1000, size=(int(k), dim)))
+                for i, k in enumerate(rng.integers(1, 21, size=20))
+            ]
+            within, between, means, grand = frozen_statistics(classes)
+            stats = scatter_statistics(classes)
+            assert same_bytes(stats.within, within)
+            assert same_bytes(stats.between, between)
+            assert same_bytes(stats.class_means, means)
+            assert same_bytes(stats.grand_mean, grand)
+
+    def test_first_bad_class_in_enrollment_order_is_named(self):
+        # c3 and c5 are non-finite and sit in different size groups; the
+        # class after them has the wrong width.
+        samples = [np.ones((2, 3)), np.ones((4, 3)), np.ones((2, 3)),
+                   np.ones((4, 3)), np.ones((2, 3)), np.ones((2, 3))]
+        samples[5][1, 2] = np.inf
+        samples[3][0, 0] = np.nan
+        classes = [ClassSamples(f"c{i}", x) for i, x in enumerate(samples)]
+        classes.append(ClassSamples("wide", np.ones((2, 4))))
+        with pytest.raises(NonFiniteInputError, match="'c3'"):
+            scatter_statistics(classes)
+        with pytest.raises(DimensionMismatchError, match="'wide'"):
+            within_scatter(classes[:3] + classes[-1:])
+
+    def test_peak_memory_stays_small(self):
+        # The per-class loop held an n x d x d list: 29 MB here.
+        rng = np.random.default_rng(152)
+        classes = [ClassSamples(f"c{i}", rng.normal(size=(5, 96))) for i in range(400)]
+        tracemalloc.start()
+        try:
+            scatter_statistics(classes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+
+
 class TestFitTransform:
     def test_scalar_case_matches_closed_form(self):
         # 1-D: within 0.01, between 1.0, so the fitted scale is near 100.
@@ -222,6 +396,19 @@ class TestFitTransform:
         for epsilon in (0.0, -1e-3):
             with pytest.raises(ValueError):
                 fit_transform(classes, epsilon=epsilon)
+
+    def test_rejects_non_finite_epsilon(self):
+        rng = np.random.default_rng(116)
+        classes = make_classes(rng)
+        for epsilon in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                fit_transform(classes, epsilon=epsilon)
+
+    def test_gallery_fit_rejects_non_finite_epsilon(self):
+        gallery = enrolled_gallery(np.random.default_rng(117), n=3)
+        for epsilon in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                gallery.fit(epsilon)
 
     def test_feature_id_recorded(self):
         rng = np.random.default_rng(115)

@@ -482,6 +482,33 @@ class TestForgedSnapshots:
         with pytest.raises(SnapshotFormatError, match=message):
             Gallery.load(path)
 
+    @pytest.mark.parametrize(
+        "forged, message",
+        [
+            ({"ridge": np.nan}, "ridge nan"),
+            ({"ridge": -np.inf}, "ridge -inf"),
+            ({"ridge": 0.0}, "ridge 0.0"),
+            ({"ridge": -1e-6}, "ridge -1e-06"),
+            ({"eigenvalues": [1.0, 0.5]}, "2 eigenvalues for 1 columns"),
+            ({"eigenvalues": [-0.5]}, "negative eigenvalue"),
+        ],
+        ids=["nan-ridge", "minus-inf-ridge", "zero-ridge", "negative-ridge",
+             "eigenvalue-count", "negative-eigenvalue"],
+    )
+    def test_transform_metadata_rejected(self, tmp_path, forged, message):
+        path = tmp_path / "g.bin"
+        path.write_bytes(with_body(forged_body(TWO, [UNIT], **forged)))
+        with pytest.raises(SnapshotFormatError, match=message):
+            Gallery.load(path)
+
+    def test_zero_eigenvalue_of_a_flat_trait_loads(self, tmp_path):
+        # A non-discriminative fit stores the single eigenvalue 0.0.
+        path = tmp_path / "g.bin"
+        path.write_bytes(
+            with_body(forged_body(TWO, [UNIT], eigenvalues=[0.0], discriminative=0))
+        )
+        assert Gallery.load(path).transforms["height"].eigenvalues.tolist() == [0.0]
+
     def test_seeded_mutations_raise_only_library_errors(self, tmp_path):
         # Flip and truncate bytes of a real body, then re-seal it with a
         # valid length and checksum, so the decoder itself meets the damage.
