@@ -3,8 +3,8 @@
 A Gallery value is immutable; enroll, retire, and fit return new
 instances, so a reader can keep using the snapshot it already holds
 while a single writer produces the next one. Snapshots persist the
-enrolled samples and fitted transforms as a length-prefixed binary
-record stream guarded by a trailing CRC-32; the projected samples are
+enrolled samples, one contiguous block per trait, and the fitted
+transforms, guarded by a trailing CRC-32; the projected samples are
 derived from them again on load.
 """
 
@@ -17,7 +17,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .errors import (
 )
 from .features import FEATURE_IDS, FeatureBundle
 
-MAGIC = b"ENEXGAL2"
+MAGIC = b"ENEXGAL3"
 
 
 def _check_label(label: str) -> None:
@@ -42,11 +42,36 @@ def _check_label(label: str) -> None:
         raise ValueError(f"label {label!r} must be non-empty without spaces or commas")
 
 
-def _holders(
-    classes: Mapping[str, Mapping[str, np.ndarray]], fid: str
-) -> dict[str, np.ndarray]:
-    """Samples of one trait for each class holding it, in enrollment order."""
-    return {label: features[fid] for label, features in classes.items() if fid in features}
+class _Trait(NamedTuple):
+    """One trait's raw samples over the classes holding it, in enrollment order.
+
+    Class ``labels[i]`` owns the next ``counts[i]`` rows of the read-only
+    (sum(counts) x d) float64 ``block``.
+    """
+
+    labels: tuple[str, ...]
+    counts: list[int]
+    block: np.ndarray
+
+
+def _pack(classes: Mapping[str, Mapping[str, np.ndarray]], fid: str) -> _Trait | None:
+    """Stack one trait's samples over its holder classes; None when none holds it."""
+    labels, parts = [], []
+    for label, features in classes.items():
+        samples = features.get(fid)
+        if samples is not None:
+            labels.append(label)
+            parts.append(samples)
+    if not parts:
+        return None
+    widths = {samples.shape[1] for samples in parts}
+    if len(widths) != 1:
+        raise DimensionMismatchError(
+            f"{fid} dimensions differ across classes: {sorted(widths)}"
+        )
+    block = np.concatenate(parts)
+    block.flags.writeable = False
+    return _Trait(tuple(labels), [len(samples) for samples in parts], block)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +93,10 @@ class ProjectedBlock:
         cls, labels: Sequence[str], rows: np.ndarray, counts: Sequence[int]
     ) -> "ProjectedBlock":
         """Wrap stacked rows whose classes own ``counts`` rows each."""
+        if min(counts, default=1) < 1:
+            raise ValueError("every class must own at least one row")
+        if sum(counts) != len(rows):
+            raise ValueError(f"{len(rows)} rows for row counts summing to {sum(counts)}")
         starts = np.zeros(len(counts), dtype=np.intp)
         np.cumsum(counts[:-1], out=starts[1:])
         rows = np.ascontiguousarray(rows, dtype=np.float64)
@@ -78,19 +107,13 @@ class ProjectedBlock:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def class_rows(self) -> dict[str, np.ndarray]:
-        """Read-only view of each class's rows."""
-        ends = (*self.starts[1:].tolist(), self.rows.shape[0])
-        return {
-            label: self.rows[start:end]
-            for label, start, end in zip(self.labels, self.starts.tolist(), ends)
-        }
-
 
 class Gallery:
     """Immutable set of enrolled classes plus optional fitted transforms."""
 
-    __slots__ = ("_labels", "_classes", "_sizes", "_transforms", "_projected", "_fitted")
+    __slots__ = (
+        "_labels", "_classes", "_sizes", "_transforms", "_traits", "_projected", "_fitted"
+    )
 
     def __init__(
         self,
@@ -98,13 +121,17 @@ class Gallery:
         sizes: Mapping[str, int] | None = None,
         transforms: Mapping[str, FeatureTransform] | None = None,
         fitted: bool = False,
+        *,
+        traits: Mapping[str, _Trait | None] | None = None,
     ) -> None:
         # Class feature dicts are never mutated, so galleries share them;
-        # their key order is the enrollment order.
+        # their key order is the enrollment order. ``traits`` holds packed
+        # blocks of these same classes, filled on first use otherwise.
         self._classes = dict(classes or {})
         self._labels = tuple(self._classes)
         self._sizes = dict(sizes or {})
         self._transforms = dict(transforms or {})
+        self._traits = dict(traits or {})
         self._projected = self._project()
         self._fitted = bool(fitted)
 
@@ -124,23 +151,23 @@ class Gallery:
     def transforms(self) -> Mapping[str, FeatureTransform]:
         return dict(self._transforms)
 
-    @property
-    def projected(self) -> Mapping[str, Mapping[str, np.ndarray]]:
-        """Per trait, a read-only view of each holder class's projected rows."""
-        return {fid: block.class_rows() for fid, block in self._projected.items()}
-
     def projected_block(self, feature_id: str) -> ProjectedBlock:
         """The packed projected rows of one fitted trait."""
         return self._projected[feature_id]
+
+    def _trait(self, fid: str) -> _Trait | None:
+        """The packed raw samples of one trait, packed once per gallery."""
+        if fid not in self._traits:
+            self._traits[fid] = _pack(self._classes, fid)
+        return self._traits[fid]
 
     def _project(self) -> dict[str, ProjectedBlock]:
         """Each transform's trait, projected in one stacked call over its holders."""
         blocks = {}
         for fid, transform in self._transforms.items():
-            holders = _holders(self._classes, fid)
-            parts = list(holders.values())
-            rows = project(transform, np.concatenate(parts))
-            blocks[fid] = ProjectedBlock.pack(holders, rows, [len(p) for p in parts])
+            trait = self._trait(fid)
+            rows = project(transform, trait.block)
+            blocks[fid] = ProjectedBlock.pack(trait.labels, rows, trait.counts)
         return blocks
 
     def class_size(self, label: str) -> int:
@@ -168,7 +195,11 @@ class Gallery:
         )
 
     def enroll(self, label: str, bundles: Sequence[FeatureBundle]) -> "Gallery":
-        """Add a class; clears any previous fit."""
+        """Add a class; clears any previous fit.
+
+        Every class holding a trait holds it at one width, the width a
+        snapshot stores for that trait.
+        """
         _check_label(label)
         if label in self._classes:
             raise DuplicateLabelError(f"label {label!r} is already enrolled")
@@ -193,6 +224,12 @@ class Gallery:
                     f"{fid} vectors of class {label!r} have mixed dimensions {sorted(dims)}"
                 )
             stacked[fid] = np.stack(vectors)
+            held = next((f[fid] for f in self._classes.values() if fid in f), None)
+            if held is not None and held.shape[1] != stacked[fid].shape[1]:
+                raise DimensionMismatchError(
+                    f"{fid} vectors of class {label!r} have dimension "
+                    f"{stacked[fid].shape[1]}, enrolled classes {held.shape[1]}"
+                )
         classes = dict(self._classes)
         classes[label] = stacked
         sizes = dict(self._sizes)
@@ -217,17 +254,12 @@ class Gallery:
             raise DegenerateProblemError("fitting needs at least two enrolled classes")
         transforms: dict[str, FeatureTransform] = {}
         for fid in FEATURE_IDS:
-            holders = _holders(self._classes, fid)
-            if len(holders) < 2:
+            trait = self._trait(fid)
+            if trait is None or len(trait.labels) < 2:
                 continue
-            dims = {samples.shape[1] for samples in holders.values()}
-            if len(dims) != 1:
-                raise DimensionMismatchError(
-                    f"{fid} dimensions differ across classes: {sorted(dims)}"
-                )
             class_samples = [
-                ClassSamples(label=label, samples=samples)
-                for label, samples in holders.items()
+                ClassSamples(label=label, samples=self._classes[label][fid])
+                for label in trait.labels
             ]
             transforms[fid] = fit_transform(class_samples, epsilon, feature_id=fid)
         return Gallery(
@@ -235,6 +267,7 @@ class Gallery:
             sizes=self._sizes,
             transforms=transforms,
             fitted=True,
+            traits=self._traits,
         )
 
     def __eq__(self, other: object) -> bool:
@@ -288,7 +321,7 @@ class Gallery:
             )
         if len(data) > expected:
             raise SnapshotFormatError(f"{path}: trailing bytes after the checksum")
-        body = data[len(MAGIC) + 8 : len(MAGIC) + 8 + body_len]
+        body = memoryview(data)[len(MAGIC) + 8 : len(MAGIC) + 8 + body_len]
         (stored_crc,) = struct.unpack_from("<I", data, expected - 4)
         if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
             raise SnapshotChecksumError(f"{path}: checksum mismatch")
@@ -304,6 +337,9 @@ class _BodyWriter:
 
     def u32(self, value: int) -> None:
         self.chunks.append(struct.pack("<I", value))
+
+    def u32s(self, values: Sequence[int]) -> None:
+        self.chunks.append(np.array(values, dtype="<u4").tobytes())
 
     def f64(self, value: float) -> None:
         self.chunks.append(struct.pack("<d", value))
@@ -321,7 +357,7 @@ class _BodyWriter:
 
 
 class _BodyReader:
-    def __init__(self, data: bytes, origin: str) -> None:
+    def __init__(self, data: memoryview, origin: str) -> None:
         self.data = data
         self.pos = 0
         self.origin = origin
@@ -329,7 +365,7 @@ class _BodyReader:
     def error(self, message: str) -> SnapshotFormatError:
         return SnapshotFormatError(f"{self.origin}: {message}")
 
-    def _take(self, count: int) -> bytes:
+    def _take(self, count: int) -> memoryview:
         if self.pos + count > len(self.data):
             raise self.error("record stream ends early")
         out = self.data[self.pos : self.pos + count]
@@ -342,6 +378,9 @@ class _BodyReader:
     def u32(self) -> int:
         return struct.unpack("<I", self._take(4))[0]
 
+    def u32s(self, count: int) -> np.ndarray:
+        return np.frombuffer(self._take(count * 4), dtype="<u4").astype(np.int64)
+
     def f64(self) -> float:
         return struct.unpack("<d", self._take(8))[0]
 
@@ -353,7 +392,7 @@ class _BodyReader:
 
     def text(self) -> str:
         try:
-            return self._take(self.u32()).decode("utf-8")
+            return str(self._take(self.u32()), "utf-8")
         except UnicodeDecodeError:
             raise self.error("text is not valid UTF-8") from None
 
@@ -377,20 +416,29 @@ class _BodyReader:
 
 
 def _encode_body(gallery: Gallery) -> bytes:
+    """Flag, n, the label table, class sizes, one record per held trait, transforms.
+
+    A trait record holds the trait's id, its holder count k and width d,
+    k strictly increasing holder indices into the label table, k row
+    counts, and one (sum of counts x d) block of samples.
+    """
     w = _BodyWriter()
     w.u8(1 if gallery.fitted else 0)
     w.u32(gallery.n)
-    for label in gallery.labels:
-        w.text(label)
-        w.u32(gallery.class_size(label))
-        features = gallery._classes[label]
-        w.u32(len(features))
-        for fid in sorted(features):
-            samples = features[fid]
-            w.text(fid)
-            w.u32(samples.shape[0])
-            w.u32(samples.shape[1])
-            w.array(samples)
+    # Labels hold no whitespace, so a newline separates them unambiguously.
+    w.text("\n".join(gallery.labels))
+    w.u32s([gallery._sizes[label] for label in gallery.labels])
+    traits = [(fid, gallery._trait(fid)) for fid in FEATURE_IDS]
+    traits = [(fid, trait) for fid, trait in traits if trait is not None]
+    index = {label: i for i, label in enumerate(gallery.labels)}
+    w.u32(len(traits))
+    for fid, trait in traits:
+        w.text(fid)
+        w.u32(len(trait.labels))
+        w.u32(trait.block.shape[1])
+        w.u32s([index[label] for label in trait.labels])
+        w.u32s(trait.counts)
+        w.array(trait.block)
     transforms = gallery._transforms
     w.u32(len(transforms))
     for fid in sorted(transforms):
@@ -406,34 +454,67 @@ def _encode_body(gallery: Gallery) -> bytes:
     return w.getvalue()
 
 
-def _decode_body(body: bytes, origin: str) -> Gallery:
+def _decode_trait(r: _BodyReader, fid: str, labels: Sequence[str]) -> _Trait:
+    """Read one trait record after its id and check it against the label table."""
+    holders, width = r.u32(), r.u32()
+    if holders == 0 or width == 0:
+        raise r.error(f"{fid} record of {holders} holder classes has width {width}")
+    indices, counts = r.u32s(holders), r.u32s(holders)
+    if (np.diff(indices) <= 0).any():
+        raise r.error(f"{fid} holder indices are not strictly increasing")
+    if indices[-1] >= len(labels):
+        raise r.error(
+            f"{fid} holder index {int(indices[-1])} is out of range for "
+            f"{len(labels)} labels"
+        )
+    if (counts == 0).any():
+        raise r.error(f"{fid} record gives a holder class zero rows")
+    counts = counts.tolist()
+    block = r.array(sum(counts), width)
+    block.flags.writeable = False
+    return _Trait(tuple([labels[i] for i in indices.tolist()]), counts, block)
+
+
+def _decode_body(body: memoryview, origin: str) -> Gallery:
     r = _BodyReader(body, origin)
     fitted = r.flag()
     n = r.u32()
-    classes: dict[str, dict[str, np.ndarray]] = {}
-    sizes: dict[str, int] = {}
-    for _ in range(n):
-        label = r.text()
-        try:
-            _check_label(label)
-        except ValueError as exc:
-            raise r.error(str(exc)) from None
-        sizes[label] = r.u32()
-        count = r.u32()
-        classes[label] = {r.feature_id(): r.array(r.u32(), r.u32()) for _ in range(count)}
-        if len(classes[label]) != count:
-            raise r.error(f"class {label!r} holds a feature twice")
-    if len(classes) != n:
+    table = r.text()
+    labels = table.split("\n") if table else []
+    if len(labels) != n:
+        raise r.error(f"label table holds {len(labels)} labels for {n} classes")
+    # Splitting on whitespace gives the labels back exactly when none is
+    # empty or holds whitespace; otherwise each label is checked alone,
+    # so the error names the first bad one.
+    if "," in table or table.split() != labels:
+        for label in labels:
+            try:
+                _check_label(label)
+            except ValueError as exc:
+                raise r.error(str(exc)) from None
+    if len(set(labels)) != n:
         raise r.error("a label is enrolled twice")
+    sizes = dict(zip(labels, r.u32s(n).tolist()))
+    classes: dict[str, dict[str, np.ndarray]] = {label: {} for label in labels}
+    traits: dict[str, _Trait] = {}
+    for _ in range(r.u32()):
+        fid = r.feature_id()
+        if fid in traits:
+            raise r.error(f"{fid} trait record repeats")
+        trait = traits[fid] = _decode_trait(r, fid, labels)
+        start = 0
+        for label, count in zip(trait.labels, trait.counts):
+            classes[label][fid] = trait.block[start : start + count]
+            start += count
     transforms: dict[str, FeatureTransform] = {}
     for _ in range(r.u32()):
         fid = r.feature_id()
         matrix = r.array(r.u32(), r.u32())
-        widths = {samples.shape[1] for samples in _holders(classes, fid).values()}
-        if fid in transforms or widths != {matrix.shape[0]}:
+        widths = [traits[fid].block.shape[1]] if fid in traits else []
+        if fid in transforms or widths != [matrix.shape[0]]:
             raise r.error(
                 f"{fid} transform of width {matrix.shape[0]} repeats or does not "
-                f"fit its holder classes' widths {sorted(widths)}"
+                f"fit its holder classes' widths {widths}"
             )
         eigenvalues = r.array(1, r.u32()).reshape(-1)
         if eigenvalues.shape[0] != matrix.shape[1]:
@@ -459,7 +540,11 @@ def _decode_body(body: bytes, origin: str) -> Gallery:
         raise r.error("an unfitted snapshot holds transforms")
     try:
         return Gallery(
-            classes=classes, sizes=sizes, transforms=transforms, fitted=fitted
+            classes=classes,
+            sizes=sizes,
+            transforms=transforms,
+            fitted=fitted,
+            traits=traits,
         )
     except NonFiniteInputError as exc:
         raise r.error(str(exc)) from None

@@ -194,47 +194,20 @@ def parse_match_report(text: str) -> dict:
     }
 
 
-def _pack_class_sets(
-    class_sets: Sequence[tuple[str, np.ndarray]], dim: int
-) -> ProjectedBlock:
-    labels, parts = [], []
-    for label, samples in class_sets:
-        s = np.asarray(samples, dtype=np.float64)
-        if s.ndim != 2 or s.shape[1] != dim:
-            raise DimensionMismatchError(
-                f"class {label!r} samples do not match the probe dimension"
-            )
-        if s.shape[0] == 0:
-            raise ValueError(f"class {label!r} has no samples")
-        labels.append(label)
-        parts.append(s)
-    return ProjectedBlock.pack(
-        labels, np.concatenate(parts), [part.shape[0] for part in parts]
-    )
-
-
 def rank_feature(
-    probe: np.ndarray,
-    class_sets: Sequence[tuple[str, np.ndarray]] | ProjectedBlock,
-    feature_id: str,
+    probe: np.ndarray, block: ProjectedBlock, feature_id: str
 ) -> PerFeatureRanking:
-    """Order classes by their closest sample to the probe.
+    """Order a packed block's classes by their closest sample to the probe.
 
-    ``class_sets`` is a gallery trait's packed block, or (label, samples)
-    pairs in enrollment order, which are packed first. Class distance is
-    the minimum Euclidean distance from the probe to any sample of the
-    class. Distance ties keep the earlier-enrolled class first; ranks
-    are always a dense 1..n.
+    Class distance is the minimum Euclidean distance from the probe to
+    any sample of the class. Distance ties keep the earlier-enrolled
+    class first; ranks are always a dense 1..n.
     """
-    if len(class_sets) == 0:
+    if len(block) == 0:
         raise EmptyGalleryError("no classes to rank")
     v = np.asarray(probe, dtype=np.float64)
     if v.ndim != 1:
         raise DimensionMismatchError("the probe must be a vector")
-    if isinstance(class_sets, ProjectedBlock):
-        block = class_sets
-    else:
-        block = _pack_class_sets(class_sets, v.shape[0])
     if block.rows.shape[1] != v.shape[0]:
         raise DimensionMismatchError(
             f"{feature_id} samples do not match the probe dimension"
@@ -316,9 +289,11 @@ def match_probe(bundle: FeatureBundle, gallery: "Gallery") -> MatchReport:
 
     Only features available on both sides take part: the probe must have
     extracted the feature, and the fitted gallery must hold a transform
-    plus samples of it for every class. The final order is by collective
-    confidence, ties broken by the best single-feature rank and then by
-    enrollment order.
+    plus samples of it for every class. A probe feature whose width
+    differs from the gallery's fit, such as one camera's clothing against
+    a two-camera gallery, cannot be compared and sits out too. The final
+    order is by collective confidence, ties broken by the best
+    single-feature rank and then by enrollment order.
     """
     if gallery.n == 0:
         raise EmptyGalleryError("gallery has no enrolled classes")
@@ -326,17 +301,12 @@ def match_probe(bundle: FeatureBundle, gallery: "Gallery") -> MatchReport:
         raise UnfittedGalleryError("fit the gallery before matching")
 
     transforms = gallery.transforms
-    usable = []
-    for fid in gallery.covered_features():
-        vector = bundle.feature_vector(fid)
-        if vector is None:
-            continue
-        if vector.shape[0] != transforms[fid].input_dim:
-            raise DimensionMismatchError(
-                f"probe {fid} dimension {vector.shape[0]} does not match "
-                f"the gallery fit ({transforms[fid].input_dim})"
-            )
-        usable.append(fid)
+    usable = [
+        fid
+        for fid in gallery.covered_features()
+        if (vector := bundle.feature_vector(fid)) is not None
+        and vector.shape[0] == transforms[fid].input_dim
+    ]
     if not usable:
         raise NoUsableFeatureError(
             "probe and gallery share no feature that can be ranked"

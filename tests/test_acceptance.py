@@ -32,6 +32,7 @@ from enexmatch import (
     vertical_projection,
     within_scatter,
 )
+from enexmatch.gallery import ProjectedBlock
 from helpers import enrolled_gallery, random_bundle, random_mask, random_ycbcr
 
 MODERATE_NOISE = dict(
@@ -141,7 +142,12 @@ class TestCriterion1:
                 )
                 rows.append((best, position, label))
             rows.sort()
-            got = rank_feature(probe, class_sets, "clothing")
+            block = ProjectedBlock.pack(
+                [label for label, _ in class_sets],
+                np.concatenate([samples for _, samples in class_sets]),
+                [len(samples) for _, samples in class_sets],
+            )
+            got = rank_feature(probe, block, "clothing")
             if list(got.labels) != [label for _, _, label in rows]:
                 failures.append(f"ranking order mismatch on trial {trial}")
                 break
@@ -399,9 +405,8 @@ class TestCriterion7:
                 failures.append(f"step {step}: duplicate labels")
                 break
             if gallery.fitted:
-                projected = gallery.projected
                 for fid in gallery.covered_features():
-                    if set(projected[fid]) != set(shadow):
+                    if set(gallery.projected_block(fid).labels) != set(shadow):
                         failures.append(f"step {step}: projection coverage broken")
                         break
         _report(capsys, 7, "lifecycle and persistence", failures, "200 steps")

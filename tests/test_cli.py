@@ -276,6 +276,45 @@ class TestMatch:
         header = capsys.readouterr().out.splitlines()[1]
         assert "features=clothing,height,build,complexion" in header
 
+    def test_one_camera_probe_against_two_camera_gallery(self, tmp_path, capsys):
+        # Clothing (96 vs 192) and complexion (2 vs 4) cannot be compared,
+        # so they sit out; height and build still rank the gallery.
+        data = tmp_path / "two-camera"
+        snapshot = tmp_path / "g.bin"
+        generate = [
+            "generate",
+            "--subjects", "3",
+            "--samples", "2",
+            "--metric-samples", "2",
+            "--probes", "1",
+            "--cameras", "2",
+            "--seed", "9",
+            "--out", str(data),
+        ]
+        assert main(generate) == 0
+        enroll = ["enroll", "--manifest", str(data / "manifest.csv"), "--snapshot", str(snapshot)]
+        assert main(enroll) == 0
+        assert Gallery.load(snapshot).transforms["clothing"].input_dim == 192
+        capsys.readouterr()
+        image = next((data / "images").glob("*_p000_*.ppm"))
+        mask = next((data / "masks").glob("*_p000_*.pgm"))
+        code = main(
+            [
+                "match",
+                "--snapshot", str(snapshot),
+                "--image", str(image),
+                "--mask", str(mask),
+                "--bbox-height", "150",
+                "--bbox-width", "30",
+                "--entrance-ref", "200",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        header = captured.out.splitlines()[1]
+        assert header.endswith(" features=height,build")
+        assert parse_match_report(captured.out.split("\n", 1)[1])["n"] == 3
+
     def test_needs_exactly_one_source(self, dataset, snapshot, capsys):
         assert main(["match", "--snapshot", str(snapshot)]) == 2
         image = next((dataset / "images").glob("*.ppm"))

@@ -22,7 +22,14 @@ from enexmatch import (
 )
 from enexmatch import gallery as gallery_module
 from enexmatch.discriminant import project
-from helpers import enrolled_gallery, forged_body, random_bundle, with_body
+from helpers import (
+    enexgal2_snapshot,
+    enrolled_gallery,
+    forged_body,
+    random_bundle,
+    trait_record,
+    with_body,
+)
 
 
 class TestLifecycle:
@@ -136,11 +143,11 @@ class TestFit:
             "build",
             "complexion",
         }
-        projected = fitted.projected
         for fid in fitted.covered_features():
-            for label in fitted.labels:
-                rows = projected[fid][label]
-                assert rows.shape == (2, fitted.transforms[fid].rank)
+            block = fitted.projected_block(fid)
+            assert block.labels == fitted.labels
+            assert np.diff([*block.starts, len(block.rows)]).tolist() == [2, 2, 2]
+            assert block.rows.shape[1] == fitted.transforms[fid].rank
 
     def test_projections_packed_per_trait_in_enrollment_order(self):
         rng = np.random.default_rng(327)
@@ -174,7 +181,8 @@ class TestFit:
         rng = np.random.default_rng(328)
         fitted = enrolled_gallery(rng, n=3, samples=2).fit()
         block = fitted.projected_block("height")
-        for array in (block.rows, block.starts, fitted.projected["height"]["p01"]):
+        first_class = block.rows[block.starts[0] : block.starts[1]]
+        for array in (block.rows, block.starts, first_class):
             with pytest.raises(ValueError):
                 array[0] = 0
 
@@ -185,14 +193,24 @@ class TestFit:
             gallery.fit()
 
     def test_cross_class_dimension_mismatch(self):
+        # enroll refuses the wider class; a gallery built around that check
+        # still cannot be fitted.
         rng = np.random.default_rng(322)
         narrow = random_bundle(rng, features=("clothing",))
         wide = type(narrow)(
             clothing=type(narrow.clothing)(np.tile(narrow.clothing.values, 2))
         )
-        gallery = Gallery().enroll("a", [narrow]).enroll("b", [wide])
-        with pytest.raises(DimensionMismatchError):
-            gallery.fit()
+        gallery = Gallery().enroll("a", [narrow])
+        with pytest.raises(DimensionMismatchError, match="dimension 192, enrolled classes 96"):
+            gallery.enroll("b", [wide])
+        assert gallery.retire("a").enroll("b", [wide]).labels == ("b",)
+        mixed = Gallery(
+            classes={"a": {"clothing": np.tile(narrow.clothing.values, (1, 1))},
+                     "b": {"clothing": np.tile(wide.clothing.values, (1, 1))}},
+            sizes={"a": 1, "b": 1},
+        )
+        with pytest.raises(DimensionMismatchError, match=r"differ across classes: \[96, 192\]"):
+            mixed.fit()
 
     def test_feature_missing_everywhere_is_skipped(self):
         rng = np.random.default_rng(323)
@@ -338,7 +356,7 @@ class TestSnapshot:
     def test_layout(self, tmp_path):
         rng = np.random.default_rng(344)
         _, blob = snapshot_bytes(tmp_path, enrolled_gallery(rng, n=2))
-        assert blob[:8] == b"ENEXGAL2"
+        assert blob[:8] == b"ENEXGAL3"
         (body_len,) = struct.unpack("<Q", blob[8:16])
         body = blob[16 : 16 + body_len]
         (checksum,) = struct.unpack("<I", blob[16 + body_len :])
@@ -394,10 +412,19 @@ class TestSnapshot:
             Gallery.load(path)
 
     def test_previous_layout_rejected(self, tmp_path):
-        # The previous layout appended per-class projections to the same
-        # body; an unfitted gallery wrote an empty projection section.
+        # ENEXGAL2 stored one sample record per class and trait.
         rng = np.random.default_rng(349)
-        path, blob = snapshot_bytes(tmp_path, enrolled_gallery(rng, n=2))
+        path = tmp_path / "old.bin"
+        path.write_bytes(enexgal2_snapshot(enrolled_gallery(rng, n=2)))
+        with pytest.raises(SnapshotFormatError, match="unknown snapshot magic"):
+            Gallery.load(path)
+
+    def test_first_layout_rejected(self, tmp_path):
+        # ENEXGAL1 appended per-class projections to the ENEXGAL2 body; an
+        # unfitted gallery wrote an empty projection section.
+        rng = np.random.default_rng(349)
+        blob = enexgal2_snapshot(enrolled_gallery(rng, n=2))
+        path = tmp_path / "old.bin"
         path.write_bytes(with_body(blob[16:-4] + struct.pack("<I", 0), b"ENEXGAL1"))
         with pytest.raises(SnapshotFormatError, match="unknown snapshot magic"):
             Gallery.load(path)
@@ -407,6 +434,16 @@ class TestSnapshot:
         unfitted = enrolled_gallery(rng, n=3, samples=2)
         _, plain = snapshot_bytes(tmp_path, unfitted, "plain.bin")
         _, fitted = snapshot_bytes(tmp_path, unfitted.fit(), "fitted.bin")
+        # Magic, body length, checksum; flag, n, the label table, the
+        # sizes, the trait count; per trait its id, holder count, width,
+        # holder indices, row counts and sample block; the transform count.
+        labels = unfitted.labels
+        traits = {"clothing": 96, "height": 1, "build": 1, "complexion": 2}
+        body = 1 + 4 + 4 + len("\n".join(labels)) + 4 * len(labels) + 4 + 4 + sum(
+            4 + len(fid) + 8 + 8 * len(labels) + 2 * len(labels) * width * 8
+            for fid, width in traits.items()
+        )
+        assert len(plain) == 8 + 8 + body + 4
         # The fitted body adds only the transforms: per transform its id,
         # matrix shape and values, eigenvalue count and values, ridge, flag.
         extra = sum(
@@ -418,6 +455,43 @@ class TestSnapshot:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             Gallery.load(tmp_path / "missing.bin")
+
+
+
+class TestSharedBlocks:
+    def test_loaded_samples_are_views_into_one_block_per_trait(self, tmp_path):
+        # 1 to 6 samples per class, complexion held by one class only, and
+        # one class that holds no trait at all.
+        rng = np.random.default_rng(380)
+        gallery = Gallery()
+        for i in range(9):
+            traits = ("clothing", "height", "build") + (("complexion",) if i == 4 else ())
+            bundles = [random_bundle(rng, features=traits) for _ in range(i % 6 + 1)]
+            gallery = gallery.enroll(f"c{i}", bundles)
+        gallery = gallery.enroll("bare", [FeatureBundle(), FeatureBundle()])
+        for original in (gallery, gallery.fit()):
+            path, _ = snapshot_bytes(tmp_path, original)
+            loaded = Gallery.load(path)
+            assert loaded == original
+            assert "complexion" not in loaded.transforms
+            for fid, holders in (("clothing", 9), ("height", 9), ("build", 9), ("complexion", 1)):
+                trait = loaded._trait(fid)
+                assert len(trait.labels) == holders and "bare" not in trait.labels
+                assert not trait.block.flags.writeable
+                start = 0
+                for label, count in zip(trait.labels, trait.counts):
+                    samples = loaded._classes[label][fid]
+                    assert count == original.class_size(label)
+                    assert not samples.flags.writeable
+                    assert np.shares_memory(samples, trait.block)
+                    assert np.array_equal(samples, trait.block[start : start + count])
+                    start += count
+                assert start == len(trait.block)
+            copy = loaded.feature_samples("c4", "complexion")
+            assert copy.flags.writeable and not np.shares_memory(copy, trait.block)
+            copy[0, 0] = -1.0
+            assert loaded.feature_samples("c4", "complexion")[0, 0] != -1.0
+            assert loaded.feature_samples("bare", "height") is None
 
 
 class TestForgedSnapshots:
@@ -436,7 +510,7 @@ class TestForgedSnapshots:
             pytest.param([(b"p\xff", HEIGHTS)], [], "UTF-8", id="label-not-utf8"),
             pytest.param([("p ", HEIGHTS)], [], "spaces", id="label-with-space"),
             pytest.param([("a,b", HEIGHTS)], [], "commas", id="label-with-comma"),
-            pytest.param([("", HEIGHTS)], [], "non-empty", id="empty-label"),
+            pytest.param([("a", HEIGHTS), ("", HEIGHTS)], [], "non-empty", id="empty-label"),
             pytest.param(
                 [("p", HEIGHTS), ("p", HEIGHTS)], [], "enrolled twice", id="duplicate-label"
             ),
@@ -444,11 +518,14 @@ class TestForgedSnapshots:
                 [("a", [("shoe", [[1.0]])])], [], "unknown feature", id="unknown-feature"
             ),
             pytest.param(
-                [("a", HEIGHTS + HEIGHTS)], [], "feature twice", id="duplicate-feature"
+                [("a", HEIGHTS + HEIGHTS)],
+                [],
+                "not strictly increasing",
+                id="duplicate-feature",
             ),
             pytest.param([("a", [("height", [[np.nan]])])], [], "non-finite", id="nan"),
             pytest.param(
-                [("a", [("height", np.zeros((0, 1)))])], [], "empty 0x1", id="rowless"
+                [("a", [("height", np.zeros((0, 1)))])], [], "zero rows", id="rowless"
             ),
             pytest.param(TWO, [("height", [[np.inf]])], "non-finite", id="inf-transform"),
             pytest.param(TWO, [UNIT, UNIT], "repeats", id="duplicate-transform"),
@@ -466,6 +543,44 @@ class TestForgedSnapshots:
         path = tmp_path / "g.bin"
         path.write_bytes(with_body(forged_body(classes, transforms)))
         with pytest.raises(SnapshotFormatError, match=message):
+            Gallery.load(path)
+
+    @pytest.mark.parametrize(
+        "forged, message",
+        [
+            ({"label_count": 3}, "table holds 2 labels for 3 classes"),
+            ({"label_count": 0}, "table holds 2 labels for 0 classes"),
+            ({"records": [trait_record("height", [0, 2], [1, 1], [[0.5], [0.5]])]},
+             "index 2 is out of range for 2 labels"),
+            ({"records": [trait_record("height", [1, 0], [1, 1], [[0.5], [0.5]])]},
+             "not strictly increasing"),
+            ({"records": [trait_record("height", [0, 1], [1, 0], [[0.5]])]},
+             "zero rows"),
+            ({"records": [trait_record("height", [0, 1], [1, 1], np.zeros((2, 0)))]},
+             "width 0"),
+            ({"records": [trait_record("height", [], [], np.zeros((0, 1)))]},
+             "0 holder classes"),
+            ({"records": [trait_record("height", [0, 1], [1, 2], [[0.5], [0.5]])]},
+             "ends early"),
+            ({"records": [trait_record("height", [0, 1], [1, 1], [[0.5]] * 3)]},
+             "unread bytes"),
+            ({"records": [trait_record("height", [0, 1], [1, 1], [[0.5], [0.5]])] * 2},
+             "height trait record repeats"),
+        ],
+        ids=["more-labels-declared", "fewer-labels-declared", "holder-out-of-range",
+             "holders-not-increasing", "zero-row-count", "zero-width", "no-holders",
+             "block-too-short", "block-too-long", "repeated-trait"],
+    )
+    def test_columnar_records_rejected(self, tmp_path, forged, message):
+        path = tmp_path / "g.bin"
+        path.write_bytes(with_body(forged_body(TWO, **forged)))
+        with pytest.raises(SnapshotFormatError, match=message):
+            Gallery.load(path)
+
+    def test_label_holding_a_newline_splits_the_table(self, tmp_path):
+        path = tmp_path / "g.bin"
+        path.write_bytes(with_body(forged_body([("a\nb", HEIGHTS)])))
+        with pytest.raises(SnapshotFormatError, match="table holds 2 labels for 1 classes"):
             Gallery.load(path)
 
     @pytest.mark.parametrize(
@@ -628,7 +743,5 @@ class TestRandomizedOperations:
             assert gallery.labels == tuple(shadow)
             assert gallery.n == len(shadow)
             if gallery.fitted:
-                covered = gallery.covered_features()
-                projected = gallery.projected
-                for fid in covered:
-                    assert set(projected[fid]) == set(shadow)
+                for fid in gallery.covered_features():
+                    assert set(gallery.projected_block(fid).labels) == set(shadow)

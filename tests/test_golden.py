@@ -5,11 +5,12 @@ preceded the packed, vectorized matcher, on the seeded dataset below. A
 change that alters any rank, confidence, order, or snapshot byte fails
 here.
 
-The snapshot digest is of the ``ENEXGAL2`` layout. Its body is the
-previous ``ENEXGAL1`` body (sha256 aed29f76...abd519, 831,183 bytes
-with header and checksum) cut just before the per-class projection
-section, which is now derived on load (538,318 bytes); samples and
-fitted transforms are byte for byte the same.
+The snapshot digest is of the columnar ``ENEXGAL3`` layout, which holds
+one raw-sample block per trait (528,002 bytes with header and
+checksum). The loaded gallery, written again in the previous per-class
+``ENEXGAL2`` layout by a frozen copy of its encoder, still hashes to
+that layout's pin (538,318 bytes), so samples and fitted transforms are
+byte for byte those the previous layout stored.
 
 The resize digests pin frames that go through ``normalize_size``'s
 resampling (256x128 down to 128x64, two cameras); they were taken from
@@ -21,9 +22,11 @@ import hashlib
 import numpy as np
 
 from enexmatch import Gallery, SyntheticConfig, generate_synthetic, ingest, match_probe
+from helpers import enexgal2_snapshot
 
 REPORTS_SHA256 = "ae8ee35ba09933d284194565d5cd3d6ca67717fb45f04715810274c149bb24ea"
-SNAPSHOT_SHA256 = "f5861526f8de167f1e87b4c9e0a03069e1e88fa0b7fdc1b9a9e3db087578ce49"
+SNAPSHOT_SHA256 = "d6313ab3357e325c1d7a6f31f4eb160ab507ad93a63ed4ce312cda09214b243d"
+ENEXGAL2_SNAPSHOT_SHA256 = "f5861526f8de167f1e87b4c9e0a03069e1e88fa0b7fdc1b9a9e3db087578ce49"
 
 RESIZED_CLOTHING_SHA256 = "f5cb70c850b346f5401dbd7a5b98ae918f5e469e69117ff89f4409645b964a9e"
 RESIZED_COMPLEXION_SHA256 = "9e25fcfcbde86cbf8fc05d869e273af5cd44d1e3fad5031233a9f0b9d8b79c1e"
@@ -58,7 +61,10 @@ def test_reports_and_snapshot_bytes_are_pinned(tmp_path):
     path = tmp_path / "gallery.bin"
     gallery.save(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SNAPSHOT_SHA256
-    assert Gallery.load(path) == gallery
+    loaded = Gallery.load(path)
+    assert loaded == gallery
+    previous = enexgal2_snapshot(loaded)
+    assert hashlib.sha256(previous).hexdigest() == ENEXGAL2_SNAPSHOT_SHA256
 
 
 def test_resized_frames_are_pinned(tmp_path):

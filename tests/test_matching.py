@@ -21,8 +21,18 @@ from enexmatch import (
     parse_match_report,
     rank_feature,
 )
+from enexmatch.gallery import ProjectedBlock
 from enexmatch.matching import _neumaier_sum
 from helpers import enrolled_gallery, random_bundle
+
+
+def pack(class_sets):
+    """A projected block of (label, samples) pairs, in the given order."""
+    return ProjectedBlock.pack(
+        [label for label, _ in class_sets],
+        np.concatenate([samples for _, samples in class_sets]),
+        [len(samples) for _, samples in class_sets],
+    )
 
 
 def ranking_reference(probe, class_sets):
@@ -49,18 +59,18 @@ class TestRankFeature:
                 for i in range(n)
             ]
             probe = rng.normal(0, 1, dim)
-            got = rank_feature(probe, class_sets, "clothing")
+            got = rank_feature(probe, pack(class_sets), "clothing")
             assert list(got.labels) == ranking_reference(probe, class_sets)
 
     def test_distance_is_closest_sample(self):
         samples = np.array([[10.0], [2.0], [7.0]])
-        got = rank_feature(np.array([0.0]), [("a", samples)], "height")
+        got = rank_feature(np.array([0.0]), pack([("a", samples)]), "height")
         assert got.distances == (2.0,)
 
     def test_distances_sorted_ascending(self):
         rng = np.random.default_rng(201)
         class_sets = [(f"c{i}", rng.normal(0, 1, (3, 4))) for i in range(6)]
-        got = rank_feature(rng.normal(0, 1, 4), class_sets, "clothing")
+        got = rank_feature(rng.normal(0, 1, 4), pack(class_sets), "clothing")
         assert list(got.distances) == sorted(got.distances)
 
     def test_tie_keeps_enrollment_order(self):
@@ -68,52 +78,58 @@ class TestRankFeature:
             ("late", np.array([[1.0, 0.0]])),
             ("early", np.array([[0.0, 1.0]])),
         ]
-        got = rank_feature(np.zeros(2), class_sets, "build")
+        got = rank_feature(np.zeros(2), pack(class_sets), "build")
         assert got.labels == ("late", "early")
 
     def test_ranks_are_dense(self):
         rng = np.random.default_rng(202)
         class_sets = [(f"c{i}", rng.normal(0, 1, (2, 3))) for i in range(5)]
-        got = rank_feature(rng.normal(0, 1, 3), class_sets, "clothing")
+        got = rank_feature(rng.normal(0, 1, 3), pack(class_sets), "clothing")
         assert sorted(got.rank_of(f"c{i}") for i in range(5)) == [1, 2, 3, 4, 5]
 
     def test_scale_invariance_of_order(self):
         rng = np.random.default_rng(203)
         class_sets = [(f"c{i}", rng.normal(0, 1, (2, 3))) for i in range(5)]
         probe = rng.normal(0, 1, 3)
-        base = rank_feature(probe, class_sets, "clothing").labels
+        base = rank_feature(probe, pack(class_sets), "clothing").labels
         scaled = [(label, samples * 100.0) for label, samples in class_sets]
-        assert rank_feature(probe * 100.0, scaled, "clothing").labels == base
+        assert rank_feature(probe * 100.0, pack(scaled), "clothing").labels == base
 
     def test_empty_gallery(self):
         with pytest.raises(EmptyGalleryError):
-            rank_feature(np.zeros(2), [], "clothing")
+            rank_feature(np.zeros(2), ProjectedBlock.pack([], np.zeros((0, 2)), []), "clothing")
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            rank_feature(np.zeros(2), [("a", np.zeros((1, 3)))], "clothing")
+            rank_feature(np.zeros(2), pack([("a", np.zeros((1, 3)))]), "clothing")
 
     def test_probe_must_be_a_vector(self):
         with pytest.raises(DimensionMismatchError):
-            rank_feature(np.zeros((1, 2)), [("a", np.zeros((1, 2)))], "clothing")
+            rank_feature(np.zeros((1, 2)), pack([("a", np.zeros((1, 2)))]), "clothing")
 
     def test_class_without_samples(self):
         with pytest.raises(ValueError):
-            rank_feature(np.zeros(2), [("a", np.zeros((0, 2)))], "clothing")
+            pack([("a", np.zeros((0, 2)))])
+        with pytest.raises(ValueError):
+            ProjectedBlock.pack(["a", "b"], np.zeros((2, 2)), [1, 2])
 
     def test_packed_block_ranks_like_pairs(self):
         rng = np.random.default_rng(204)
         gallery = enrolled_gallery(rng, n=7, samples=3).fit()
         block = gallery.projected_block("clothing")
-        pairs = [(label, gallery.projected["clothing"][label]) for label in gallery.labels]
+        ends = [*block.starts[1:], len(block.rows)]
+        pairs = [
+            (label, block.rows[start:end])
+            for label, start, end in zip(block.labels, block.starts, ends)
+        ]
         probe = rng.normal(0, 1, block.rows.shape[1])
-        assert rank_feature(probe, block, "clothing") == rank_feature(
-            probe, pairs, "clothing"
-        )
+        got = rank_feature(probe, block, "clothing")
+        assert got == rank_feature(probe, pack(pairs), "clothing")
+        assert list(got.labels) == ranking_reference(probe, pairs)
 
     def test_rank_and_distance_lookups(self):
         got = rank_feature(
-            np.zeros(1), [("a", np.array([[3.0]])), ("b", np.array([[1.0]]))], "height"
+            np.zeros(1), pack([("a", np.array([[3.0]])), ("b", np.array([[1.0]]))]), "height"
         )
         assert (got.rank_of("b"), got.rank_of("a")) == (1, 2)
         assert (got.distance_of("b"), got.distance_of("a")) == (1.0, 3.0)
@@ -124,7 +140,7 @@ class TestRankFeature:
         # Both squared distances overflow; neither class may win on inf.
         class_sets = [("a", np.array([[2e200]])), ("b", np.array([[1e200]]))]
         with pytest.raises(NonFiniteInputError, match="height distances overflow"):
-            rank_feature(np.array([0.0]), class_sets, "height")
+            rank_feature(np.array([0.0]), pack(class_sets), "height")
 
 
 class TestConfidence:
@@ -365,14 +381,22 @@ class TestMatchProbe:
             match_probe(probe, gallery)
 
     def test_probe_dimension_mismatch(self):
+        # A probe trait of another width than the fit sits out, as if absent.
         rng = np.random.default_rng(220)
-        gallery = enrolled_gallery(rng, features=("clothing",)).fit()
-        wide = random_bundle(rng, features=("clothing",))
-        doubled = FeatureBundle(
-            clothing=type(wide.clothing)(np.tile(wide.clothing.values, 2))
+        gallery = enrolled_gallery(rng, features=("clothing", "height")).fit()
+        wide = random_bundle(rng, features=("clothing", "height"))
+        doubled = dataclasses.replace(
+            wide, clothing=type(wide.clothing)(np.tile(wide.clothing.values, 2))
         )
-        with pytest.raises(DimensionMismatchError):
-            match_probe(doubled, gallery)
+        report = match_probe(doubled, gallery)
+        assert report.features_used == ("height",)
+        height_only = dataclasses.replace(wide, clothing=None)
+        assert report.to_text() == match_probe(height_only, gallery).to_text()
+        expected = naive_match(doubled, gallery)
+        assert expected["features"] == ("height",)
+        assert report.ranking == expected["ranking"]
+        with pytest.raises(NoUsableFeatureError):
+            match_probe(dataclasses.replace(doubled, height=None), gallery)
 
 
 class TestReportSerialization:
@@ -463,6 +487,7 @@ def naive_match(probe, gallery):
         for fid in ("clothing", "height", "build", "complexion")
         if fid in gallery.transforms
         and probe.feature_vector(fid) is not None
+        and len(probe.feature_vector(fid)) == gallery.transforms[fid].input_dim
         and all(gallery.feature_samples(label, fid) is not None for label in labels)
     ]
     orders, distances, ranks = {}, {}, {}
