@@ -55,6 +55,72 @@ class ClassSamples:
         return self.samples.shape[1]
 
 
+@dataclass(frozen=True, eq=False)
+class ClassBlock:
+    """Samples of several classes of one width, packed in enrollment order.
+
+    Class ``labels[i]`` owns the next ``counts[i]`` rows (at least one) of
+    the (sum(counts) x d) float64 ``block``.
+    """
+
+    labels: tuple[str, ...]
+    counts: Sequence[int]
+    block: np.ndarray
+
+    def __post_init__(self) -> None:
+        b = self.block
+        if not isinstance(b, np.ndarray) or b.ndim != 2 or b.dtype != np.float64:
+            raise ValueError("block must be a 2-D float64 array")
+        if len(self.labels) != len(self.counts):
+            raise ValueError(f"{len(self.labels)} labels for {len(self.counts)} row counts")
+        if min(self.counts, default=0) < 1 or sum(self.counts) != len(b) or b.shape[1] < 1:
+            raise ValueError(
+                f"a {b.shape[0]}x{b.shape[1]} block for row counts {list(self.counts)}"
+            )
+
+    @classmethod
+    def pack(cls, classes: Sequence[ClassSamples]) -> "ClassBlock":
+        """Stack the classes' samples, taken as float64, into one block.
+
+        A class whose width differs from the first class's is an error.
+        So is a non-finite sample in a class before it, and that error
+        comes first, naming the first bad class in enrollment order.
+        """
+        if len(classes) == 0:
+            raise DegenerateProblemError("no classes given")
+        dim = classes[0].dim
+        stop = next((i for i, c in enumerate(classes) if c.dim != dim), len(classes))
+        kept = classes[:stop]
+        packed = cls(
+            tuple(c.label for c in kept),
+            [c.count for c in kept],
+            np.concatenate([c.samples for c in kept], dtype=np.float64),
+        )
+        if stop < len(classes):
+            _check_finite(packed)
+            bad = classes[stop]
+            raise DimensionMismatchError(
+                f"class {bad.label!r} has dimension {bad.dim}, expected {dim}"
+            )
+        return packed
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+def _check_finite(classes: ClassBlock) -> None:
+    """Raise naming the first class, in enrollment order, with a non-finite sample."""
+    if np.isfinite(classes.block).all():
+        return
+    bad_row = int(np.argmin(np.isfinite(classes.block).all(axis=1)))
+    bad = int(np.searchsorted(np.cumsum(classes.counts), bad_row, side="right"))
+    raise NonFiniteInputError(f"class {classes.labels[bad]!r} has non-finite samples")
+
+
+def _as_block(classes: Sequence[ClassSamples] | ClassBlock) -> ClassBlock:
+    return classes if isinstance(classes, ClassBlock) else ClassBlock.pack(classes)
+
+
 @dataclass(frozen=True)
 class ScatterStatistics:
     """Within and between scatter plus the means they were built from."""
@@ -90,64 +156,38 @@ class FeatureTransform:
         return self.matrix.shape[1]
 
 
-def _stack_groups(
-    classes: Sequence[ClassSamples],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Check the classes and stack them once, grouped by sample count and dtype.
-
-    Returns, per group, the members' enrollment indices (ascending) and
-    their samples as one (members, count, dim) array. An error names the
-    first bad class in enrollment order, as a one-class-at-a-time scan
-    would.
-    """
-    if len(classes) == 0:
-        raise DegenerateProblemError("no classes given")
-    dim = classes[0].dim
-    members: dict[tuple[int, np.dtype], list[int]] = {}
-    mismatch = None
-    for i, c in enumerate(classes):
-        if c.dim != dim:
-            mismatch = c
-            break
-        members.setdefault((c.count, c.samples.dtype), []).append(i)
-    groups = []
-    first_bad = len(classes)
-    for indices in members.values():
-        stack = np.stack([classes[i].samples for i in indices])
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        if not finite.all():
-            first_bad = min(first_bad, indices[int(np.argmin(finite))])
-        groups.append((np.array(indices, dtype=np.intp), stack))
-    if first_bad < len(classes):
-        label = classes[first_bad].label
-        raise NonFiniteInputError(f"class {label!r} has non-finite samples")
-    if mismatch is not None:
-        raise DimensionMismatchError(
-            f"class {mismatch.label!r} has dimension {mismatch.dim}, expected {dim}"
-        )
-    return groups
-
-
 def _centered_groups(
-    classes: Sequence[ClassSamples],
+    classes: ClassBlock,
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Class means in enrollment order, and per size group the members'
-    indices with their float64 samples centered on each class's mean.
+    """Class means in enrollment order, and per row-count group the members'
+    indices (ascending) with their samples centered on each class's mean.
 
-    ``stack.mean(axis=1)`` and the subtraction round each class exactly
-    as ``samples.mean(axis=0)`` and ``samples.astype(float64) - mean`` do.
+    Classes of one row count c are read as one (members, c, d) stack: a
+    zero-copy reshape of the block when every class has c rows, one row
+    gather otherwise. ``stack.mean(axis=1)`` and the subtraction round
+    each class exactly as ``samples.mean(axis=0)`` and ``samples - mean``
+    do.
     """
-    groups = _stack_groups(classes)
-    group_means = [stack.mean(axis=1) for _, stack in groups]
-    means = np.empty(
-        (len(classes), classes[0].dim), dtype=np.result_type(*group_means)
-    )
+    _check_finite(classes)
+    block = classes.block
+    counts = np.asarray(classes.counts, dtype=np.intp)
+    n, dim = len(counts), block.shape[1]
+    sizes = sorted(set(classes.counts))
+    if len(sizes) == 1:
+        stacks = [(np.arange(n), block.reshape(n, sizes[0], dim))]
+    else:
+        starts = np.cumsum(counts) - counts
+        stacks = []
+        for size in sizes:
+            indices = np.flatnonzero(counts == size)
+            rows = (starts[indices, None] + np.arange(size)).reshape(-1)
+            stacks.append((indices, block[rows].reshape(len(indices), size, dim)))
+    means = np.empty((n, dim), dtype=np.float64)
     centered = []
-    for (indices, stack), mean in zip(groups, group_means):
+    for indices, stack in stacks:
+        mean = stack.mean(axis=1)
         means[indices] = mean
-        centered.append(
-            (indices, np.subtract(stack, mean[:, None, :], dtype=np.float64))
-        )
+        centered.append((indices, np.subtract(stack, mean[:, None, :])))
     return means, centered
 
 
@@ -217,7 +257,7 @@ def within_scatter(
     classes: Sequence[ClassSamples],
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Per-class scatter around each class mean, and their sum."""
-    means, groups = _centered_groups(classes)
+    means, groups = _centered_groups(_as_block(classes))
     per_class: list[np.ndarray] = []
     total = _sum_in_order(*means.shape, partial(_within_terms, groups), per_class)
     return per_class, total
@@ -228,12 +268,22 @@ def between_scatter(classes: Sequence[ClassSamples]) -> np.ndarray:
     return scatter_statistics(classes).between
 
 
-def scatter_statistics(classes: Sequence[ClassSamples]) -> ScatterStatistics:
+def scatter_statistics(
+    classes: Sequence[ClassSamples] | ClassBlock,
+) -> ScatterStatistics:
+    """Within and between scatter of at least two classes of one width.
+
+    The classes come either as a sequence of ``ClassSamples``, packed
+    once into a ``ClassBlock``, or as that block itself. Either way the
+    samples are taken as float64, and each scatter is summed class by
+    class in enrollment order, as a loop of ``+=`` would.
+    """
     if len(classes) < 2:
         raise DegenerateProblemError("scatter statistics need at least two classes")
+    classes = _as_block(classes)
     means, groups = _centered_groups(classes)
     within = _sum_in_order(*means.shape, partial(_within_terms, groups))
-    counts = np.array([c.count for c in classes], dtype=np.float64)
+    counts = np.asarray(classes.counts, dtype=np.float64)
     grand = (counts[:, None] * means).sum(axis=0) / counts.sum()
     diffs = means - grand
 
@@ -257,7 +307,7 @@ def default_ridge(within: np.ndarray) -> float:
 
 
 def fit_transform(
-    classes: Sequence[ClassSamples],
+    classes: Sequence[ClassSamples] | ClassBlock,
     epsilon: float | None = None,
     feature_id: str = "feature",
 ) -> FeatureTransform:
@@ -267,6 +317,7 @@ def fit_transform(
     through a Cholesky whitening of the regularized within scatter, which
     keeps the computation symmetric and stable. All directions whose
     eigenvalue exceeds a small fraction of the strongest are retained.
+    The classes come in either form ``scatter_statistics`` accepts.
     """
     if len(classes) < 2:
         raise DegenerateProblemError("fitting needs at least two classes")

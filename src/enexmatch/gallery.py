@@ -17,11 +17,11 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .discriminant import ClassSamples, FeatureTransform, fit_transform, project
+from .discriminant import ClassBlock, FeatureTransform, fit_transform, project
 from .errors import (
     DegenerateProblemError,
     DimensionMismatchError,
@@ -42,20 +42,9 @@ def _check_label(label: str) -> None:
         raise ValueError(f"label {label!r} must be non-empty without spaces or commas")
 
 
-class _Trait(NamedTuple):
-    """One trait's raw samples over the classes holding it, in enrollment order.
-
-    Class ``labels[i]`` owns the next ``counts[i]`` rows of the read-only
-    (sum(counts) x d) float64 ``block``.
-    """
-
-    labels: tuple[str, ...]
-    counts: list[int]
-    block: np.ndarray
-
-
-def _pack(classes: Mapping[str, Mapping[str, np.ndarray]], fid: str) -> _Trait | None:
-    """Stack one trait's samples over its holder classes; None when none holds it."""
+def _pack(classes: Mapping[str, Mapping[str, np.ndarray]], fid: str) -> ClassBlock | None:
+    """Stack one trait's samples over its holder classes into one read-only
+    float64 block; None when no class holds the trait."""
     labels, parts = [], []
     for label, features in classes.items():
         samples = features.get(fid)
@@ -69,9 +58,24 @@ def _pack(classes: Mapping[str, Mapping[str, np.ndarray]], fid: str) -> _Trait |
         raise DimensionMismatchError(
             f"{fid} dimensions differ across classes: {sorted(widths)}"
         )
-    block = np.concatenate(parts)
+    block = np.concatenate(parts, dtype=np.float64)
     block.flags.writeable = False
-    return _Trait(tuple(labels), [len(samples) for samples in parts], block)
+    return ClassBlock(tuple(labels), [len(samples) for samples in parts], block)
+
+
+def _class_views(
+    labels: Sequence[str], traits: Mapping[str, ClassBlock | None]
+) -> dict[str, dict[str, np.ndarray]]:
+    """Per class, in ``labels`` order, read-only row views into each trait's block."""
+    classes: dict[str, dict[str, np.ndarray]] = {label: {} for label in labels}
+    for fid, trait in traits.items():
+        if trait is None:
+            continue
+        start = 0
+        for label, count in zip(trait.labels, trait.counts):
+            classes[label][fid] = trait.block[start : start + count]
+            start += count
+    return classes
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +126,7 @@ class Gallery:
         transforms: Mapping[str, FeatureTransform] | None = None,
         fitted: bool = False,
         *,
-        traits: Mapping[str, _Trait | None] | None = None,
+        traits: Mapping[str, ClassBlock | None] | None = None,
     ) -> None:
         # Class feature dicts are never mutated, so galleries share them;
         # their key order is the enrollment order. ``traits`` holds packed
@@ -155,7 +159,7 @@ class Gallery:
         """The packed projected rows of one fitted trait."""
         return self._projected[feature_id]
 
-    def _trait(self, fid: str) -> _Trait | None:
+    def _trait(self, fid: str) -> ClassBlock | None:
         """The packed raw samples of one trait, packed once per gallery."""
         if fid not in self._traits:
             self._traits[fid] = _pack(self._classes, fid)
@@ -252,22 +256,20 @@ class Gallery:
         """
         if self.n < 2:
             raise DegenerateProblemError("fitting needs at least two enrolled classes")
+        traits: dict[str, ClassBlock | None] = {}
         transforms: dict[str, FeatureTransform] = {}
         for fid in FEATURE_IDS:
-            trait = self._trait(fid)
-            if trait is None or len(trait.labels) < 2:
-                continue
-            class_samples = [
-                ClassSamples(label=label, samples=self._classes[label][fid])
-                for label in trait.labels
-            ]
-            transforms[fid] = fit_transform(class_samples, epsilon, feature_id=fid)
+            trait = traits[fid] = self._trait(fid)
+            if trait is not None and len(trait) >= 2:
+                transforms[fid] = fit_transform(trait, epsilon, feature_id=fid)
+        # The fitted gallery's classes view its blocks, so it keeps one
+        # copy of each trait's samples.
         return Gallery(
-            classes=self._classes,
+            classes=_class_views(self._labels, traits),
             sizes=self._sizes,
             transforms=transforms,
             fitted=True,
-            traits=self._traits,
+            traits=traits,
         )
 
     def __eq__(self, other: object) -> bool:
@@ -278,7 +280,7 @@ class Gallery:
         """
         if not isinstance(other, Gallery):
             return NotImplemented
-        return _encode_body(self) == _encode_body(other)
+        return b"".join(_encode_body(self)) == b"".join(_encode_body(other))
 
     def __repr__(self) -> str:
         state = "fitted" if self._fitted else "unfitted"
@@ -291,14 +293,17 @@ class Gallery:
         and then renamed over ``path``, so a save that fails part way
         leaves any previous snapshot as it was.
         """
-        body = _encode_body(self)
-        blob = MAGIC + struct.pack("<Q", len(body)) + body
-        blob += struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+        chunks = _encode_body(self)
         path = Path(path)
         tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
         try:
             with open(tmp, "xb") as f:
-                f.write(blob)
+                f.write(MAGIC + struct.pack("<Q", sum(len(c) for c in chunks)))
+                crc = 0
+                for chunk in chunks:
+                    f.write(chunk)
+                    crc = zlib.crc32(chunk, crc)
+                f.write(struct.pack("<I", crc & 0xFFFFFFFF))
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, path)
@@ -328,9 +333,14 @@ class Gallery:
         return _decode_body(body, str(path))
 
 
+def _raw(array: np.ndarray) -> memoryview:
+    """The bytes of a C-contiguous array, without a copy."""
+    return memoryview(array.reshape(-1).view(np.uint8))
+
+
 class _BodyWriter:
     def __init__(self) -> None:
-        self.chunks: list[bytes] = []
+        self.chunks: list[bytes | memoryview] = []
 
     def u8(self, value: int) -> None:
         self.chunks.append(struct.pack("<B", value))
@@ -339,7 +349,7 @@ class _BodyWriter:
         self.chunks.append(struct.pack("<I", value))
 
     def u32s(self, values: Sequence[int]) -> None:
-        self.chunks.append(np.array(values, dtype="<u4").tobytes())
+        self.chunks.append(_raw(np.array(values, dtype="<u4")))
 
     def f64(self, value: float) -> None:
         self.chunks.append(struct.pack("<d", value))
@@ -350,10 +360,7 @@ class _BodyWriter:
         self.chunks.append(raw)
 
     def array(self, value: np.ndarray) -> None:
-        self.chunks.append(np.ascontiguousarray(value, dtype="<f8").tobytes())
-
-    def getvalue(self) -> bytes:
-        return b"".join(self.chunks)
+        self.chunks.append(_raw(np.ascontiguousarray(value, dtype="<f8")))
 
 
 class _BodyReader:
@@ -406,7 +413,9 @@ class _BodyReader:
         if rows == 0 or cols == 0:
             raise self.error(f"empty {rows}x{cols} array")
         raw = self._take(rows * cols * 8)
-        out = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rows, cols)
+        # On a little-endian machine this views the snapshot's own bytes.
+        out = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False)
+        out = out.reshape(rows, cols)
         if not np.all(np.isfinite(out)):
             raise self.error("non-finite array values")
         return out
@@ -415,8 +424,9 @@ class _BodyReader:
         return self.pos == len(self.data)
 
 
-def _encode_body(gallery: Gallery) -> bytes:
-    """Flag, n, the label table, class sizes, one record per held trait, transforms.
+def _encode_body(gallery: Gallery) -> list[bytes | memoryview]:
+    """Flag, n, the label table, class sizes, one record per held trait, transforms,
+    as byte chunks in file order.
 
     A trait record holds the trait's id, its holder count k and width d,
     k strictly increasing holder indices into the label table, k row
@@ -451,10 +461,10 @@ def _encode_body(gallery: Gallery) -> bytes:
         w.array(t.eigenvalues.reshape(1, -1))
         w.f64(t.regularization)
         w.u8(1 if t.discriminative else 0)
-    return w.getvalue()
+    return w.chunks
 
 
-def _decode_trait(r: _BodyReader, fid: str, labels: Sequence[str]) -> _Trait:
+def _decode_trait(r: _BodyReader, fid: str, labels: Sequence[str]) -> ClassBlock:
     """Read one trait record after its id and check it against the label table."""
     holders, width = r.u32(), r.u32()
     if holders == 0 or width == 0:
@@ -472,7 +482,7 @@ def _decode_trait(r: _BodyReader, fid: str, labels: Sequence[str]) -> _Trait:
     counts = counts.tolist()
     block = r.array(sum(counts), width)
     block.flags.writeable = False
-    return _Trait(tuple([labels[i] for i in indices.tolist()]), counts, block)
+    return ClassBlock(tuple([labels[i] for i in indices.tolist()]), counts, block)
 
 
 def _decode_body(body: memoryview, origin: str) -> Gallery:
@@ -495,21 +505,19 @@ def _decode_body(body: memoryview, origin: str) -> Gallery:
     if len(set(labels)) != n:
         raise r.error("a label is enrolled twice")
     sizes = dict(zip(labels, r.u32s(n).tolist()))
-    classes: dict[str, dict[str, np.ndarray]] = {label: {} for label in labels}
-    traits: dict[str, _Trait] = {}
+    traits: dict[str, ClassBlock] = {}
     for _ in range(r.u32()):
         fid = r.feature_id()
         if fid in traits:
             raise r.error(f"{fid} trait record repeats")
-        trait = traits[fid] = _decode_trait(r, fid, labels)
-        start = 0
-        for label, count in zip(trait.labels, trait.counts):
-            classes[label][fid] = trait.block[start : start + count]
-            start += count
+        traits[fid] = _decode_trait(r, fid, labels)
     transforms: dict[str, FeatureTransform] = {}
     for _ in range(r.u32()):
         fid = r.feature_id()
-        matrix = r.array(r.u32(), r.u32())
+        # Copied, unlike the sample blocks: numpy multiplies by the transpose
+        # of an unaligned matrix through a reordered copy, and the products
+        # then round differently.
+        matrix = r.array(r.u32(), r.u32()).copy()
         widths = [traits[fid].block.shape[1]] if fid in traits else []
         if fid in transforms or widths != [matrix.shape[0]]:
             raise r.error(
@@ -540,7 +548,7 @@ def _decode_body(body: memoryview, origin: str) -> Gallery:
         raise r.error("an unfitted snapshot holds transforms")
     try:
         return Gallery(
-            classes=classes,
+            classes=_class_views(labels, traits),
             sizes=sizes,
             transforms=transforms,
             fitted=fitted,

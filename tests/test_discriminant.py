@@ -7,6 +7,7 @@ from enexmatch import (
     ClassSamples,
     DegenerateProblemError,
     DimensionMismatchError,
+    Gallery,
     NonFiniteInputError,
     between_scatter,
     default_ridge,
@@ -15,7 +16,7 @@ from enexmatch import (
     scatter_statistics,
     within_scatter,
 )
-from helpers import enrolled_gallery
+from helpers import enrolled_gallery, random_bundle
 
 
 def within_reference(classes):
@@ -306,6 +307,72 @@ class TestFrozenLoopOracle:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, peak
+
+
+class TestGalleryBlockPath:
+    """``Gallery.fit`` hands each trait's packed block to ``fit_transform``;
+    the transforms are byte for byte those of the ``ClassSamples`` route
+    and of the frozen per-class loops."""
+
+    def assert_same_transforms(self, gallery):
+        fitted = gallery.fit()
+        assert fitted.transforms
+        for fid, transform in fitted.transforms.items():
+            classes = [
+                ClassSamples(label, gallery._classes[label][fid])
+                for label in gallery.labels
+                if fid in gallery._classes[label]
+            ]
+            want = fit_transform(classes, feature_id=fid)
+            assert same_bytes(transform.matrix, want.matrix)
+            assert same_bytes(transform.eigenvalues, want.eigenvalues)
+            assert transform.regularization == want.regularization
+            assert transform.discriminative == want.discriminative
+            matrix, eigenvalues, epsilon, discriminative = frozen_fit(classes)
+            assert same_bytes(transform.matrix, matrix)
+            assert same_bytes(transform.eigenvalues, eigenvalues)
+            assert (transform.regularization, transform.discriminative) == (
+                epsilon,
+                discriminative,
+            )
+        return fitted
+
+    def test_enrolled_classes_of_one_to_six_rows(self):
+        # Complexion is held by every third class only.
+        rng = np.random.default_rng(160)
+        gallery = Gallery()
+        for i in range(60):
+            traits = ("clothing", "height", "build") + (
+                ("complexion",) if i % 3 == 0 else ()
+            )
+            bundles = [random_bundle(rng, features=traits) for _ in range(i % 6 + 1)]
+            gallery = gallery.enroll(f"c{i}", bundles)
+        fitted = self.assert_same_transforms(gallery)
+        assert set(fitted.transforms) == {"clothing", "height", "build", "complexion"}
+
+    def test_equal_row_counts(self):
+        self.assert_same_transforms(enrolled_gallery(np.random.default_rng(161), n=40))
+
+    def test_integer_valued_samples(self):
+        rng = np.random.default_rng(162)
+        classes, sizes = {}, {}
+        for i, count in enumerate(rng.integers(1, 7, size=30).tolist()):
+            classes[f"c{i}"] = {
+                "height": rng.integers(0, 1000, size=(count, 1)),
+                "complexion": rng.integers(-50, 50, size=(count, 4)).astype(np.float64),
+            }
+            sizes[f"c{i}"] = count
+        self.assert_same_transforms(Gallery(classes=classes, sizes=sizes))
+
+    def test_constructor_gallery_names_first_non_finite_class(self):
+        # c2 (two rows) and c4 (one row) are non-finite; c2 comes first.
+        classes = {f"c{i}": {"build": np.full((i % 2 + 1, 1), float(i))} for i in range(6)}
+        classes["c2"]["build"] = np.array([[1.0], [np.nan]])
+        classes["c4"]["build"] = np.array([[np.inf]])
+        sizes = {label: len(features["build"]) for label, features in classes.items()}
+        gallery = Gallery(classes=classes, sizes=sizes)
+        with pytest.raises(NonFiniteInputError, match="'c2'"):
+            gallery.fit()
 
 
 class TestFitTransform:

@@ -1,6 +1,8 @@
 import dataclasses
 import errno
 import struct
+import sys
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -20,6 +22,7 @@ from enexmatch import (
     UnknownLabelError,
     match_probe,
 )
+from enexmatch import discriminant as discriminant_module
 from enexmatch import gallery as gallery_module
 from enexmatch.discriminant import project
 from helpers import (
@@ -240,6 +243,42 @@ class TestFit:
         for transform in fitted.transforms.values():
             assert transform.regularization == 1e-4
 
+    def test_fit_calls_the_discriminant_through_its_module_globals(self, monkeypatch):
+        # Tracing tools wrap these functions at every module binding the
+        # library holds, as perfbench/spans.py does; a fit that went round
+        # them would leave their spans empty.
+        calls = dict.fromkeys(("fit_transform", "scatter_statistics"), 0)
+        for name in calls:
+            original = getattr(discriminant_module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for key, module in list(sys.modules.items()):
+                if key.startswith("enexmatch") and vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, counted)
+        rng = np.random.default_rng(329)
+        gallery = enrolled_gallery(rng, n=4, features=("clothing", "height", "build"))
+        # Only the last class holds complexion, so three traits are fitted.
+        fitted = gallery.enroll("x", [random_bundle(rng)]).fit()
+        assert sorted(fitted.transforms) == ["build", "clothing", "height"]
+        assert calls == {"fit_transform": 3, "scatter_statistics": 3}
+
+    def test_fit_peak_memory_stays_small(self):
+        # 600 classes of 5 samples, all four traits: the clothing block is
+        # 2.2 MiB. A fit that regroups the samples per class before the
+        # scatter peaks at 7.6 MiB.
+        rng = np.random.default_rng(334)
+        gallery = enrolled_gallery(rng, n=600, samples=5)
+        tracemalloc.start()
+        try:
+            gallery.fit()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20, peak
+
 
 class TestEquality:
     def test_equal_when_built_the_same(self):
@@ -458,40 +497,88 @@ class TestSnapshot:
 
 
 
+HOLDERS = (("clothing", 9), ("height", 9), ("build", 9), ("complexion", 1))
+
+
+def shared_blocks_gallery(rng):
+    """1 to 6 samples per class, complexion held by class c4 only, and one
+    class that holds no trait at all."""
+    gallery = Gallery()
+    for i in range(9):
+        traits = ("clothing", "height", "build") + (("complexion",) if i == 4 else ())
+        bundles = [random_bundle(rng, features=traits) for _ in range(i % 6 + 1)]
+        gallery = gallery.enroll(f"c{i}", bundles)
+    return gallery.enroll("bare", [FeatureBundle(), FeatureBundle()])
+
+
+def assert_views_into_blocks(gallery):
+    """Every class's samples of a trait are read-only rows of its one block."""
+    for fid, holders in HOLDERS:
+        trait = gallery._trait(fid)
+        assert len(trait.labels) == holders and "bare" not in trait.labels
+        assert not trait.block.flags.writeable
+        start = 0
+        for label, count in zip(trait.labels, trait.counts):
+            samples = gallery._classes[label][fid]
+            assert count == gallery.class_size(label)
+            assert not samples.flags.writeable
+            assert np.shares_memory(samples, trait.block)
+            assert np.array_equal(samples, trait.block[start : start + count])
+            start += count
+        assert start == len(trait.block)
+    copy = gallery.feature_samples("c4", "complexion")
+    assert copy.flags.writeable and not np.shares_memory(copy, trait.block)
+    copy[0, 0] = -1.0
+    assert gallery.feature_samples("c4", "complexion")[0, 0] != -1.0
+    assert gallery.feature_samples("bare", "height") is None
+
+
 class TestSharedBlocks:
     def test_loaded_samples_are_views_into_one_block_per_trait(self, tmp_path):
-        # 1 to 6 samples per class, complexion held by one class only, and
-        # one class that holds no trait at all.
-        rng = np.random.default_rng(380)
-        gallery = Gallery()
-        for i in range(9):
-            traits = ("clothing", "height", "build") + (("complexion",) if i == 4 else ())
-            bundles = [random_bundle(rng, features=traits) for _ in range(i % 6 + 1)]
-            gallery = gallery.enroll(f"c{i}", bundles)
-        gallery = gallery.enroll("bare", [FeatureBundle(), FeatureBundle()])
+        gallery = shared_blocks_gallery(np.random.default_rng(380))
         for original in (gallery, gallery.fit()):
             path, _ = snapshot_bytes(tmp_path, original)
             loaded = Gallery.load(path)
             assert loaded == original
             assert "complexion" not in loaded.transforms
-            for fid, holders in (("clothing", 9), ("height", 9), ("build", 9), ("complexion", 1)):
-                trait = loaded._trait(fid)
-                assert len(trait.labels) == holders and "bare" not in trait.labels
-                assert not trait.block.flags.writeable
-                start = 0
-                for label, count in zip(trait.labels, trait.counts):
-                    samples = loaded._classes[label][fid]
-                    assert count == original.class_size(label)
-                    assert not samples.flags.writeable
-                    assert np.shares_memory(samples, trait.block)
-                    assert np.array_equal(samples, trait.block[start : start + count])
-                    start += count
-                assert start == len(trait.block)
-            copy = loaded.feature_samples("c4", "complexion")
-            assert copy.flags.writeable and not np.shares_memory(copy, trait.block)
-            copy[0, 0] = -1.0
-            assert loaded.feature_samples("c4", "complexion")[0, 0] != -1.0
-            assert loaded.feature_samples("bare", "height") is None
+            assert_views_into_blocks(loaded)
+
+    def test_fitted_samples_are_views_into_one_block_per_trait(self, tmp_path):
+        rng = np.random.default_rng(381)
+        gallery = shared_blocks_gallery(rng)
+        enrolled = {label: dict(gallery._classes[label]) for label in gallery.labels}
+        fitted = gallery.fit()
+        assert_views_into_blocks(fitted)
+        # The unfitted gallery keeps its own class dicts and arrays.
+        for label, features in enrolled.items():
+            assert gallery._classes[label] == features
+            assert gallery._classes[label] is not fitted._classes[label]
+
+        path, _ = snapshot_bytes(tmp_path, gallery)
+        loaded = Gallery.load(path)
+        bundles = [random_bundle(rng, features=("clothing", "height", "build"))] * 3
+        changed = loaded.retire("c3").enroll("c9", bundles)
+        refitted = changed.fit()
+        assert_views_into_blocks(refitted)
+        assert refitted.labels[-1] == "c9" and "c3" not in refitted.labels
+        assert_views_into_blocks(loaded)
+        for label in changed.labels:
+            assert changed._classes[label] is not refitted._classes[label]
+
+    def test_loaded_blocks_project_and_fit_as_saved(self, tmp_path):
+        # The loaded blocks view the file's bytes wherever they fall in it.
+        rng = np.random.default_rng(382)
+        gallery = shared_blocks_gallery(rng)
+        fitted = gallery.fit()
+        path, _ = snapshot_bytes(tmp_path, fitted)
+        loaded = Gallery.load(path)
+        for got, want in ((loaded, fitted), (loaded.fit(), fitted)):
+            for fid, transform in want.transforms.items():
+                assert got.transforms[fid].matrix.tobytes() == transform.matrix.tobytes()
+                assert (
+                    got.projected_block(fid).rows.tobytes()
+                    == want.projected_block(fid).rows.tobytes()
+                )
 
 
 class TestForgedSnapshots:
