@@ -175,8 +175,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not ks or any(k < 1 for k in ks):
         return _usage("--ranks must be positive")
     features = None
-    if args.features:
+    if args.features is not None:
         features = tuple(tok for tok in args.features.split(",") if tok)
+        if not features:
+            return _usage("--features names no trait")
         unknown = set(features) - set(FEATURE_IDS)
         if unknown:
             return _usage(f"unknown features: {', '.join(sorted(unknown))}")

@@ -8,7 +8,7 @@ values, fewer samples than dimensions) stay solvable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
@@ -57,26 +57,36 @@ class ClassSamples:
 
 @dataclass(frozen=True, eq=False)
 class ClassBlock:
-    """Samples of several classes of one width, packed in enrollment order.
+    """Rows of several classes of one width, packed in enrollment order.
 
-    Class ``labels[i]`` owns the next ``counts[i]`` rows (at least one) of
-    the (sum(counts) x d) float64 ``block``.
+    Class ``labels[i]`` owns the ``counts[i]`` rows (at least one) of the
+    (sum(counts) x d) float64 ``rows`` from ``starts[i]`` on. The rows
+    are raw samples of a trait or their projections. ``starts`` is a
+    read-only intp array derived from the counts on construction.
     """
 
     labels: tuple[str, ...]
     counts: Sequence[int]
-    block: np.ndarray
+    rows: np.ndarray
+    starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        b = self.block
-        if not isinstance(b, np.ndarray) or b.ndim != 2 or b.dtype != np.float64:
-            raise ValueError("block must be a 2-D float64 array")
+        r = self.rows
+        if not isinstance(r, np.ndarray) or r.ndim != 2 or r.dtype != np.float64:
+            raise ValueError("rows must be a 2-D float64 array")
         if len(self.labels) != len(self.counts):
             raise ValueError(f"{len(self.labels)} labels for {len(self.counts)} row counts")
-        if min(self.counts, default=0) < 1 or sum(self.counts) != len(b) or b.shape[1] < 1:
+        if min(self.counts, default=0) < 1 or sum(self.counts) != len(r) or r.shape[1] < 1:
             raise ValueError(
-                f"a {b.shape[0]}x{b.shape[1]} block for row counts {list(self.counts)}"
+                f"{r.shape[0]}x{r.shape[1]} rows for row counts {list(self.counts)}"
             )
+        # Derived here, not cached on first read: a value written into a
+        # built instance's __dict__, as functools.cached_property writes
+        # it, slows every later attribute read on that instance.
+        starts = np.zeros(len(self.counts), dtype=np.intp)
+        np.cumsum(self.counts[:-1], out=starts[1:])
+        starts.flags.writeable = False
+        object.__setattr__(self, "starts", starts)
 
     @classmethod
     def pack(cls, classes: Sequence[ClassSamples]) -> "ClassBlock":
@@ -110,10 +120,10 @@ class ClassBlock:
 
 def _check_finite(classes: ClassBlock) -> None:
     """Raise naming the first class, in enrollment order, with a non-finite sample."""
-    if np.isfinite(classes.block).all():
+    if np.isfinite(classes.rows).all():
         return
-    bad_row = int(np.argmin(np.isfinite(classes.block).all(axis=1)))
-    bad = int(np.searchsorted(np.cumsum(classes.counts), bad_row, side="right"))
+    bad_row = int(np.argmin(np.isfinite(classes.rows).all(axis=1)))
+    bad = int(np.searchsorted(classes.starts, bad_row, side="right")) - 1
     raise NonFiniteInputError(f"class {classes.labels[bad]!r} has non-finite samples")
 
 
@@ -169,18 +179,17 @@ def _centered_groups(
     do.
     """
     _check_finite(classes)
-    block = classes.block
+    block = classes.rows
     counts = np.asarray(classes.counts, dtype=np.intp)
     n, dim = len(counts), block.shape[1]
     sizes = sorted(set(classes.counts))
     if len(sizes) == 1:
         stacks = [(np.arange(n), block.reshape(n, sizes[0], dim))]
     else:
-        starts = np.cumsum(counts) - counts
         stacks = []
         for size in sizes:
             indices = np.flatnonzero(counts == size)
-            rows = (starts[indices, None] + np.arange(size)).reshape(-1)
+            rows = (classes.starts[indices, None] + np.arange(size)).reshape(-1)
             stacks.append((indices, block[rows].reshape(len(indices), size, dim)))
     means = np.empty((n, dim), dtype=np.float64)
     centered = []

@@ -327,9 +327,10 @@ def emit_report(
 def parse_report(text: str) -> list[tuple[str, dict[int, float]]]:
     """Invert emit_report, recovering names and the printed accuracies."""
     lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("Rank"):
+    head = lines[0].split() if lines else []
+    if len(head) < 2 or head[0] != "Rank":
         raise ValueError("bad report header")
-    ks = [int(tok) for tok in lines[0].split()[1:]]
+    ks = [int(tok) for tok in head[1:]]
     rows = []
     for line in lines[1:]:
         tokens = line.split()

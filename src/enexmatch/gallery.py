@@ -15,7 +15,6 @@ import os
 import secrets
 import struct
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -71,45 +70,9 @@ def _class_views(
     for fid, trait in traits.items():
         if trait is None:
             continue
-        start = 0
-        for label, count in zip(trait.labels, trait.counts):
-            classes[label][fid] = trait.block[start : start + count]
-            start += count
+        for label, start, count in zip(trait.labels, trait.starts.tolist(), trait.counts):
+            classes[label][fid] = trait.rows[start : start + count]
     return classes
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectedBlock:
-    """One trait's projected gallery samples, packed in enrollment order.
-
-    ``rows`` is a read-only C-contiguous (N_f x k) float64 array holding
-    every sample of every class that has the trait; class ``labels[i]``
-    owns the rows from ``starts[i]`` up to the next start, and every
-    class owns at least one row.
-    """
-
-    labels: tuple[str, ...]
-    starts: np.ndarray
-    rows: np.ndarray
-
-    @classmethod
-    def pack(
-        cls, labels: Sequence[str], rows: np.ndarray, counts: Sequence[int]
-    ) -> "ProjectedBlock":
-        """Wrap stacked rows whose classes own ``counts`` rows each."""
-        if min(counts, default=1) < 1:
-            raise ValueError("every class must own at least one row")
-        if sum(counts) != len(rows):
-            raise ValueError(f"{len(rows)} rows for row counts summing to {sum(counts)}")
-        starts = np.zeros(len(counts), dtype=np.intp)
-        np.cumsum(counts[:-1], out=starts[1:])
-        rows = np.ascontiguousarray(rows, dtype=np.float64)
-        starts.flags.writeable = False
-        rows.flags.writeable = False
-        return cls(labels=tuple(labels), starts=starts, rows=rows)
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 class Gallery:
@@ -134,6 +97,10 @@ class Gallery:
         self._classes = dict(classes or {})
         self._labels = tuple(self._classes)
         self._sizes = dict(sizes or {})
+        if self._sizes.keys() != self._classes.keys():
+            raise ValueError("sizes must name exactly the enrolled classes")
+        if min(self._sizes.values(), default=1) < 1:
+            raise ValueError("every class size must be at least 1")
         self._transforms = dict(transforms or {})
         self._traits = dict(traits or {})
         self._projected = self._project()
@@ -155,8 +122,8 @@ class Gallery:
     def transforms(self) -> Mapping[str, FeatureTransform]:
         return dict(self._transforms)
 
-    def projected_block(self, feature_id: str) -> ProjectedBlock:
-        """The packed projected rows of one fitted trait."""
+    def projected_block(self, feature_id: str) -> ClassBlock:
+        """The packed projected rows of one fitted trait, read-only and C-contiguous."""
         return self._projected[feature_id]
 
     def _trait(self, fid: str) -> ClassBlock | None:
@@ -165,13 +132,14 @@ class Gallery:
             self._traits[fid] = _pack(self._classes, fid)
         return self._traits[fid]
 
-    def _project(self) -> dict[str, ProjectedBlock]:
+    def _project(self) -> dict[str, ClassBlock]:
         """Each transform's trait, projected in one stacked call over its holders."""
         blocks = {}
         for fid, transform in self._transforms.items():
             trait = self._trait(fid)
-            rows = project(transform, trait.block)
-            blocks[fid] = ProjectedBlock.pack(trait.labels, rows, trait.counts)
+            rows = np.ascontiguousarray(project(transform, trait.rows))
+            rows.flags.writeable = False
+            blocks[fid] = ClassBlock(trait.labels, trait.counts, rows)
         return blocks
 
     def class_size(self, label: str) -> int:
@@ -445,10 +413,10 @@ def _encode_body(gallery: Gallery) -> list[bytes | memoryview]:
     for fid, trait in traits:
         w.text(fid)
         w.u32(len(trait.labels))
-        w.u32(trait.block.shape[1])
+        w.u32(trait.rows.shape[1])
         w.u32s([index[label] for label in trait.labels])
         w.u32s(trait.counts)
-        w.array(trait.block)
+        w.array(trait.rows)
     transforms = gallery._transforms
     w.u32(len(transforms))
     for fid in sorted(transforms):
@@ -504,7 +472,9 @@ def _decode_body(body: memoryview, origin: str) -> Gallery:
                 raise r.error(str(exc)) from None
     if len(set(labels)) != n:
         raise r.error("a label is enrolled twice")
-    sizes = dict(zip(labels, r.u32s(n).tolist()))
+    sizes = r.u32s(n)
+    if (sizes == 0).any():
+        raise r.error(f"class {labels[int(np.argmin(sizes))]!r} has size 0")
     traits: dict[str, ClassBlock] = {}
     for _ in range(r.u32()):
         fid = r.feature_id()
@@ -518,7 +488,7 @@ def _decode_body(body: memoryview, origin: str) -> Gallery:
         # of an unaligned matrix through a reordered copy, and the products
         # then round differently.
         matrix = r.array(r.u32(), r.u32()).copy()
-        widths = [traits[fid].block.shape[1]] if fid in traits else []
+        widths = [traits[fid].rows.shape[1]] if fid in traits else []
         if fid in transforms or widths != [matrix.shape[0]]:
             raise r.error(
                 f"{fid} transform of width {matrix.shape[0]} repeats or does not "
@@ -549,7 +519,7 @@ def _decode_body(body: memoryview, origin: str) -> Gallery:
     try:
         return Gallery(
             classes=_class_views(labels, traits),
-            sizes=sizes,
+            sizes=dict(zip(labels, sizes.tolist())),
             transforms=transforms,
             fitted=fitted,
             traits=traits,

@@ -7,6 +7,7 @@ sides share, and the averaged score orders the final candidate list.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -21,9 +22,8 @@ from .errors import (
     NoUsableFeatureError,
     UnfittedGalleryError,
 )
-from .discriminant import project
+from .discriminant import ClassBlock, project
 from .features import FeatureBundle
-from .gallery import ProjectedBlock
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gallery import Gallery
@@ -153,49 +153,48 @@ class MatchReport:
         return "\n".join([head, *map(line.__mod__, rows)]) + "\n"
 
 
+# The header and a class line of the report format, as ``to_text`` writes
+# them; any run of whitespace separates two fields.
+_HEAD_LINE = re.compile(r"\s*probe=(\S*)\s+n=(\S*)\s+features=(\S*)\s*")
+_CLASS_LINE = re.compile(r"\s*(\S+)\s+ranks=(\S*)\s+cf=(\S*)\s+CF=(\S*)\s+rank=(\S*)\s*")
+
+
+def _fields(pattern: re.Pattern, line: str) -> tuple[str, ...]:
+    """The fields ``pattern`` captures from the whole of one report line."""
+    match = pattern.fullmatch(line)
+    if match is None:
+        raise ValueError(f"bad report line: {line!r}")
+    return match.groups()
+
+
 def parse_match_report(text: str) -> dict:
     """Parse to_text output back into its plain-data form."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty report")
-    head = lines[0].split()
-    if len(head) != 3 or not head[0].startswith("probe="):
-        raise ValueError("bad report header")
-    fields = {}
-    for token in head:
-        key, _, value = token.partition("=")
-        fields[key] = value
-    probe_id = None if fields["probe"] == "-" else fields["probe"]
-    features = tuple(f for f in fields["features"].split(",") if f)
+    probe, n, features = _fields(_HEAD_LINE, lines[0])
     classes = []
     for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 5:
-            raise ValueError(f"bad class line: {line!r}")
-        label = parts[0]
-        row = {}
-        for token in parts[1:]:
-            key, _, value = token.partition("=")
-            row[key] = value
+        label, ranks, cf, collective, rank = _fields(_CLASS_LINE, line)
         classes.append(
             {
                 "label": label,
-                "ranks": tuple(int(r) for r in row["ranks"].split(",")),
-                "cf": tuple(float(c) for c in row["cf"].split(",")),
-                "CF": float(row["CF"]),
-                "rank": int(row["rank"]),
+                "ranks": tuple(int(r) for r in ranks.split(",")),
+                "cf": tuple(float(c) for c in cf.split(",")),
+                "CF": float(collective),
+                "rank": int(rank),
             }
         )
     return {
-        "probe_id": probe_id,
-        "n": int(fields["n"]),
-        "features": features,
+        "probe_id": None if probe == "-" else probe,
+        "n": int(n),
+        "features": tuple(f for f in features.split(",") if f),
         "classes": classes,
     }
 
 
 def rank_feature(
-    probe: np.ndarray, block: ProjectedBlock, feature_id: str
+    probe: np.ndarray, block: ClassBlock, feature_id: str
 ) -> PerFeatureRanking:
     """Order a packed block's classes by their closest sample to the probe.
 
@@ -203,8 +202,6 @@ def rank_feature(
     any sample of the class. Distance ties keep the earlier-enrolled
     class first; ranks are always a dense 1..n.
     """
-    if len(block) == 0:
-        raise EmptyGalleryError("no classes to rank")
     v = np.asarray(probe, dtype=np.float64)
     if v.ndim != 1:
         raise DimensionMismatchError("the probe must be a vector")

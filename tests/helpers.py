@@ -123,20 +123,22 @@ def forged_body(
     ridge=1e-6,
     records=None,
     label_count=None,
+    sizes=None,
 ):
     """Encode (label, [(fid, samples)]) classes and (fid, matrix) transforms.
 
-    Every class has size 1. A trait's record lists its holders in class
-    order, in the order traits first appear; ``records`` (raw
-    ``trait_record`` bytes) replaces those records and ``label_count``
-    the declared class count. Each transform gets ``eigenvalues``
-    (default: a 1 per matrix column) and the ridge ``ridge``.
+    Every class has size 1, or the size ``sizes`` lists for it. A trait's
+    record lists its holders in class order, in the order traits first
+    appear; ``records`` (raw ``trait_record`` bytes) replaces those
+    records and ``label_count`` the declared class count. Each transform
+    gets ``eigenvalues`` (default: a 1 per matrix column) and the ridge
+    ``ridge``.
     """
     fitted = (1 if transforms else 0) if fitted is None else fitted
     labels = [label if isinstance(label, bytes) else label.encode() for label, _ in classes]
     count = len(classes) if label_count is None else label_count
     out = struct.pack("<BI", fitted, count) + _text(b"\n".join(labels))
-    out += np.ones(len(classes), dtype="<u4").tobytes()
+    out += np.array(sizes or [1] * len(classes), dtype="<u4").tobytes()
     if records is None:
         holders = {}
         for index, (_, features) in enumerate(classes):

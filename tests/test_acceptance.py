@@ -32,7 +32,7 @@ from enexmatch import (
     vertical_projection,
     within_scatter,
 )
-from enexmatch.gallery import ProjectedBlock
+from enexmatch.discriminant import ClassBlock
 from helpers import enrolled_gallery, random_bundle, random_mask, random_ycbcr
 
 MODERATE_NOISE = dict(
@@ -142,10 +142,10 @@ class TestCriterion1:
                 )
                 rows.append((best, position, label))
             rows.sort()
-            block = ProjectedBlock.pack(
-                [label for label, _ in class_sets],
-                np.concatenate([samples for _, samples in class_sets]),
+            block = ClassBlock(
+                tuple(label for label, _ in class_sets),
                 [len(samples) for _, samples in class_sets],
+                np.concatenate([samples for _, samples in class_sets]),
             )
             got = rank_feature(probe, block, "clothing")
             if list(got.labels) != [label for _, _, label in rows]:

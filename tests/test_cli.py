@@ -454,6 +454,14 @@ class TestEvaluate:
         assert code == 2
         assert "gait" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("features", [",", ""])
+    def test_features_naming_no_trait(self, dataset, features, capsys):
+        code = main(
+            ["evaluate", "--manifest", str(dataset / "manifest.csv"), "--features", features]
+        )
+        assert code == 2
+        assert "--features names no trait" in capsys.readouterr().err
+
     @pytest.mark.parametrize("ranks", ["1,two", "0", ""])
     def test_bad_ranks(self, dataset, ranks, capsys):
         code = main(

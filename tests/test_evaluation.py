@@ -467,6 +467,8 @@ class TestReports:
             parse_report("")
         with pytest.raises(ValueError):
             parse_report("not a report\n")
+        with pytest.raises(ValueError):
+            parse_report("Rank\nall 1.0\n")
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):

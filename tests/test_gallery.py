@@ -93,6 +93,20 @@ class TestLifecycle:
         assert gallery.feature_samples("s1", "clothing").shape == (4, 96)
         assert gallery.feature_samples("s1", "height").shape == (4, 1)
 
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ({"a": 1}, "exactly the enrolled classes"),
+            ({"a": 1, "b": 1, "c": 1}, "exactly the enrolled classes"),
+            ({"a": 1, "b": 0}, "at least 1"),
+        ],
+        ids=["size-missing", "size-of-no-class", "zero-size"],
+    )
+    def test_sizes_checked_on_construction(self, sizes, message):
+        classes = {"a": {"height": np.ones((1, 1))}, "b": {"height": np.ones((1, 1))}}
+        with pytest.raises(ValueError, match=message):
+            Gallery(classes=classes, sizes=sizes)
+
     def test_partial_bundles_recorded_sparsely(self):
         rng = np.random.default_rng(307)
         bundles = [
@@ -169,6 +183,8 @@ class TestFit:
         assert block.starts.tolist() == [0, 2]
         assert block.rows.shape == (5, fitted.transforms["clothing"].rank)
         assert block.rows.flags.c_contiguous
+        raw = fitted._trait("clothing")
+        assert block.labels is raw.labels and block.counts is raw.counts
         transform = fitted.transforms["clothing"]
         expected = np.stack(
             [
@@ -516,18 +532,18 @@ def assert_views_into_blocks(gallery):
     for fid, holders in HOLDERS:
         trait = gallery._trait(fid)
         assert len(trait.labels) == holders and "bare" not in trait.labels
-        assert not trait.block.flags.writeable
+        assert not trait.rows.flags.writeable
         start = 0
         for label, count in zip(trait.labels, trait.counts):
             samples = gallery._classes[label][fid]
             assert count == gallery.class_size(label)
             assert not samples.flags.writeable
-            assert np.shares_memory(samples, trait.block)
-            assert np.array_equal(samples, trait.block[start : start + count])
+            assert np.shares_memory(samples, trait.rows)
+            assert np.array_equal(samples, trait.rows[start : start + count])
             start += count
-        assert start == len(trait.block)
+        assert start == len(trait.rows)
     copy = gallery.feature_samples("c4", "complexion")
-    assert copy.flags.writeable and not np.shares_memory(copy, trait.block)
+    assert copy.flags.writeable and not np.shares_memory(copy, trait.rows)
     copy[0, 0] = -1.0
     assert gallery.feature_samples("c4", "complexion")[0, 0] != -1.0
     assert gallery.feature_samples("bare", "height") is None
@@ -653,10 +669,11 @@ class TestForgedSnapshots:
              "unread bytes"),
             ({"records": [trait_record("height", [0, 1], [1, 1], [[0.5], [0.5]])] * 2},
              "height trait record repeats"),
+            ({"sizes": [1, 0]}, "class 'b' has size 0"),
         ],
         ids=["more-labels-declared", "fewer-labels-declared", "holder-out-of-range",
              "holders-not-increasing", "zero-row-count", "zero-width", "no-holders",
-             "block-too-short", "block-too-long", "repeated-trait"],
+             "block-too-short", "block-too-long", "repeated-trait", "zero-size"],
     )
     def test_columnar_records_rejected(self, tmp_path, forged, message):
         path = tmp_path / "g.bin"

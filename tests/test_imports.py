@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and each
+module imports at run time only the package modules its layer allows.
 
 Names that ``enexmatch/__init__.py`` lists in ``__all__`` are re-exports
 and count as used there.
@@ -62,6 +63,58 @@ def unused_imports(source):
     return sorted(spare)
 
 
+# The package modules each module may import at run time. The discriminant
+# knows nothing of traits or galleries; the gallery and matching both build
+# on the discriminant's ClassBlock and never import each other; evaluation
+# and the CLI sit on top. Imports under ``if TYPE_CHECKING:`` do not count.
+LAYERS = {
+    "errors": set(),
+    "imaging": {"errors"},
+    "features": {"errors", "imaging"},
+    "discriminant": {"errors"},
+    "gallery": {"errors", "discriminant", "features"},
+    "matching": {"errors", "discriminant", "features"},
+    "evaluation": {"errors", "imaging", "features", "gallery", "matching"},
+    "cli": {"errors", "imaging", "features", "gallery", "matching", "evaluation"},
+    "__init__": {
+        "errors", "imaging", "features", "discriminant", "gallery", "matching",
+        "evaluation",
+    },
+}
+
+
+def package_imports(source):
+    """The package modules a module imports outside ``if TYPE_CHECKING:`` blocks."""
+    found = set()
+
+    def visit(node):
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+            nodes = node.orelse
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "enexmatch":
+                    return
+                module = module.partition(".")[2]
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(a.name for a in node.names)
+            return
+        elif isinstance(node, ast.Import):
+            found.update(
+                a.name.split(".")[1] for a in node.names if a.name.startswith("enexmatch.")
+            )
+            return
+        else:
+            nodes = ast.iter_child_nodes(node)
+        for child in nodes:
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
 def test_package_has_modules():
     assert len(MODULES) > 5
 
@@ -69,6 +122,11 @@ def test_package_has_modules():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_runtime_imports_follow_the_layers(module):
+    assert package_imports(module.read_text(encoding="utf-8")) == LAYERS[module.stem]
 
 
 class TestChecker:
@@ -94,3 +152,18 @@ class TestChecker:
     def test_all_exempts_re_exports(self):
         source = "from .gallery import Gallery, MAGIC\n__all__ = ['Gallery']\n"
         assert unused_imports(source) == ["MAGIC"]
+
+    def test_layers_skip_type_checking_and_read_nested_imports(self):
+        source = (
+            "from typing import TYPE_CHECKING\n"
+            "from .errors import EnexError\n"
+            "if TYPE_CHECKING:\n"
+            "    from .gallery import Gallery\n"
+            "else:\n"
+            "    from . import imaging\n"
+            "def f():\n"
+            "    from enexmatch.features import FEATURE_IDS\n"
+            "    import enexmatch.matching\n"
+            "    import numpy\n"
+        )
+        assert package_imports(source) == {"errors", "imaging", "features", "matching"}

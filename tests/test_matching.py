@@ -21,17 +21,17 @@ from enexmatch import (
     parse_match_report,
     rank_feature,
 )
-from enexmatch.gallery import ProjectedBlock
+from enexmatch.discriminant import ClassBlock
 from enexmatch.matching import _neumaier_sum
 from helpers import enrolled_gallery, random_bundle
 
 
 def pack(class_sets):
-    """A projected block of (label, samples) pairs, in the given order."""
-    return ProjectedBlock.pack(
-        [label for label, _ in class_sets],
-        np.concatenate([samples for _, samples in class_sets]),
+    """A block of (label, samples) pairs, in the given order."""
+    return ClassBlock(
+        tuple(label for label, _ in class_sets),
         [len(samples) for _, samples in class_sets],
+        np.concatenate([samples for _, samples in class_sets]),
     )
 
 
@@ -95,9 +95,9 @@ class TestRankFeature:
         scaled = [(label, samples * 100.0) for label, samples in class_sets]
         assert rank_feature(probe * 100.0, pack(scaled), "clothing").labels == base
 
-    def test_empty_gallery(self):
-        with pytest.raises(EmptyGalleryError):
-            rank_feature(np.zeros(2), ProjectedBlock.pack([], np.zeros((0, 2)), []), "clothing")
+    def test_block_of_no_classes_is_an_error(self):
+        with pytest.raises(ValueError):
+            ClassBlock((), [], np.zeros((0, 2)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -111,7 +111,7 @@ class TestRankFeature:
         with pytest.raises(ValueError):
             pack([("a", np.zeros((0, 2)))])
         with pytest.raises(ValueError):
-            ProjectedBlock.pack(["a", "b"], np.zeros((2, 2)), [1, 2])
+            ClassBlock(("a", "b"), [1, 2], np.zeros((2, 2)))
 
     def test_packed_block_ranks_like_pairs(self):
         rng = np.random.default_rng(204)
@@ -427,6 +427,10 @@ class TestReportSerialization:
             parse_match_report("totally wrong\n")
         with pytest.raises(ValueError):
             parse_match_report("probe=- n=2 features=height\nbad line\n")
+        with pytest.raises(ValueError):
+            parse_match_report("probe=- x=2 y=height\n")
+        with pytest.raises(ValueError):
+            parse_match_report("probe=- n=1 features=height\na x=1 cf=1.0 CF=1.0 rank=1\n")
 
 
 def naive_text(report):
