@@ -32,29 +32,6 @@ EIGENVALUE_CUTOFF = 1e-12
 _CHUNK_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class ClassSamples:
-    """Feature vectors of one enrolled class, one row per sample."""
-
-    label: str
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        s = self.samples
-        if not isinstance(s, np.ndarray) or s.ndim != 2:
-            raise ValueError("samples must be a 2-D array")
-        if s.shape[0] < 1 or s.shape[1] < 1:
-            raise ValueError("need at least one sample of positive dimension")
-
-    @property
-    def count(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.samples.shape[1]
-
-
 @dataclass(frozen=True, eq=False)
 class ClassBlock:
     """Rows of several classes of one width, packed in enrollment order.
@@ -88,32 +65,6 @@ class ClassBlock:
         starts.flags.writeable = False
         object.__setattr__(self, "starts", starts)
 
-    @classmethod
-    def pack(cls, classes: Sequence[ClassSamples]) -> "ClassBlock":
-        """Stack the classes' samples, taken as float64, into one block.
-
-        A class whose width differs from the first class's is an error.
-        So is a non-finite sample in a class before it, and that error
-        comes first, naming the first bad class in enrollment order.
-        """
-        if len(classes) == 0:
-            raise DegenerateProblemError("no classes given")
-        dim = classes[0].dim
-        stop = next((i for i, c in enumerate(classes) if c.dim != dim), len(classes))
-        kept = classes[:stop]
-        packed = cls(
-            tuple(c.label for c in kept),
-            [c.count for c in kept],
-            np.concatenate([c.samples for c in kept], dtype=np.float64),
-        )
-        if stop < len(classes):
-            _check_finite(packed)
-            bad = classes[stop]
-            raise DimensionMismatchError(
-                f"class {bad.label!r} has dimension {bad.dim}, expected {dim}"
-            )
-        return packed
-
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -125,10 +76,6 @@ def _check_finite(classes: ClassBlock) -> None:
     bad_row = int(np.argmin(np.isfinite(classes.rows).all(axis=1)))
     bad = int(np.searchsorted(classes.starts, bad_row, side="right")) - 1
     raise NonFiniteInputError(f"class {classes.labels[bad]!r} has non-finite samples")
-
-
-def _as_block(classes: Sequence[ClassSamples] | ClassBlock) -> ClassBlock:
-    return classes if isinstance(classes, ClassBlock) else ClassBlock.pack(classes)
 
 
 @dataclass(frozen=True)
@@ -214,17 +161,14 @@ def _add_in_order(terms: np.ndarray, out: np.ndarray) -> None:
 
 
 def _sum_in_order(
-    n: int,
-    dim: int,
-    fill: Callable[[np.ndarray, int, int], None],
-    per_class: list[np.ndarray] | None = None,
+    n: int, dim: int, fill: Callable[[np.ndarray, int, int], None]
 ) -> np.ndarray:
     """Sum n per-class d x d terms as a ``+=`` loop from zeros would.
 
     ``fill(terms, start, stop)`` writes the terms of classes start up to
     stop. They are built a chunk of about ``_CHUNK_BYTES`` at a time, in
     enrollment order, into one reused buffer whose slot 0 carries the
-    running total. Each term is also appended to ``per_class`` if given.
+    running total.
     """
     chunk = min(n, max(1, _CHUNK_BYTES // (8 * dim * dim)))
     buffer = np.empty((chunk + 1, dim, dim), dtype=np.float64)
@@ -233,8 +177,6 @@ def _sum_in_order(
         used = buffer[: min(chunk, n - start) + 1]
         used[0] = total
         fill(used[1:], start, start + len(used) - 1)
-        if per_class is not None:
-            per_class.extend(used[1:].copy())
         _add_in_order(used, total)
     return total
 
@@ -262,34 +204,25 @@ def _within_terms(
             terms[indices[lo:hi] - start] = np.matmul(block.transpose(0, 2, 1), block)
 
 
-def within_scatter(
-    classes: Sequence[ClassSamples],
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per-class scatter around each class mean, and their sum."""
-    means, groups = _centered_groups(_as_block(classes))
-    per_class: list[np.ndarray] = []
-    total = _sum_in_order(*means.shape, partial(_within_terms, groups), per_class)
-    return per_class, total
+def within_scatter(classes: ClassBlock) -> np.ndarray:
+    """Sum of each class's scatter around its own mean."""
+    means, groups = _centered_groups(classes)
+    return _sum_in_order(*means.shape, partial(_within_terms, groups))
 
 
-def between_scatter(classes: Sequence[ClassSamples]) -> np.ndarray:
+def between_scatter(classes: ClassBlock) -> np.ndarray:
     """Scatter of class means around the pooled mean, sample-count weighted."""
     return scatter_statistics(classes).between
 
 
-def scatter_statistics(
-    classes: Sequence[ClassSamples] | ClassBlock,
-) -> ScatterStatistics:
-    """Within and between scatter of at least two classes of one width.
+def scatter_statistics(classes: ClassBlock) -> ScatterStatistics:
+    """Within and between scatter of a block of at least two classes.
 
-    The classes come either as a sequence of ``ClassSamples``, packed
-    once into a ``ClassBlock``, or as that block itself. Either way the
-    samples are taken as float64, and each scatter is summed class by
-    class in enrollment order, as a loop of ``+=`` would.
+    Each scatter is summed class by class in enrollment order, as a loop
+    of ``+=`` would.
     """
     if len(classes) < 2:
         raise DegenerateProblemError("scatter statistics need at least two classes")
-    classes = _as_block(classes)
     means, groups = _centered_groups(classes)
     within = _sum_in_order(*means.shape, partial(_within_terms, groups))
     counts = np.asarray(classes.counts, dtype=np.float64)
@@ -316,7 +249,7 @@ def default_ridge(within: np.ndarray) -> float:
 
 
 def fit_transform(
-    classes: Sequence[ClassSamples] | ClassBlock,
+    classes: ClassBlock,
     epsilon: float | None = None,
     feature_id: str = "feature",
 ) -> FeatureTransform:
@@ -326,7 +259,6 @@ def fit_transform(
     through a Cholesky whitening of the regularized within scatter, which
     keeps the computation symmetric and stable. All directions whose
     eigenvalue exceeds a small fraction of the strongest are retained.
-    The classes come in either form ``scatter_statistics`` accepts.
     """
     if len(classes) < 2:
         raise DegenerateProblemError("fitting needs at least two classes")

@@ -23,7 +23,7 @@ from .features import (
     extract_bundle,
     fuse_bundles,
 )
-from .gallery import Gallery
+from .gallery import Gallery, _check_label
 from .imaging import (
     Image,
     SilhouetteMask,
@@ -99,8 +99,10 @@ def read_manifest(path: str | Path) -> DatasetManifest:
         if len(row) != len(MANIFEST_COLUMNS):
             raise ManifestError(f"{path} line {line}: expected {len(MANIFEST_COLUMNS)} fields")
         record = dict(zip(MANIFEST_COLUMNS, row))
-        if not record["label"]:
-            raise ManifestError(f"{path} line {line}: empty label")
+        try:
+            _check_label(record["label"])
+        except ValueError as exc:
+            raise ManifestError(f"{path} line {line}: {exc}") from None
         if record["role"] not in ROLES:
             raise ManifestError(f"{path} line {line}: bad role {record['role']!r}")
         if record["view"] not in VIEWS:

@@ -40,16 +40,17 @@ class PerFeatureRanking:
     _positions: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # Rank of each label, set on construction: a value written into a built
+    # instance's __dict__ slows every later attribute read on it.
+    _ranks: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.distances):
             raise ValueError("labels and distances must align")
         if len(self.labels) == 0:
             raise ValueError("ranking cannot be empty")
-
-    @cached_property
-    def _ranks(self) -> dict[str, int]:
-        return dict(zip(self.labels, range(1, len(self.labels) + 1)))
+        ranks = dict(zip(self.labels, range(1, len(self.labels) + 1)))
+        object.__setattr__(self, "_ranks", ranks)
 
     def rank_of(self, label: str) -> int:
         try:
@@ -260,25 +261,18 @@ def _neumaier_sum(values: Sequence[np.ndarray]) -> np.ndarray:
     return np.where(compensation != 0.0, total + compensation, total)
 
 
-def collective_confidence(
-    values: Sequence[float] | Sequence[np.ndarray], feature_count: int
-) -> float | np.ndarray:
-    """Mean per-feature confidence for one class.
+def collective_confidence(values: Sequence[np.ndarray]) -> np.ndarray:
+    """Mean confidence of every class over the features, one array per feature.
 
-    Given one array per feature, fuses every class at once; each element
-    equals the mean of that class's values as plain floats, bit for bit.
+    Each element equals the mean of that class's values as plain floats,
+    bit for bit.
     """
-    if feature_count < 1:
+    if len(values) == 0:
         raise NoUsableFeatureError("no features to fuse")
-    if len(values) != feature_count:
-        raise ValueError("need exactly one confidence per feature")
     for v in values:
-        v = np.asarray(v)
         if not ((v > 0.0) & (v <= 1.0)).all():
             raise ValueError("confidences must lie in (0, 1]")
-    if isinstance(values[0], np.ndarray):
-        return _ordered_sum(values) / feature_count
-    return sum(values) / feature_count
+    return _ordered_sum(values) / len(values)
 
 
 def match_probe(bundle: FeatureBundle, gallery: "Gallery") -> MatchReport:
@@ -321,7 +315,7 @@ def match_probe(bundle: FeatureBundle, gallery: "Gallery") -> MatchReport:
         row[ranking._positions] = steps
         rankings.append(ranking)
     confidences = (n - ranks + 1) / n
-    collective = collective_confidence(list(confidences), len(usable))
+    collective = collective_confidence(list(confidences))
     final = np.lexsort((steps, ranks.min(axis=0), -collective))
     return MatchReport(
         probe_id=bundle.label,

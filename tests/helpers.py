@@ -9,6 +9,7 @@ import numpy as np
 
 from enexmatch import (
     BuildFeature,
+    ClassBlock,
     ClothingHistogram,
     ComplexionFeature,
     FeatureBundle,
@@ -74,6 +75,15 @@ def enrolled_gallery(
         bundles = [random_bundle(rng, label=label, features=features) for _ in range(samples)]
         gallery = gallery.enroll(label, bundles)
     return gallery
+
+
+def class_block(pairs):
+    """A ``ClassBlock`` of (label, samples) pairs in the given order, as float64."""
+    return ClassBlock(
+        tuple(label for label, _ in pairs),
+        [len(samples) for _, samples in pairs],
+        np.concatenate([samples for _, samples in pairs], dtype=np.float64),
+    )
 
 
 def with_body(body, magic=b"ENEXGAL3"):

@@ -15,7 +15,6 @@ import time
 import numpy as np
 
 from enexmatch import (
-    ClassSamples,
     Gallery,
     SyntheticConfig,
     between_scatter,
@@ -32,8 +31,13 @@ from enexmatch import (
     vertical_projection,
     within_scatter,
 )
-from enexmatch.discriminant import ClassBlock
-from helpers import enrolled_gallery, random_bundle, random_mask, random_ycbcr
+from helpers import (
+    class_block,
+    enrolled_gallery,
+    random_bundle,
+    random_mask,
+    random_ycbcr,
+)
 
 MODERATE_NOISE = dict(
     pixel_noise=8.0,
@@ -100,24 +104,25 @@ class TestCriterion1:
             for c in range(int(rng.integers(2, 7))):
                 center = rng.normal(0, 3, dim)
                 classes.append(
-                    ClassSamples(
+                    (
                         f"c{c}",
                         center + rng.normal(0, 1, (int(rng.integers(1, 7)), dim)),
                     )
                 )
             naive_within = np.zeros((dim, dim))
-            for c in classes:
-                mean = c.samples.mean(axis=0)
-                for s in c.samples:
+            for _, samples in classes:
+                mean = samples.mean(axis=0)
+                for s in samples:
                     naive_within += np.outer(s - mean, s - mean)
-            counts = [c.count for c in classes]
-            means = [c.samples.mean(axis=0) for c in classes]
+            counts = [len(samples) for _, samples in classes]
+            means = [samples.mean(axis=0) for _, samples in classes]
             grand = sum(m * mu for m, mu in zip(counts, means)) / sum(counts)
             naive_between = np.zeros((dim, dim))
             for m, mu in zip(counts, means):
                 naive_between += m * np.outer(mu - grand, mu - grand)
-            _, got_within = within_scatter(classes)
-            got_between = between_scatter(classes)
+            block = class_block(classes)
+            got_within = within_scatter(block)
+            got_between = between_scatter(block)
             if not close(got_within, naive_within, 1e-12):
                 failures.append(f"within-scatter mismatch on trial {trial}")
                 break
@@ -142,12 +147,7 @@ class TestCriterion1:
                 )
                 rows.append((best, position, label))
             rows.sort()
-            block = ClassBlock(
-                tuple(label for label, _ in class_sets),
-                [len(samples) for _, samples in class_sets],
-                np.concatenate([samples for _, samples in class_sets]),
-            )
-            got = rank_feature(probe, block, "clothing")
+            got = rank_feature(probe, class_block(class_sets), "clothing")
             if list(got.labels) != [label for _, _, label in rows]:
                 failures.append(f"ranking order mismatch on trial {trial}")
                 break
@@ -202,12 +202,13 @@ class TestCriterion3:
             for c in range(3):
                 center = rng.normal(0, 4, dim)
                 classes.append(
-                    ClassSamples(
+                    (
                         f"c{c}",
                         center + rng.normal(0, 1, (int(rng.integers(3, 9)), dim)),
                     )
                 )
-            stats = scatter_statistics(classes)
+            block = class_block(classes)
+            stats = scatter_statistics(block)
             scale = max(
                 float(np.abs(stats.within).max()),
                 float(np.abs(stats.between).max()),
@@ -218,7 +219,7 @@ class TestCriterion3:
                     failures.append(f"seed {seed}: {name} scatter not symmetric")
                 if np.linalg.eigvalsh(matrix).min() < -1e-8 * scale:
                     failures.append(f"seed {seed}: {name} scatter not PSD")
-            stacked = np.vstack([c.samples for c in classes])
+            stacked = np.vstack([samples for _, samples in classes])
             centered = stacked - stats.grand_mean
             total = centered.T @ centered
             if not np.allclose(
@@ -227,7 +228,7 @@ class TestCriterion3:
                 failures.append(f"seed {seed}: within+between != total")
 
             baseline = float(np.trace(stats.between)) / float(np.trace(stats.within))
-            transform = fit_transform(classes)
+            transform = fit_transform(block)
             w = transform.matrix
             fitted = float(np.trace(w.T @ stats.between @ w)) / float(
                 np.trace(w.T @ stats.within @ w)

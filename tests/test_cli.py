@@ -194,6 +194,27 @@ class TestEnroll:
         assert err.startswith("error:") and row[header.index("image")] in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["enroll", "evaluate"])
+    def test_label_with_a_space_is_an_error_line(self, dataset, tmp_path, capsys, command):
+        copy = tmp_path / "data"
+        shutil.copytree(dataset, copy)
+        manifest = copy / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        label = lines[1].split(",")[0]
+        lines[1:] = [
+            line.replace(f"{label},", '"s 001",', 1) if line.startswith(f"{label},") else line
+            for line in lines[1:]
+        ]
+        manifest.write_text("\n".join(lines) + "\n")
+        argv = [command, "--manifest", str(manifest)]
+        if command == "enroll":
+            argv += ["--snapshot", str(tmp_path / "g.bin")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "line 2" in err and "'s 001'" in err
+        assert "Traceback" not in err
+
     def test_missing_manifest(self, tmp_path, capsys):
         code = main(
             [

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from enexmatch import (
-    ClassSamples,
     DegenerateProblemError,
     DimensionMismatchError,
     Gallery,
@@ -16,25 +15,25 @@ from enexmatch import (
     scatter_statistics,
     within_scatter,
 )
-from helpers import enrolled_gallery, random_bundle
+from helpers import class_block, enrolled_gallery, random_bundle
 
 
 def within_reference(classes):
     """Sum of outer products, one sample at a time."""
-    dim = classes[0].dim
+    dim = classes[0][1].shape[1]
     total = np.zeros((dim, dim))
-    for c in classes:
-        mean = c.samples.mean(axis=0)
-        for s in c.samples:
+    for _, samples in classes:
+        mean = samples.mean(axis=0)
+        for s in samples:
             total += np.outer(s - mean, s - mean)
     return total
 
 
 def between_reference(classes):
-    counts = [c.count for c in classes]
-    means = [c.samples.mean(axis=0) for c in classes]
+    counts = [len(samples) for _, samples in classes]
+    means = [samples.mean(axis=0) for _, samples in classes]
     grand = sum(m * mu for m, mu in zip(counts, means)) / sum(counts)
-    dim = classes[0].dim
+    dim = classes[0][1].shape[1]
     total = np.zeros((dim, dim))
     for m, mu in zip(counts, means):
         total += m * np.outer(mu - grand, mu - grand)
@@ -42,11 +41,12 @@ def between_reference(classes):
 
 
 def make_classes(rng, n_classes=3, dim=5, count=6, spread=1.0):
+    """(label, samples) pairs of classes around random centers."""
     classes = []
     for i in range(n_classes):
         center = rng.normal(0.0, 4.0, size=dim)
         samples = center + rng.normal(0.0, spread, size=(count, dim))
-        classes.append(ClassSamples(label=f"c{i}", samples=samples))
+        classes.append((f"c{i}", samples))
     return classes
 
 
@@ -55,30 +55,29 @@ class TestScatter:
         rng = np.random.default_rng(100)
         for _ in range(10):
             classes = make_classes(rng)
-            _, total = within_scatter(classes)
+            total = within_scatter(class_block(classes))
             assert np.allclose(total, within_reference(classes), rtol=1e-12, atol=1e-12)
 
     def test_between_matches_reference(self):
         rng = np.random.default_rng(101)
         for _ in range(10):
             classes = make_classes(rng, count=4)
-            got = between_scatter(classes)
+            got = between_scatter(class_block(classes))
             assert np.allclose(got, between_reference(classes), rtol=1e-12, atol=1e-12)
 
     def test_unbalanced_counts_weighted_by_size(self):
         rng = np.random.default_rng(102)
         classes = [
-            ClassSamples("a", rng.normal(0, 1, (2, 3))),
-            ClassSamples("b", rng.normal(3, 1, (9, 3))),
+            ("a", rng.normal(0, 1, (2, 3))),
+            ("b", rng.normal(3, 1, (9, 3))),
         ]
-        got = between_scatter(classes)
+        got = between_scatter(class_block(classes))
         assert np.allclose(got, between_reference(classes), rtol=1e-12, atol=1e-12)
 
     def test_symmetric_and_psd(self):
         rng = np.random.default_rng(103)
         for _ in range(5):
-            classes = make_classes(rng)
-            stats = scatter_statistics(classes)
+            stats = scatter_statistics(class_block(make_classes(rng)))
             for matrix in (stats.within, stats.between):
                 scale = max(float(np.abs(matrix).max()), 1.0)
                 assert np.allclose(matrix, matrix.T, rtol=0, atol=1e-12 * scale)
@@ -88,8 +87,8 @@ class TestScatter:
         rng = np.random.default_rng(104)
         for _ in range(5):
             classes = make_classes(rng)
-            stats = scatter_statistics(classes)
-            stacked = np.vstack([c.samples for c in classes])
+            stats = scatter_statistics(class_block(classes))
+            stacked = np.vstack([samples for _, samples in classes])
             centered = stacked - stats.grand_mean
             total = centered.T @ centered
             assert np.allclose(stats.within + stats.between, total, rtol=1e-8)
@@ -97,65 +96,50 @@ class TestScatter:
     def test_translation_invariance(self):
         rng = np.random.default_rng(105)
         base = [
-            ClassSamples(f"c{i}", rng.integers(0, 100, (4, 5)).astype(np.float64))
-            for i in range(4)
+            (f"c{i}", rng.integers(0, 100, (4, 5)).astype(np.float64)) for i in range(4)
         ]
         shift = np.array([7.0, -3.0, 11.0, 0.0, 2.0])
-        moved = [ClassSamples(c.label, c.samples + shift) for c in base]
-        _, w0 = within_scatter(base)
-        _, w1 = within_scatter(moved)
+        moved = class_block([(label, samples + shift) for label, samples in base])
+        base = class_block(base)
+        w0 = within_scatter(base)
+        w1 = within_scatter(moved)
         assert np.array_equal(w0, w1)
         assert np.array_equal(between_scatter(base), between_scatter(moved))
 
     def test_single_sample_classes_have_zero_within(self):
         classes = [
-            ClassSamples("a", np.array([[1.0, 2.0]])),
-            ClassSamples("b", np.array([[5.0, 0.0]])),
+            ("a", np.array([[1.0, 2.0]])),
+            ("b", np.array([[5.0, 0.0]])),
         ]
-        _, total = within_scatter(classes)
+        total = within_scatter(class_block(classes))
         assert np.all(total == 0.0)
-
-    def test_dimension_mismatch(self):
-        classes = [
-            ClassSamples("a", np.ones((2, 3))),
-            ClassSamples("b", np.ones((2, 4))),
-        ]
-        with pytest.raises(DimensionMismatchError):
-            within_scatter(classes)
 
     def test_non_finite_rejected(self):
         bad = np.ones((2, 3))
         bad[0, 0] = np.nan
         with pytest.raises(NonFiniteInputError):
-            within_scatter([ClassSamples("a", bad), ClassSamples("b", np.ones((2, 3)))])
+            within_scatter(class_block([("a", bad), ("b", np.ones((2, 3)))]))
 
     def test_between_needs_two_classes(self):
         with pytest.raises(DegenerateProblemError):
-            between_scatter([ClassSamples("a", np.ones((3, 2)))])
-
-    def test_no_classes(self):
-        with pytest.raises(DegenerateProblemError):
-            within_scatter([])
+            between_scatter(class_block([("a", np.ones((3, 2)))]))
 
 
 def frozen_within(classes):
-    """The per-class loop ``within_scatter`` used to run, kept verbatim."""
-    dim = classes[0].dim
-    per_class = []
+    """The per-class loop ``within_scatter`` used to run, over (label, samples) pairs."""
+    dim = classes[0][1].shape[1]
     total = np.zeros((dim, dim), dtype=np.float64)
-    for c in classes:
-        centered = c.samples.astype(np.float64) - c.samples.mean(axis=0)
-        scatter = centered.T @ centered
-        per_class.append(scatter)
-        total += scatter
-    return per_class, total
+    for _, samples in classes:
+        centered = samples.astype(np.float64) - samples.mean(axis=0)
+        total += centered.T @ centered
+    return total
 
 
 def frozen_statistics(classes):
     """The per-class loops of the former ``scatter_statistics``."""
-    _, within = frozen_within(classes)
-    counts = np.array([c.count for c in classes], dtype=np.float64)
-    means = np.stack([c.samples.mean(axis=0) for c in classes])
+    within = frozen_within(classes)
+    counts = np.array([len(samples) for _, samples in classes], dtype=np.float64)
+    means = np.stack([samples.mean(axis=0) for _, samples in classes])
     grand = (counts[:, None] * means).sum(axis=0) / counts.sum()
     between = np.zeros_like(within)
     for m, diff in zip(counts, means - grand):
@@ -203,7 +187,7 @@ def mixed_classes(rng, n_classes, dim):
             samples = np.repeat(samples[:1], max(count, 2), axis=0)
         if i == 2:
             samples = rng.integers(-50, 50, size=(count, dim))
-        classes.append(ClassSamples(f"c{i}", samples))
+        classes.append((f"c{i}", samples))
     return classes
 
 
@@ -229,25 +213,21 @@ class TestFrozenLoopOracle:
         for _ in range(3):
             classes = mixed_classes(rng, n_classes, dim)
             within, between, means, grand = frozen_statistics(classes)
-            stats = scatter_statistics(classes)
+            block = class_block(classes)
+            stats = scatter_statistics(block)
             assert same_bytes(stats.within, within)
             assert same_bytes(stats.between, between)
             assert same_bytes(stats.class_means, means)
             assert same_bytes(stats.grand_mean, grand)
-            assert same_bytes(between_scatter(classes), between)
-            per_class, total = within_scatter(classes)
-            want_per_class, want_total = frozen_within(classes)
-            assert same_bytes(total, want_total)
-            assert len(per_class) == len(want_per_class)
-            for got, want in zip(per_class, want_per_class):
-                assert same_bytes(got, want)
+            assert same_bytes(between_scatter(block), between)
+            assert same_bytes(within_scatter(block), frozen_within(classes))
 
     @pytest.mark.parametrize("dim, n_classes", CASES)
     def test_transform_is_byte_identical(self, dim, n_classes):
         rng = np.random.default_rng(140 + dim + n_classes)
         classes = mixed_classes(rng, n_classes, dim)
         matrix, eigenvalues, epsilon, discriminative = frozen_fit(classes)
-        transform = fit_transform(classes)
+        transform = fit_transform(class_block(classes))
         assert same_bytes(transform.matrix, matrix)
         assert same_bytes(transform.eigenvalues, eigenvalues)
         assert transform.regularization == epsilon
@@ -257,11 +237,11 @@ class TestFrozenLoopOracle:
         # Classes of 8 to 40 samples: their own means are pairwise sums.
         rng = np.random.default_rng(150)
         classes = [
-            ClassSamples(f"c{i}", rng.normal(0, 10.0 ** rng.uniform(-3, 3), (int(k), 1)))
+            (f"c{i}", rng.normal(0, 10.0 ** rng.uniform(-3, 3), (int(k), 1)))
             for i, k in enumerate(rng.integers(8, 41, size=40))
         ]
         within, between, means, grand = frozen_statistics(classes)
-        stats = scatter_statistics(classes)
+        stats = scatter_statistics(class_block(classes))
         for got, want in zip(
             (stats.within, stats.between, stats.class_means, stats.grand_mean),
             (within, between, means, grand),
@@ -272,37 +252,33 @@ class TestFrozenLoopOracle:
         rng = np.random.default_rng(151)
         for dim in (1, 3):
             classes = [
-                ClassSamples(f"c{i}", rng.integers(0, 1000, size=(int(k), dim)))
+                (f"c{i}", rng.integers(0, 1000, size=(int(k), dim)))
                 for i, k in enumerate(rng.integers(1, 21, size=20))
             ]
             within, between, means, grand = frozen_statistics(classes)
-            stats = scatter_statistics(classes)
+            stats = scatter_statistics(class_block(classes))
             assert same_bytes(stats.within, within)
             assert same_bytes(stats.between, between)
             assert same_bytes(stats.class_means, means)
             assert same_bytes(stats.grand_mean, grand)
 
     def test_first_bad_class_in_enrollment_order_is_named(self):
-        # c3 and c5 are non-finite and sit in different size groups; the
-        # class after them has the wrong width.
+        # c3 and c5 are non-finite and sit in different size groups.
         samples = [np.ones((2, 3)), np.ones((4, 3)), np.ones((2, 3)),
                    np.ones((4, 3)), np.ones((2, 3)), np.ones((2, 3))]
         samples[5][1, 2] = np.inf
         samples[3][0, 0] = np.nan
-        classes = [ClassSamples(f"c{i}", x) for i, x in enumerate(samples)]
-        classes.append(ClassSamples("wide", np.ones((2, 4))))
+        classes = class_block([(f"c{i}", x) for i, x in enumerate(samples)])
         with pytest.raises(NonFiniteInputError, match="'c3'"):
             scatter_statistics(classes)
-        with pytest.raises(DimensionMismatchError, match="'wide'"):
-            within_scatter(classes[:3] + classes[-1:])
 
     def test_peak_memory_stays_small(self):
         # The per-class loop held an n x d x d list: 29 MB here.
         rng = np.random.default_rng(152)
-        classes = [ClassSamples(f"c{i}", rng.normal(size=(5, 96))) for i in range(400)]
+        classes = [(f"c{i}", rng.normal(size=(5, 96))) for i in range(400)]
         tracemalloc.start()
         try:
-            scatter_statistics(classes)
+            scatter_statistics(class_block(classes))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -311,23 +287,17 @@ class TestFrozenLoopOracle:
 
 class TestGalleryBlockPath:
     """``Gallery.fit`` hands each trait's packed block to ``fit_transform``;
-    the transforms are byte for byte those of the ``ClassSamples`` route
-    and of the frozen per-class loops."""
+    the transforms are byte for byte those of the frozen per-class loops."""
 
     def assert_same_transforms(self, gallery):
         fitted = gallery.fit()
         assert fitted.transforms
         for fid, transform in fitted.transforms.items():
             classes = [
-                ClassSamples(label, gallery._classes[label][fid])
+                (label, gallery._classes[label][fid])
                 for label in gallery.labels
                 if fid in gallery._classes[label]
             ]
-            want = fit_transform(classes, feature_id=fid)
-            assert same_bytes(transform.matrix, want.matrix)
-            assert same_bytes(transform.eigenvalues, want.eigenvalues)
-            assert transform.regularization == want.regularization
-            assert transform.discriminative == want.discriminative
             matrix, eigenvalues, epsilon, discriminative = frozen_fit(classes)
             assert same_bytes(transform.matrix, matrix)
             assert same_bytes(transform.eigenvalues, eigenvalues)
@@ -379,10 +349,10 @@ class TestFitTransform:
     def test_scalar_case_matches_closed_form(self):
         # 1-D: within 0.01, between 1.0, so the fitted scale is near 100.
         classes = [
-            ClassSamples("a", np.array([[-0.55], [-0.45]])),
-            ClassSamples("b", np.array([[0.45], [0.55]])),
+            ("a", np.array([[-0.55], [-0.45]])),
+            ("b", np.array([[0.45], [0.55]])),
         ]
-        transform = fit_transform(classes, epsilon=1e-9)
+        transform = fit_transform(class_block(classes), epsilon=1e-9)
         assert transform.matrix.shape == (1, 1)
         assert transform.matrix[0, 0] == pytest.approx(100.0, rel=1e-6)
         assert transform.eigenvalues[0] == pytest.approx(100.0, rel=1e-6)
@@ -391,7 +361,7 @@ class TestFitTransform:
     def test_eigenvalues_sorted_descending(self):
         rng = np.random.default_rng(110)
         for _ in range(5):
-            transform = fit_transform(make_classes(rng, n_classes=4, dim=6))
+            transform = fit_transform(class_block(make_classes(rng, n_classes=4, dim=6)))
             eigvals = transform.eigenvalues
             assert np.all(eigvals[:-1] >= eigvals[1:])
             assert eigvals[0] > 0
@@ -400,7 +370,7 @@ class TestFitTransform:
         rng = np.random.default_rng(111)
         for n_classes in (2, 3, 4):
             transform = fit_transform(
-                make_classes(rng, n_classes=n_classes, dim=8, spread=0.5)
+                class_block(make_classes(rng, n_classes=n_classes, dim=8, spread=0.5))
             )
             assert 1 <= transform.rank <= n_classes - 1
 
@@ -409,10 +379,10 @@ class TestFitTransform:
         spread = rng.normal(0, 1, (6, 4))
         spread -= spread.mean(axis=0)
         classes = [
-            ClassSamples("a", spread),
-            ClassSamples("b", spread * 2.0),
+            ("a", spread),
+            ("b", spread * 2.0),
         ]
-        transform = fit_transform(classes)
+        transform = fit_transform(class_block(classes))
         assert not transform.discriminative
         assert transform.rank == 1
         assert np.linalg.norm(transform.matrix[:, 0]) == pytest.approx(1.0)
@@ -423,7 +393,7 @@ class TestFitTransform:
         # must hold up against the unprojected ratio.
         rng = np.random.default_rng(113)
         for _ in range(10):
-            classes = make_classes(rng, n_classes=3, dim=6, spread=1.5)
+            classes = class_block(make_classes(rng, n_classes=3, dim=6, spread=1.5))
             stats = scatter_statistics(classes)
             baseline = np.trace(stats.between) / np.trace(stats.within)
             transform = fit_transform(classes)
@@ -441,32 +411,32 @@ class TestFitTransform:
 
     def test_epsilon_choice_does_not_reorder_scalar_projections(self):
         classes = [
-            ClassSamples("a", np.array([[0.0], [0.2]])),
-            ClassSamples("b", np.array([[1.0], [1.2]])),
-            ClassSamples("c", np.array([[2.4], [2.6]])),
+            ("a", np.array([[0.0], [0.2]])),
+            ("b", np.array([[1.0], [1.2]])),
+            ("c", np.array([[2.4], [2.6]])),
         ]
         probes = np.array([0.1, 0.9, 2.5, 1.7])
         orders = []
         for epsilon in (1e-9, 1e-6, 1e-3):
-            transform = fit_transform(classes, epsilon=epsilon)
+            transform = fit_transform(class_block(classes), epsilon=epsilon)
             values = [project(transform, np.array([p]))[0] for p in probes]
             orders.append(np.argsort(values).tolist())
         assert orders[0] == orders[1] == orders[2]
 
     def test_needs_two_classes(self):
         with pytest.raises(DegenerateProblemError):
-            fit_transform([ClassSamples("a", np.ones((4, 2)))])
+            fit_transform(class_block([("a", np.ones((4, 2)))]))
 
     def test_rejects_bad_epsilon(self):
         rng = np.random.default_rng(114)
-        classes = make_classes(rng)
+        classes = class_block(make_classes(rng))
         for epsilon in (0.0, -1e-3):
             with pytest.raises(ValueError):
                 fit_transform(classes, epsilon=epsilon)
 
     def test_rejects_non_finite_epsilon(self):
         rng = np.random.default_rng(116)
-        classes = make_classes(rng)
+        classes = class_block(make_classes(rng))
         for epsilon in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite and positive"):
                 fit_transform(classes, epsilon=epsilon)
@@ -479,14 +449,14 @@ class TestFitTransform:
 
     def test_feature_id_recorded(self):
         rng = np.random.default_rng(115)
-        transform = fit_transform(make_classes(rng), feature_id="height")
+        transform = fit_transform(class_block(make_classes(rng)), feature_id="height")
         assert transform.feature_id == "height"
 
 
 class TestProject:
     def test_projection_is_linear(self):
         rng = np.random.default_rng(120)
-        transform = fit_transform(make_classes(rng, dim=5))
+        transform = fit_transform(class_block(make_classes(rng, dim=5)))
         u = rng.normal(0, 1, 5)
         v = rng.normal(0, 1, 5)
         lhs = project(transform, 2.0 * u - 3.0 * v)
@@ -495,26 +465,26 @@ class TestProject:
 
     def test_output_dimension_is_rank(self):
         rng = np.random.default_rng(121)
-        transform = fit_transform(make_classes(rng, n_classes=3, dim=7))
+        transform = fit_transform(class_block(make_classes(rng, n_classes=3, dim=7)))
         out = project(transform, np.zeros(7))
         assert out.shape == (transform.rank,)
 
     def test_wrong_dimension(self):
         rng = np.random.default_rng(122)
-        transform = fit_transform(make_classes(rng, dim=5))
+        transform = fit_transform(class_block(make_classes(rng, dim=5)))
         with pytest.raises(DimensionMismatchError):
             project(transform, np.zeros(4))
 
     def test_non_finite(self):
         rng = np.random.default_rng(123)
-        transform = fit_transform(make_classes(rng, dim=5))
+        transform = fit_transform(class_block(make_classes(rng, dim=5)))
         with pytest.raises(NonFiniteInputError):
             project(transform, np.array([np.inf, 0, 0, 0, 0]))
 
     def test_stacked_rows_match_single_vectors_bit_for_bit(self):
         rng = np.random.default_rng(124)
         for n_classes, dim in ((4, 1), (6, 5), (40, 30)):
-            transform = fit_transform(make_classes(rng, n_classes=n_classes, dim=dim))
+            transform = fit_transform(class_block(make_classes(rng, n_classes=n_classes, dim=dim)))
             rows = rng.normal(0, 1, (25, dim))
             stacked = project(transform, rows)
             assert stacked.shape == (25, transform.rank)
@@ -524,7 +494,7 @@ class TestProject:
 
     def test_stack_shape_checked(self):
         rng = np.random.default_rng(125)
-        transform = fit_transform(make_classes(rng, dim=5))
+        transform = fit_transform(class_block(make_classes(rng, dim=5)))
         with pytest.raises(DimensionMismatchError):
             project(transform, np.zeros((3, 4)))
         with pytest.raises(DimensionMismatchError):
@@ -534,7 +504,7 @@ class TestProject:
 
     def test_overflow_is_an_error_not_a_warning(self):
         rng = np.random.default_rng(126)
-        transform = fit_transform(make_classes(rng, dim=5))
+        transform = fit_transform(class_block(make_classes(rng, dim=5)))
         huge = np.full((2, 5), np.finfo(np.float64).max)
         with pytest.raises(NonFiniteInputError):
             project(transform, huge)

@@ -141,6 +141,20 @@ class TestManifestIO:
         with pytest.raises(ManifestError):
             read_manifest(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("role", ["gallery", "probe"])
+    @pytest.mark.parametrize("label", ["s 001", "s,001", ""])
+    def test_label_the_gallery_cannot_hold(self, tmp_path, role, label):
+        # The label is quoted, so the CSV reader keeps its space or comma.
+        path = tmp_path / "manifest.csv"
+        path.write_text(
+            "label,role,image,mask,bbox_height,bbox_width,"
+            "entrance_ref_height,camera_id,view\n"
+            "s000,gallery,images/a.ppm,,,,,c1,front\n"
+            f'"{label}",{role},images/b.ppm,,,,,c1,front\n'
+        )
+        with pytest.raises(ManifestError, match=f"{path} line 3: label"):
+            read_manifest(path)
+
     def test_missing_image_fails_at_load(self, tmp_path):
         entry = ManifestEntry(label="s001", role="probe", image="images/gone.ppm")
         with pytest.raises(ManifestError):

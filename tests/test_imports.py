@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and each
-module imports at run time only the package modules its layer allows.
+"""Every name a library module imports is used in that module, each
+module imports at run time only the package modules its layer allows, and
+every private name the library defines is read somewhere in the library.
 
 Names that ``enexmatch/__init__.py`` lists in ``__all__`` are re-exports
 and count as used there.
@@ -83,6 +84,36 @@ LAYERS = {
 }
 
 
+def private_definitions(tree):
+    """Module-level functions, classes and constants, and methods, named with a
+    leading underscore but not dunder names."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names.extend(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+        if isinstance(node, ast.ClassDef):
+            names.extend(n.name for n in node.body if isinstance(n, ast.FunctionDef))
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def unreferenced_private_names(sources):
+    """Private names defined in ``sources`` that no source reads, by name or attribute."""
+    trees = [ast.parse(source) for source in sources]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = {name for tree in trees for name in private_definitions(tree)}
+    return sorted(defined - read)
+
+
 def package_imports(source):
     """The package modules a module imports outside ``if TYPE_CHECKING:`` blocks."""
     found = set()
@@ -129,6 +160,11 @@ def test_runtime_imports_follow_the_layers(module):
     assert package_imports(module.read_text(encoding="utf-8")) == LAYERS[module.stem]
 
 
+def test_every_private_name_is_read():
+    sources = [module.read_text(encoding="utf-8") for module in MODULES]
+    assert unreferenced_private_names(sources) == []
+
+
 class TestChecker:
     def test_flags_an_unused_import(self):
         source = "import os\nfrom typing import Mapping, Sequence\nx: Mapping = {}\n"
@@ -152,6 +188,24 @@ class TestChecker:
     def test_all_exempts_re_exports(self):
         source = "from .gallery import Gallery, MAGIC\n__all__ = ['Gallery']\n"
         assert unused_imports(source) == ["MAGIC"]
+
+    def test_flags_private_names_nothing_reads(self):
+        source = (
+            "_LIMIT = 3\n"
+            "_USED = 4\n"
+            "def _unused():\n"
+            "    return _USED\n"
+            "class _Box:\n"
+            "    def __init__(self):\n"
+            "        self._fill()\n"
+            "    def _fill(self):\n"
+            "        pass\n"
+            "    def _spare(self):\n"
+            "        pass\n"
+        )
+        assert unreferenced_private_names([source]) == ["_Box", "_LIMIT", "_spare", "_unused"]
+        user = "from box import _Box, _unused\n_unused()\nx = _Box()\n"
+        assert unreferenced_private_names([source, user]) == ["_LIMIT", "_spare"]
 
     def test_layers_skip_type_checking_and_read_nested_imports(self):
         source = (

@@ -7,6 +7,7 @@ import pytest
 
 from enexmatch import (
     BuildFeature,
+    ClassBlock,
     DimensionMismatchError,
     EmptyGalleryError,
     FeatureBundle,
@@ -21,18 +22,8 @@ from enexmatch import (
     parse_match_report,
     rank_feature,
 )
-from enexmatch.discriminant import ClassBlock
 from enexmatch.matching import _neumaier_sum
-from helpers import enrolled_gallery, random_bundle
-
-
-def pack(class_sets):
-    """A block of (label, samples) pairs, in the given order."""
-    return ClassBlock(
-        tuple(label for label, _ in class_sets),
-        [len(samples) for _, samples in class_sets],
-        np.concatenate([samples for _, samples in class_sets]),
-    )
+from helpers import class_block, enrolled_gallery, random_bundle
 
 
 def ranking_reference(probe, class_sets):
@@ -59,18 +50,18 @@ class TestRankFeature:
                 for i in range(n)
             ]
             probe = rng.normal(0, 1, dim)
-            got = rank_feature(probe, pack(class_sets), "clothing")
+            got = rank_feature(probe, class_block(class_sets), "clothing")
             assert list(got.labels) == ranking_reference(probe, class_sets)
 
     def test_distance_is_closest_sample(self):
         samples = np.array([[10.0], [2.0], [7.0]])
-        got = rank_feature(np.array([0.0]), pack([("a", samples)]), "height")
+        got = rank_feature(np.array([0.0]), class_block([("a", samples)]), "height")
         assert got.distances == (2.0,)
 
     def test_distances_sorted_ascending(self):
         rng = np.random.default_rng(201)
         class_sets = [(f"c{i}", rng.normal(0, 1, (3, 4))) for i in range(6)]
-        got = rank_feature(rng.normal(0, 1, 4), pack(class_sets), "clothing")
+        got = rank_feature(rng.normal(0, 1, 4), class_block(class_sets), "clothing")
         assert list(got.distances) == sorted(got.distances)
 
     def test_tie_keeps_enrollment_order(self):
@@ -78,22 +69,22 @@ class TestRankFeature:
             ("late", np.array([[1.0, 0.0]])),
             ("early", np.array([[0.0, 1.0]])),
         ]
-        got = rank_feature(np.zeros(2), pack(class_sets), "build")
+        got = rank_feature(np.zeros(2), class_block(class_sets), "build")
         assert got.labels == ("late", "early")
 
     def test_ranks_are_dense(self):
         rng = np.random.default_rng(202)
         class_sets = [(f"c{i}", rng.normal(0, 1, (2, 3))) for i in range(5)]
-        got = rank_feature(rng.normal(0, 1, 3), pack(class_sets), "clothing")
+        got = rank_feature(rng.normal(0, 1, 3), class_block(class_sets), "clothing")
         assert sorted(got.rank_of(f"c{i}") for i in range(5)) == [1, 2, 3, 4, 5]
 
     def test_scale_invariance_of_order(self):
         rng = np.random.default_rng(203)
         class_sets = [(f"c{i}", rng.normal(0, 1, (2, 3))) for i in range(5)]
         probe = rng.normal(0, 1, 3)
-        base = rank_feature(probe, pack(class_sets), "clothing").labels
+        base = rank_feature(probe, class_block(class_sets), "clothing").labels
         scaled = [(label, samples * 100.0) for label, samples in class_sets]
-        assert rank_feature(probe * 100.0, pack(scaled), "clothing").labels == base
+        assert rank_feature(probe * 100.0, class_block(scaled), "clothing").labels == base
 
     def test_block_of_no_classes_is_an_error(self):
         with pytest.raises(ValueError):
@@ -101,15 +92,15 @@ class TestRankFeature:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            rank_feature(np.zeros(2), pack([("a", np.zeros((1, 3)))]), "clothing")
+            rank_feature(np.zeros(2), class_block([("a", np.zeros((1, 3)))]), "clothing")
 
     def test_probe_must_be_a_vector(self):
         with pytest.raises(DimensionMismatchError):
-            rank_feature(np.zeros((1, 2)), pack([("a", np.zeros((1, 2)))]), "clothing")
+            rank_feature(np.zeros((1, 2)), class_block([("a", np.zeros((1, 2)))]), "clothing")
 
     def test_class_without_samples(self):
         with pytest.raises(ValueError):
-            pack([("a", np.zeros((0, 2)))])
+            class_block([("a", np.zeros((0, 2)))])
         with pytest.raises(ValueError):
             ClassBlock(("a", "b"), [1, 2], np.zeros((2, 2)))
 
@@ -124,23 +115,30 @@ class TestRankFeature:
         ]
         probe = rng.normal(0, 1, block.rows.shape[1])
         got = rank_feature(probe, block, "clothing")
-        assert got == rank_feature(probe, pack(pairs), "clothing")
+        assert got == rank_feature(probe, class_block(pairs), "clothing")
         assert list(got.labels) == ranking_reference(probe, pairs)
 
     def test_rank_and_distance_lookups(self):
-        got = rank_feature(
-            np.zeros(1), pack([("a", np.array([[3.0]])), ("b", np.array([[1.0]]))]), "height"
-        )
+        block = class_block([("a", np.array([[3.0]])), ("b", np.array([[1.0]]))])
+        got = rank_feature(np.zeros(1), block, "height")
         assert (got.rank_of("b"), got.rank_of("a")) == (1, 2)
         assert (got.distance_of("b"), got.distance_of("a")) == (1.0, 3.0)
         with pytest.raises(ValueError):
             got.rank_of("c")
 
+    def test_lookups_write_nothing_into_the_ranking(self):
+        # The rank map is built on construction: an attribute written into
+        # a built instance slows every later attribute read on it.
+        got = rank_feature(np.zeros(1), class_block([("a", np.array([[3.0]]))]), "height")
+        attributes = list(vars(got))
+        assert got.rank_of("a") == 1
+        assert list(vars(got)) == attributes
+
     def test_overflowing_distance_is_an_error(self):
         # Both squared distances overflow; neither class may win on inf.
         class_sets = [("a", np.array([[2e200]])), ("b", np.array([[1e200]]))]
         with pytest.raises(NonFiniteInputError, match="height distances overflow"):
-            rank_feature(np.array([0.0]), pack(class_sets), "height")
+            rank_feature(np.array([0.0]), class_block(class_sets), "height")
 
 
 class TestConfidence:
@@ -173,34 +171,31 @@ class TestConfidence:
             confidence(1, 0)
 
     def test_collective_is_mean(self):
-        assert collective_confidence([1.0, 0.5], 2) == pytest.approx(0.75)
-        assert collective_confidence([0.25], 1) == 0.25
+        fused = collective_confidence([np.array([1.0, 0.25]), np.array([0.5, 0.25])])
+        assert fused.tolist() == pytest.approx([0.75, 0.25])
+        assert collective_confidence([np.array([0.25])]).tolist() == [0.25]
 
     def test_collective_rejects_empty(self):
         with pytest.raises(NoUsableFeatureError):
-            collective_confidence([], 0)
-
-    def test_collective_length_check(self):
-        with pytest.raises(ValueError):
-            collective_confidence([1.0], 2)
+            collective_confidence([])
 
     def test_collective_range_check(self):
         with pytest.raises(ValueError):
-            collective_confidence([0.0], 1)
+            collective_confidence([np.array([0.0])])
         with pytest.raises(ValueError):
-            collective_confidence([1.2], 1)
+            collective_confidence([np.array([1.2])])
         with pytest.raises(ValueError):
-            collective_confidence([np.array([0.5, 0.0])], 1)
+            collective_confidence([np.array([0.5, 0.0])])
 
     def test_collective_arrays_match_scalars_bit_for_bit(self):
         rng = np.random.default_rng(205)
         n = 997
         for count in (1, 2, 3, 4):
             columns = [(n - rng.permutation(n)) / n for _ in range(count)]
-            fused = collective_confidence(columns, count)
+            fused = collective_confidence(columns)
             for i in range(n):
                 values = [float(column[i]) for column in columns]
-                assert fused[i] == collective_confidence(values, count)
+                assert fused[i] == sum(values) / count
 
     def test_neumaier_sum_rounds_as_cpython_312_sum(self):
         # The Python 3.12+ branch of the fused sum, checked on every
