@@ -15,6 +15,7 @@ ENEXMATCH_SNAPSHOT environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -41,6 +42,29 @@ EXIT_USAGE = 2
 
 SNAPSHOT_ENV = "ENEXMATCH_SNAPSHOT"
 
+# The options of `generate` after --subjects, in --help order: each sets the
+# SyntheticConfig field it names and takes that field's default.
+_GENERATE_OPTIONS = (
+    ("--samples", "samples_per_subject", "gallery samples per subject"),
+    (
+        "--metric-samples",
+        "metric_samples",
+        "gallery samples per subject that carry box metrics and a mask",
+    ),
+    ("--probes", "probes_per_subject", "probe images per subject"),
+    ("--clothing-change", "clothing_change_prob", "probability a probe wears new clothing colors"),
+    ("--back-view", "back_view_prob", "probability a probe faces away from the camera"),
+    ("--pixel-noise", "pixel_noise", "per-pixel noise sigma"),
+    ("--height-noise", "height_noise", "box height noise sigma"),
+    ("--build-noise", "build_noise", "torso width noise sigma"),
+    ("--chroma-noise", "chroma_noise", "per-frame chroma jitter sigma"),
+    ("--cameras", "cameras", "cameras per observation, 1 or 2"),
+    ("--image-height", "image_height", "rendered frame height"),
+    ("--image-width", "image_width", "rendered frame width"),
+    ("--entrance-ref", "entrance_ref_height", "entrance reference height, pixels"),
+    ("--seed", "seed", "random seed"),
+)
+
 
 def _usage(message: str) -> int:
     print(f"usage error: {message}", file=sys.stderr)
@@ -58,23 +82,8 @@ def _feature_config(args: argparse.Namespace) -> FeatureConfig:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     try:
-        config = SyntheticConfig(
-            subjects=args.subjects,
-            samples_per_subject=args.samples,
-            metric_samples=args.metric_samples,
-            probes_per_subject=args.probes,
-            clothing_change_prob=args.clothing_change,
-            back_view_prob=args.back_view,
-            pixel_noise=args.pixel_noise,
-            height_noise=args.height_noise,
-            build_noise=args.build_noise,
-            chroma_noise=args.chroma_noise,
-            cameras=args.cameras,
-            image_height=args.image_height,
-            image_width=args.image_width,
-            entrance_ref_height=args.entrance_ref,
-            seed=args.seed,
-        )
+        fields = {name: getattr(args, name) for _, name, _ in _GENERATE_OPTIONS}
+        config = SyntheticConfig(subjects=args.subjects, **fields)
     except ValueError as exc:
         return _usage(str(exc))
     manifest = generate_synthetic(config, args.out)
@@ -226,41 +235,22 @@ def build_parser() -> argparse.ArgumentParser:
     threshold_opt.add_argument(
         "--threshold",
         type=float,
-        default=0.5,
+        default=FeatureConfig().build_threshold,
         help="profile fraction a column needs to count toward body width",
     )
 
     p = sub.add_parser("generate", help="write a synthetic dataset", formatter_class=fmt)
     p.add_argument("--subjects", type=int, required=True, help="number of subjects")
-    p.add_argument("--samples", type=int, default=30, help="gallery samples per subject")
-    p.add_argument(
-        "--metric-samples",
-        type=int,
-        default=5,
-        help="gallery samples per subject that carry box metrics and a mask",
-    )
-    p.add_argument("--probes", type=int, default=1, help="probe images per subject")
-    p.add_argument(
-        "--clothing-change",
-        type=float,
-        default=0.0,
-        help="probability a probe wears new clothing colors",
-    )
-    p.add_argument(
-        "--back-view",
-        type=float,
-        default=0.0,
-        help="probability a probe faces away from the camera",
-    )
-    p.add_argument("--pixel-noise", type=float, default=0.0, help="per-pixel noise sigma")
-    p.add_argument("--height-noise", type=float, default=0.0, help="box height noise sigma")
-    p.add_argument("--build-noise", type=float, default=0.0, help="torso width noise sigma")
-    p.add_argument("--chroma-noise", type=float, default=0.0, help="per-frame chroma jitter sigma")
-    p.add_argument("--cameras", type=int, default=1, choices=(1, 2), help="cameras per observation")
-    p.add_argument("--image-height", type=int, default=128, help="rendered frame height")
-    p.add_argument("--image-width", type=int, default=64, help="rendered frame width")
-    p.add_argument("--entrance-ref", type=int, default=200, help="entrance reference height, pixels")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    synthetic = {f.name: f.default for f in dataclasses.fields(SyntheticConfig)}
+    for option, name, text in _GENERATE_OPTIONS:
+        p.add_argument(
+            option,
+            dest=name,
+            metavar=option[2:].replace("-", "_").upper(),
+            type=type(synthetic[name]),
+            default=synthetic[name],
+            help=text,
+        )
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_generate)
 

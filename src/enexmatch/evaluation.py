@@ -20,10 +20,11 @@ from .features import (
     FeatureConfig,
     SubjectSample,
     VIEWS,
+    check_label,
     extract_bundle,
     fuse_bundles,
 )
-from .gallery import Gallery, _check_label
+from .gallery import Gallery
 from .imaging import (
     Image,
     SilhouetteMask,
@@ -100,7 +101,7 @@ def read_manifest(path: str | Path) -> DatasetManifest:
             raise ManifestError(f"{path} line {line}: expected {len(MANIFEST_COLUMNS)} fields")
         record = dict(zip(MANIFEST_COLUMNS, row))
         try:
-            _check_label(record["label"])
+            check_label(record["label"])
         except ValueError as exc:
             raise ManifestError(f"{path} line {line}: {exc}") from None
         if record["role"] not in ROLES:

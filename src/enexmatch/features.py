@@ -37,6 +37,18 @@ SKIN_CR_RANGE = (133, 173)
 HISTOGRAM_BINS = 24
 
 
+def check_label(label: str) -> None:
+    """Refuse a subject label that reports, manifests or snapshots cannot carry.
+
+    A label is non-empty and holds no whitespace or comma; ``-`` is the
+    report's marker for a probe without an id.
+    """
+    if not label or label == "-" or any(c.isspace() or c == "," for c in label):
+        raise ValueError(
+            f"label {label!r} must be non-empty, not '-', without spaces or commas"
+        )
+
+
 @dataclass(frozen=True)
 class FeatureConfig:
     """Extraction settings shared across a dataset: the build threshold only.
@@ -173,6 +185,10 @@ class FeatureBundle:
     build: BuildFeature | None = None
     complexion: ComplexionFeature | None = None
     label: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.label is not None:
+            check_label(self.label)
 
     def feature_vector(self, feature_id: str) -> np.ndarray | None:
         """Numeric vector for one trait, or None when unavailable."""

@@ -31,14 +31,9 @@ from .errors import (
     SnapshotTruncatedError,
     UnknownLabelError,
 )
-from .features import FEATURE_IDS, FeatureBundle
+from .features import FEATURE_IDS, FeatureBundle, check_label
 
 MAGIC = b"ENEXGAL3"
-
-
-def _check_label(label: str) -> None:
-    if not label or any(c.isspace() or c == "," for c in label):
-        raise ValueError(f"label {label!r} must be non-empty without spaces or commas")
 
 
 def _pack(classes: Mapping[str, Mapping[str, np.ndarray]], fid: str) -> ClassBlock | None:
@@ -52,95 +47,82 @@ def _pack(classes: Mapping[str, Mapping[str, np.ndarray]], fid: str) -> ClassBlo
             parts.append(samples)
     if not parts:
         return None
-    widths = {samples.shape[1] for samples in parts}
-    if len(widths) != 1:
-        raise DimensionMismatchError(
-            f"{fid} dimensions differ across classes: {sorted(widths)}"
-        )
     block = np.concatenate(parts, dtype=np.float64)
     block.flags.writeable = False
     return ClassBlock(tuple(labels), [len(samples) for samples in parts], block)
 
 
 def _class_views(
-    labels: Sequence[str], traits: Mapping[str, ClassBlock | None]
+    labels: Sequence[str], traits: Mapping[str, ClassBlock]
 ) -> dict[str, dict[str, np.ndarray]]:
     """Per class, in ``labels`` order, read-only row views into each trait's block."""
     classes: dict[str, dict[str, np.ndarray]] = {label: {} for label in labels}
     for fid, trait in traits.items():
-        if trait is None:
-            continue
         for label, start, count in zip(trait.labels, trait.starts.tolist(), trait.counts):
             classes[label][fid] = trait.rows[start : start + count]
     return classes
 
 
 class Gallery:
-    """Immutable set of enrolled classes plus optional fitted transforms."""
+    """Immutable set of enrolled classes plus optional fitted transforms.
 
-    __slots__ = (
-        "_labels", "_classes", "_sizes", "_transforms", "_traits", "_projected", "_fitted"
-    )
+    ``Gallery()`` is the empty gallery; ``enroll``, ``retire``, ``fit`` and
+    ``load`` make every other one.
+    """
 
-    def __init__(
-        self,
-        classes: Mapping[str, Mapping[str, np.ndarray]] | None = None,
-        sizes: Mapping[str, int] | None = None,
-        transforms: Mapping[str, FeatureTransform] | None = None,
-        fitted: bool = False,
-        *,
-        traits: Mapping[str, ClassBlock | None] | None = None,
-    ) -> None:
-        # Class feature dicts are never mutated, so galleries share them;
-        # their key order is the enrollment order. ``traits`` holds packed
-        # blocks of these same classes, filled on first use otherwise.
-        self._classes = dict(classes or {})
-        self._labels = tuple(self._classes)
-        self._sizes = dict(sizes or {})
-        if self._sizes.keys() != self._classes.keys():
-            raise ValueError("sizes must name exactly the enrolled classes")
-        if min(self._sizes.values(), default=1) < 1:
-            raise ValueError("every class size must be at least 1")
-        self._transforms = dict(transforms or {})
-        self._traits = dict(traits or {})
-        self._projected = self._project()
-        self._fitted = bool(fitted)
+    __slots__ = ("_classes", "_sizes", "_transforms", "_projected")
+
+    def __init__(self) -> None:
+        self._classes: dict[str, Mapping[str, np.ndarray]] = {}
+        self._sizes: dict[str, int] = {}
+        self._transforms: dict[str, FeatureTransform] | None = None
+        self._projected: dict[str, ClassBlock] = {}
+
+    @classmethod
+    def _build(
+        cls,
+        classes: dict[str, Mapping[str, np.ndarray]],
+        sizes: dict[str, int],
+        transforms: dict[str, FeatureTransform] | None = None,
+        packed: Mapping[str, ClassBlock] | None = None,
+    ) -> "Gallery":
+        """A gallery of parts its caller has checked; fitted when ``transforms``
+        is a dict. ``packed`` holds each transform's trait as one block, which
+        is projected here in one stacked call over its holders.
+
+        Class feature dicts are never mutated, so galleries share them;
+        their key order is the enrollment order.
+        """
+        gallery = cls()
+        gallery._classes = classes
+        gallery._sizes = sizes
+        gallery._transforms = transforms
+        for fid, transform in (transforms or {}).items():
+            trait = packed[fid]
+            rows = np.ascontiguousarray(project(transform, trait.rows))
+            rows.flags.writeable = False
+            gallery._projected[fid] = ClassBlock(trait.labels, trait.counts, rows)
+        return gallery
 
     @property
     def n(self) -> int:
-        return len(self._labels)
+        return len(self._classes)
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return self._labels
+        return tuple(self._classes)
 
     @property
     def fitted(self) -> bool:
-        return self._fitted
+        return self._transforms is not None
 
     @property
     def transforms(self) -> Mapping[str, FeatureTransform]:
-        return dict(self._transforms)
+        return dict(self._transforms or {})
 
     def projected_block(self, feature_id: str) -> ClassBlock:
         """The packed projected rows of one fitted trait, read-only and C-contiguous."""
         return self._projected[feature_id]
-
-    def _trait(self, fid: str) -> ClassBlock | None:
-        """The packed raw samples of one trait, packed once per gallery."""
-        if fid not in self._traits:
-            self._traits[fid] = _pack(self._classes, fid)
-        return self._traits[fid]
-
-    def _project(self) -> dict[str, ClassBlock]:
-        """Each transform's trait, projected in one stacked call over its holders."""
-        blocks = {}
-        for fid, transform in self._transforms.items():
-            trait = self._trait(fid)
-            rows = np.ascontiguousarray(project(transform, trait.rows))
-            rows.flags.writeable = False
-            blocks[fid] = ClassBlock(trait.labels, trait.counts, rows)
-        return blocks
 
     def class_size(self, label: str) -> int:
         if label not in self._sizes:
@@ -156,14 +138,11 @@ class Gallery:
 
     def covered_features(self) -> tuple[str, ...]:
         """Fitted features for which every enrolled class has samples."""
-        if not self._fitted:
-            return ()
         # A block holds each class at most once, in enrollment order.
         return tuple(
             fid
             for fid in FEATURE_IDS
-            if fid in self._transforms
-            and len(self._projected.get(fid, ())) == self.n
+            if fid in self._projected and len(self._projected[fid]) == self.n
         )
 
     def enroll(self, label: str, bundles: Sequence[FeatureBundle]) -> "Gallery":
@@ -172,7 +151,7 @@ class Gallery:
         Every class holding a trait holds it at one width, the width a
         snapshot stores for that trait.
         """
-        _check_label(label)
+        check_label(label)
         if label in self._classes:
             raise DuplicateLabelError(f"label {label!r} is already enrolled")
         if len(bundles) == 0:
@@ -206,7 +185,7 @@ class Gallery:
         classes[label] = stacked
         sizes = dict(self._sizes)
         sizes[label] = len(bundles)
-        return Gallery(classes=classes, sizes=sizes)
+        return Gallery._build(classes, sizes)
 
     def retire(self, label: str) -> "Gallery":
         """Remove a class; clears any previous fit."""
@@ -214,7 +193,7 @@ class Gallery:
             raise UnknownLabelError(f"label {label!r} is not enrolled")
         classes = {k: v for k, v in self._classes.items() if k != label}
         sizes = {k: v for k, v in self._sizes.items() if k != label}
-        return Gallery(classes=classes, sizes=sizes)
+        return Gallery._build(classes, sizes)
 
     def fit(self, epsilon: float | None = None) -> "Gallery":
         """Learn per-feature transforms; the result projects the enrolled samples.
@@ -224,21 +203,16 @@ class Gallery:
         """
         if self.n < 2:
             raise DegenerateProblemError("fitting needs at least two enrolled classes")
-        traits: dict[str, ClassBlock | None] = {}
         transforms: dict[str, FeatureTransform] = {}
+        packed: dict[str, ClassBlock] = {}
         for fid in FEATURE_IDS:
-            trait = traits[fid] = self._trait(fid)
+            trait = _pack(self._classes, fid)
             if trait is not None and len(trait) >= 2:
                 transforms[fid] = fit_transform(trait, epsilon, feature_id=fid)
-        # The fitted gallery's classes view its blocks, so it keeps one
-        # copy of each trait's samples.
-        return Gallery(
-            classes=_class_views(self._labels, traits),
-            sizes=self._sizes,
-            transforms=transforms,
-            fitted=True,
-            traits=traits,
-        )
+                packed[fid] = trait
+        # The fitted gallery shares this gallery's class arrays; the packed
+        # blocks live only until they are projected.
+        return Gallery._build(self._classes, self._sizes, transforms, packed)
 
     def __eq__(self, other: object) -> bool:
         """Equal when both encode to the same snapshot body.
@@ -251,7 +225,7 @@ class Gallery:
         return b"".join(_encode_body(self)) == b"".join(_encode_body(other))
 
     def __repr__(self) -> str:
-        state = "fitted" if self._fitted else "unfitted"
+        state = "fitted" if self.fitted else "unfitted"
         return f"Gallery(n={self.n}, {state})"
 
     def save(self, path: str | Path) -> None:
@@ -402,13 +376,14 @@ def _encode_body(gallery: Gallery) -> list[bytes | memoryview]:
     """
     w = _BodyWriter()
     w.u8(1 if gallery.fitted else 0)
-    w.u32(gallery.n)
+    labels = gallery.labels
+    w.u32(len(labels))
     # Labels hold no whitespace, so a newline separates them unambiguously.
-    w.text("\n".join(gallery.labels))
-    w.u32s([gallery._sizes[label] for label in gallery.labels])
-    traits = [(fid, gallery._trait(fid)) for fid in FEATURE_IDS]
+    w.text("\n".join(labels))
+    w.u32s([gallery._sizes[label] for label in labels])
+    traits = [(fid, _pack(gallery._classes, fid)) for fid in FEATURE_IDS]
     traits = [(fid, trait) for fid, trait in traits if trait is not None]
-    index = {label: i for i, label in enumerate(gallery.labels)}
+    index = {label: i for i, label in enumerate(labels)}
     w.u32(len(traits))
     for fid, trait in traits:
         w.text(fid)
@@ -417,7 +392,7 @@ def _encode_body(gallery: Gallery) -> list[bytes | memoryview]:
         w.u32s([index[label] for label in trait.labels])
         w.u32s(trait.counts)
         w.array(trait.rows)
-    transforms = gallery._transforms
+    transforms = gallery._transforms or {}
     w.u32(len(transforms))
     for fid in sorted(transforms):
         t = transforms[fid]
@@ -464,10 +439,10 @@ def _decode_body(body: memoryview, origin: str) -> Gallery:
     # Splitting on whitespace gives the labels back exactly when none is
     # empty or holds whitespace; otherwise each label is checked alone,
     # so the error names the first bad one.
-    if "," in table or table.split() != labels:
+    if "," in table or table.split() != labels or "-" in labels:
         for label in labels:
             try:
-                _check_label(label)
+                check_label(label)
             except ValueError as exc:
                 raise r.error(str(exc)) from None
     if len(set(labels)) != n:
@@ -517,12 +492,11 @@ def _decode_body(body: memoryview, origin: str) -> Gallery:
     if transforms and not fitted:
         raise r.error("an unfitted snapshot holds transforms")
     try:
-        return Gallery(
-            classes=_class_views(labels, traits),
-            sizes=dict(zip(labels, sizes.tolist())),
-            transforms=transforms,
-            fitted=fitted,
-            traits=traits,
+        return Gallery._build(
+            _class_views(labels, traits),
+            dict(zip(labels, sizes.tolist())),
+            transforms if fitted else None,
+            traits,
         )
     except NonFiniteInputError as exc:
         raise r.error(str(exc)) from None

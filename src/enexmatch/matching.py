@@ -147,7 +147,7 @@ class MatchReport:
             rank_text[1:].tolist(),  # final places 1..n, written as ranks are
         )
         head = "probe={} n={} features={}".format(
-            self.probe_id if self.probe_id else "-",
+            "-" if self.probe_id is None else self.probe_id,
             self.n,
             ",".join(self.features_used),
         )

@@ -5,7 +5,16 @@ import zlib
 import numpy as np
 import pytest
 
-from enexmatch import Gallery, SilhouetteMask, parse_match_report, parse_report, save_mask
+from enexmatch import (
+    DatasetManifest,
+    Gallery,
+    SilhouetteMask,
+    SyntheticConfig,
+    parse_match_report,
+    parse_report,
+    save_mask,
+)
+from enexmatch import cli
 from enexmatch.cli import SNAPSHOT_ENV, main
 from helpers import forged_body, with_body
 
@@ -85,6 +94,21 @@ class TestGenerate:
         code = main(["generate", "--subjects", "1", "--out", str(tmp_path / "d")])
         assert code == 2
         assert "usage error" in capsys.readouterr().err
+        argv = ["generate", "--subjects", "2", "--cameras", "3", "--out", str(tmp_path / "d")]
+        code = main(argv)
+        assert code == 2
+        assert "cameras must be 1 or 2" in capsys.readouterr().err
+
+    def test_defaults_are_the_config_defaults(self, tmp_path, monkeypatch, capsys):
+        built = []
+
+        def record(config, out):
+            built.append(config)
+            return DatasetManifest(tmp_path, ())
+
+        monkeypatch.setattr(cli, "generate_synthetic", record)
+        assert main(["generate", "--subjects", "3", "--out", str(tmp_path)]) == 0
+        assert built == [SyntheticConfig(subjects=3)]
 
     def test_determinism(self, tmp_path, capsys):
         argv = [

@@ -15,7 +15,7 @@ from enexmatch import (
     scatter_statistics,
     within_scatter,
 )
-from helpers import class_block, enrolled_gallery, random_bundle
+from helpers import class_block, enrolled_gallery, forged_body, random_bundle, with_body
 
 
 def within_reference(classes):
@@ -323,26 +323,19 @@ class TestGalleryBlockPath:
     def test_equal_row_counts(self):
         self.assert_same_transforms(enrolled_gallery(np.random.default_rng(161), n=40))
 
-    def test_integer_valued_samples(self):
+    def test_integer_valued_samples(self, tmp_path):
         rng = np.random.default_rng(162)
-        classes, sizes = {}, {}
+        classes, sizes = [], []
         for i, count in enumerate(rng.integers(1, 7, size=30).tolist()):
-            classes[f"c{i}"] = {
-                "height": rng.integers(0, 1000, size=(count, 1)),
-                "complexion": rng.integers(-50, 50, size=(count, 4)).astype(np.float64),
-            }
-            sizes[f"c{i}"] = count
-        self.assert_same_transforms(Gallery(classes=classes, sizes=sizes))
-
-    def test_constructor_gallery_names_first_non_finite_class(self):
-        # c2 (two rows) and c4 (one row) are non-finite; c2 comes first.
-        classes = {f"c{i}": {"build": np.full((i % 2 + 1, 1), float(i))} for i in range(6)}
-        classes["c2"]["build"] = np.array([[1.0], [np.nan]])
-        classes["c4"]["build"] = np.array([[np.inf]])
-        sizes = {label: len(features["build"]) for label, features in classes.items()}
-        gallery = Gallery(classes=classes, sizes=sizes)
-        with pytest.raises(NonFiniteInputError, match="'c2'"):
-            gallery.fit()
+            features = [
+                ("height", rng.integers(0, 1000, size=(count, 1))),
+                ("complexion", rng.integers(-50, 50, size=(count, 4)).astype(np.float64)),
+            ]
+            classes.append((f"c{i}", features))
+            sizes.append(count)
+        path = tmp_path / "g.bin"
+        path.write_bytes(with_body(forged_body(classes, sizes=sizes)))
+        self.assert_same_transforms(Gallery.load(path))
 
 
 class TestFitTransform:

@@ -142,7 +142,7 @@ class TestManifestIO:
             read_manifest(tmp_path / "nope.csv")
 
     @pytest.mark.parametrize("role", ["gallery", "probe"])
-    @pytest.mark.parametrize("label", ["s 001", "s,001", ""])
+    @pytest.mark.parametrize("label", ["s 001", "s,001", "", "-"])
     def test_label_the_gallery_cannot_hold(self, tmp_path, role, label):
         # The label is quoted, so the CSV reader keeps its space or comma.
         path = tmp_path / "manifest.csv"

@@ -305,6 +305,13 @@ class TestExtractBundle:
         assert bundle.feature_vector("complexion") is None
         assert bundle.available_features() == ()
 
+    @pytest.mark.parametrize("label", ["", "-", "x y", "x,y", "x\ny"])
+    def test_label_a_report_cannot_carry(self, label):
+        # A report writes "-" for a probe without an id and separates its
+        # header fields by whitespace.
+        with pytest.raises(ValueError, match="label"):
+            FeatureBundle(label=label)
+
     def test_restrict(self):
         rng = np.random.default_rng(86)
         bundle = random_bundle(rng, label="x")

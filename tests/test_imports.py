@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, each
-module imports at run time only the package modules its layer allows, and
-every private name the library defines is read somewhere in the library.
+module imports at run time only the package modules its layer allows,
+every private name the library defines is read somewhere in the library,
+and no module imports another module's private name.
 
 Names that ``enexmatch/__init__.py`` lists in ``__all__`` are re-exports
 and count as used there.
@@ -146,6 +147,25 @@ def package_imports(source):
     return found
 
 
+def private_imports(source):
+    """Private names a module imports from a package module, as written:
+    ``.gallery._pack`` or ``enexmatch.gallery._pack``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "enexmatch":
+            continue
+        prefix = "." * node.level + (f"{module}." if module else "")
+        found.extend(
+            prefix + a.name
+            for a in node.names
+            if a.name.startswith("_") and not a.name.endswith("__")
+        )
+    return sorted(found)
+
+
 def test_package_has_modules():
     assert len(MODULES) > 5
 
@@ -158,6 +178,11 @@ def test_no_unused_imports(module):
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_runtime_imports_follow_the_layers(module):
     assert package_imports(module.read_text(encoding="utf-8")) == LAYERS[module.stem]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_private_names_imported(module):
+    assert private_imports(module.read_text(encoding="utf-8")) == []
 
 
 def test_every_private_name_is_read():
@@ -206,6 +231,18 @@ class TestChecker:
         assert unreferenced_private_names([source]) == ["_Box", "_LIMIT", "_spare", "_unused"]
         user = "from box import _Box, _unused\n_unused()\nx = _Box()\n"
         assert unreferenced_private_names([source, user]) == ["_LIMIT", "_spare"]
+
+    def test_flags_private_imports_from_the_package_only(self):
+        source = (
+            "from __future__ import annotations\n"
+            "from os import _exit\n"
+            "from .gallery import Gallery, _pack\n"
+            "from . import _helpers\n"
+            "from enexmatch.features import __all__, _spare\n"
+        )
+        assert private_imports(source) == [
+            "._helpers", ".gallery._pack", "enexmatch.features._spare"
+        ]
 
     def test_layers_skip_type_checking_and_read_nested_imports(self):
         source = (
