@@ -21,7 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import EnexError
+from .errors import EnexError, ManifestError
 from .evaluation import (
     SyntheticConfig,
     cmc_csv,
@@ -108,8 +108,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
         return _usage(str(exc))
     gallery_map, _ = ingest(args.manifest, config)
     if not gallery_map:
-        print("error: manifest has no gallery rows", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise ManifestError("manifest has no gallery rows")
     gallery = Gallery.load(snapshot) if snapshot.exists() else Gallery()
     for label, bundles in gallery_map.items():
         gallery = gallery.enroll(label, bundles)
@@ -154,8 +153,7 @@ def cmd_match(args: argparse.Namespace) -> int:
     if args.manifest is not None:
         probes = probe_bundles(args.manifest, config)
         if not probes:
-            print("error: manifest has no probe rows", file=sys.stderr)
-            return EXIT_RUNTIME
+            raise ManifestError("manifest has no probe rows")
     else:
         try:
             probes = _single_probe(args, config)
@@ -196,6 +194,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _usage(str(exc))
     gallery_map, probes = ingest(args.manifest, config)
+    if not probes:
+        raise ManifestError("manifest has no probe rows")
     result = evaluate(gallery_map, probes, epsilon=args.epsilon, ks=ks, features=features)
     name = ",".join(features) if features else "all-features"
     print(emit_report([(name, result.rank_accuracy)], ks), end="")

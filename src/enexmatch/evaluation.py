@@ -90,7 +90,12 @@ def read_manifest(path: str | Path) -> DatasetManifest:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ManifestError(f"cannot read manifest: {exc}") from exc
-    rows = list(csv.reader(text.splitlines()))
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 text ({exc})") from None
+    try:
+        rows = list(csv.reader(text.splitlines()))
+    except csv.Error as exc:
+        raise ManifestError(f"{path}: {exc}") from None
     if not rows or tuple(rows[0]) != MANIFEST_COLUMNS:
         raise ManifestError(
             f"{path}: first line must be {','.join(MANIFEST_COLUMNS)}"
@@ -110,6 +115,8 @@ def read_manifest(path: str | Path) -> DatasetManifest:
             raise ManifestError(f"{path} line {line}: bad view {record['view']!r}")
         if not record["image"]:
             raise ManifestError(f"{path} line {line}: empty image path")
+        if "\0" in record["image"] + record["mask"]:
+            raise ManifestError(f"{path} line {line}: a path holds a NUL byte")
         entries.append(
             ManifestEntry(
                 label=record["label"],

@@ -9,6 +9,7 @@ and downstream fitting and matching treat that as a first-class state.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -37,13 +38,17 @@ SKIN_CR_RANGE = (133, 173)
 HISTOGRAM_BINS = 24
 
 
+# In a str pattern \s matches exactly the characters str.isspace accepts.
+_LABEL = re.compile(r"(?!-\Z)[^\s,]+")
+
+
 def check_label(label: str) -> None:
     """Refuse a subject label that reports, manifests or snapshots cannot carry.
 
     A label is non-empty and holds no whitespace or comma; ``-`` is the
     report's marker for a probe without an id.
     """
-    if not label or label == "-" or any(c.isspace() or c == "," for c in label):
+    if not _LABEL.fullmatch(label):
         raise ValueError(
             f"label {label!r} must be non-empty, not '-', without spaces or commas"
         )

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .features import FEATURE_IDS, FeatureBundle, check_label
 
-MAGIC = b"ENEXGAL3"
+MAGIC = b"ENEXGAL4"
 
 
 def _pack(classes: Mapping[str, Mapping[str, np.ndarray]], fid: str) -> ClassBlock | None:
@@ -283,26 +283,33 @@ def _raw(array: np.ndarray) -> memoryview:
 class _BodyWriter:
     def __init__(self) -> None:
         self.chunks: list[bytes | memoryview] = []
+        self.size = 0
+
+    def _put(self, chunk: bytes | memoryview) -> None:
+        self.chunks.append(chunk)
+        self.size += len(chunk)
 
     def u8(self, value: int) -> None:
-        self.chunks.append(struct.pack("<B", value))
+        self._put(struct.pack("<B", value))
 
     def u32(self, value: int) -> None:
-        self.chunks.append(struct.pack("<I", value))
+        self._put(struct.pack("<I", value))
 
     def u32s(self, values: Sequence[int]) -> None:
-        self.chunks.append(_raw(np.array(values, dtype="<u4")))
+        self._put(_raw(np.array(values, dtype="<u4")))
 
     def f64(self, value: float) -> None:
-        self.chunks.append(struct.pack("<d", value))
+        self._put(struct.pack("<d", value))
 
     def text(self, value: str) -> None:
         raw = value.encode("utf-8")
         self.u32(len(raw))
-        self.chunks.append(raw)
+        self._put(raw)
 
     def array(self, value: np.ndarray) -> None:
-        self.chunks.append(_raw(np.ascontiguousarray(value, dtype="<f8")))
+        """Zero bytes up to a multiple of 8, then the values as ``<f8``."""
+        self._put(bytes(-self.size % 8))
+        self._put(_raw(np.ascontiguousarray(value, dtype="<f8")))
 
 
 class _BodyReader:
@@ -345,19 +352,16 @@ class _BodyReader:
         except UnicodeDecodeError:
             raise self.error("text is not valid UTF-8") from None
 
-    def feature_id(self) -> str:
-        fid = self.text()
-        if fid not in FEATURE_IDS:
-            raise self.error(f"unknown feature id {fid!r}")
-        return fid
-
     def array(self, rows: int, cols: int) -> np.ndarray:
-        if rows == 0 or cols == 0:
-            raise self.error(f"empty {rows}x{cols} array")
+        """A read-only (rows x cols) float64 array after the zero padding."""
+        if any(self._take(-self.pos % 8)):
+            raise self.error("padding byte is not zero")
         raw = self._take(rows * cols * 8)
-        # On a little-endian machine this views the snapshot's own bytes.
+        # On a little-endian machine this views the snapshot's own bytes; the
+        # body starts 16 bytes into the file, so the view is as aligned as they are.
         out = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False)
         out = out.reshape(rows, cols)
+        out.flags.writeable = False
         if not np.all(np.isfinite(out)):
             raise self.error("non-finite array values")
         return out
@@ -367,114 +371,80 @@ class _BodyReader:
 
 
 def _encode_body(gallery: Gallery) -> list[bytes | memoryview]:
-    """Flag, n, the label table, class sizes, one record per held trait, transforms,
-    as byte chunks in file order.
+    """Flag, the label table, class sizes, one record and then one transform
+    slot per trait in ``FEATURE_IDS`` order, as byte chunks in file order.
 
-    A trait record holds the trait's id, its holder count k and width d,
-    k strictly increasing holder indices into the label table, k row
-    counts, and one (sum of counts x d) block of samples.
+    A trait record holds the width d (0 when no class holds the trait),
+    every class's row count (0 for a class without it) and one
+    (sum of counts x d) block of samples. A transform slot holds the
+    column count k (0 when the trait is not fitted), then the d x k
+    matrix, the k eigenvalues, the ridge and the discriminative flag.
     """
     w = _BodyWriter()
     w.u8(1 if gallery.fitted else 0)
-    labels = gallery.labels
-    w.u32(len(labels))
+    classes = gallery._classes
     # Labels hold no whitespace, so a newline separates them unambiguously.
-    w.text("\n".join(labels))
-    w.u32s([gallery._sizes[label] for label in labels])
-    traits = [(fid, _pack(gallery._classes, fid)) for fid in FEATURE_IDS]
-    traits = [(fid, trait) for fid, trait in traits if trait is not None]
-    index = {label: i for i, label in enumerate(labels)}
-    w.u32(len(traits))
-    for fid, trait in traits:
-        w.text(fid)
-        w.u32(len(trait.labels))
-        w.u32(trait.rows.shape[1])
-        w.u32s([index[label] for label in trait.labels])
-        w.u32s(trait.counts)
-        w.array(trait.rows)
+    w.text("\n".join(classes))
+    w.u32s([gallery._sizes[label] for label in classes])
+    for fid in FEATURE_IDS:
+        trait = _pack(classes, fid)
+        rows = np.empty((0, 0)) if trait is None else trait.rows
+        w.u32(rows.shape[1])
+        w.u32s([len(f[fid]) if fid in f else 0 for f in classes.values()])
+        w.array(rows)
     transforms = gallery._transforms or {}
-    w.u32(len(transforms))
-    for fid in sorted(transforms):
-        t = transforms[fid]
-        w.text(fid)
-        w.u32(t.matrix.shape[0])
-        w.u32(t.matrix.shape[1])
-        w.array(t.matrix)
-        w.u32(t.eigenvalues.shape[0])
-        w.array(t.eigenvalues.reshape(1, -1))
-        w.f64(t.regularization)
-        w.u8(1 if t.discriminative else 0)
+    for fid in FEATURE_IDS:
+        t = transforms.get(fid)
+        w.u32(0 if t is None else t.rank)
+        if t is not None:
+            w.array(t.matrix)
+            w.array(t.eigenvalues)
+            w.f64(t.regularization)
+            w.u8(1 if t.discriminative else 0)
     return w.chunks
-
-
-def _decode_trait(r: _BodyReader, fid: str, labels: Sequence[str]) -> ClassBlock:
-    """Read one trait record after its id and check it against the label table."""
-    holders, width = r.u32(), r.u32()
-    if holders == 0 or width == 0:
-        raise r.error(f"{fid} record of {holders} holder classes has width {width}")
-    indices, counts = r.u32s(holders), r.u32s(holders)
-    if (np.diff(indices) <= 0).any():
-        raise r.error(f"{fid} holder indices are not strictly increasing")
-    if indices[-1] >= len(labels):
-        raise r.error(
-            f"{fid} holder index {int(indices[-1])} is out of range for "
-            f"{len(labels)} labels"
-        )
-    if (counts == 0).any():
-        raise r.error(f"{fid} record gives a holder class zero rows")
-    counts = counts.tolist()
-    block = r.array(sum(counts), width)
-    block.flags.writeable = False
-    return ClassBlock(tuple([labels[i] for i in indices.tolist()]), counts, block)
 
 
 def _decode_body(body: memoryview, origin: str) -> Gallery:
     r = _BodyReader(body, origin)
     fitted = r.flag()
-    n = r.u32()
     table = r.text()
     labels = table.split("\n") if table else []
-    if len(labels) != n:
-        raise r.error(f"label table holds {len(labels)} labels for {n} classes")
-    # Splitting on whitespace gives the labels back exactly when none is
-    # empty or holds whitespace; otherwise each label is checked alone,
-    # so the error names the first bad one.
-    if "," in table or table.split() != labels or "-" in labels:
-        for label in labels:
-            try:
-                check_label(label)
-            except ValueError as exc:
-                raise r.error(str(exc)) from None
+    for label in labels:
+        try:
+            check_label(label)
+        except ValueError as exc:
+            raise r.error(str(exc)) from None
+    n = len(labels)
     if len(set(labels)) != n:
         raise r.error("a label is enrolled twice")
     sizes = r.u32s(n)
     if (sizes == 0).any():
         raise r.error(f"class {labels[int(np.argmin(sizes))]!r} has size 0")
     traits: dict[str, ClassBlock] = {}
-    for _ in range(r.u32()):
-        fid = r.feature_id()
-        if fid in traits:
-            raise r.error(f"{fid} trait record repeats")
-        traits[fid] = _decode_trait(r, fid, labels)
+    for fid in FEATURE_IDS:
+        width, counts = r.u32(), r.u32s(n)
+        holders = np.flatnonzero(counts)
+        if (width == 0) != (len(holders) == 0):
+            raise r.error(
+                f"{fid} record of width {width} has {len(holders)} holder classes"
+            )
+        over = np.flatnonzero(counts > sizes)
+        if len(over):
+            label = labels[over[0]]
+            raise r.error(f"{fid} record gives class {label!r} more rows than its size")
+        block = r.array(int(counts.sum()), width)
+        if width:
+            held = tuple([labels[i] for i in holders.tolist()])
+            traits[fid] = ClassBlock(held, counts[holders].tolist(), block)
     transforms: dict[str, FeatureTransform] = {}
-    for _ in range(r.u32()):
-        fid = r.feature_id()
-        # Copied, unlike the sample blocks: numpy multiplies by the transpose
-        # of an unaligned matrix through a reordered copy, and the products
-        # then round differently.
-        matrix = r.array(r.u32(), r.u32()).copy()
-        widths = [traits[fid].rows.shape[1]] if fid in traits else []
-        if fid in transforms or widths != [matrix.shape[0]]:
-            raise r.error(
-                f"{fid} transform of width {matrix.shape[0]} repeats or does not "
-                f"fit its holder classes' widths {widths}"
-            )
-        eigenvalues = r.array(1, r.u32()).reshape(-1)
-        if eigenvalues.shape[0] != matrix.shape[1]:
-            raise r.error(
-                f"{fid} transform has {eigenvalues.shape[0]} eigenvalues "
-                f"for {matrix.shape[1]} columns"
-            )
+    for fid in FEATURE_IDS:
+        rank = r.u32()
+        if rank == 0:
+            continue
+        if fid not in traits:
+            raise r.error(f"{fid} transform fits a trait no class holds")
+        matrix = r.array(traits[fid].rows.shape[1], rank)
+        eigenvalues = r.array(1, rank).reshape(-1)
         if (eigenvalues < 0.0).any():
             raise r.error(f"{fid} transform has a negative eigenvalue")
         ridge = r.f64()

@@ -8,6 +8,7 @@ import zlib
 import numpy as np
 
 from enexmatch import (
+    FEATURE_IDS,
     BuildFeature,
     ClassBlock,
     ClothingHistogram,
@@ -19,6 +20,7 @@ from enexmatch import (
     SilhouetteMask,
     YCbCrImage,
 )
+from enexmatch.gallery import MAGIC
 
 
 def random_image(rng: np.random.Generator, height: int = 128, width: int = 64) -> Image:
@@ -86,7 +88,7 @@ def class_block(pairs):
     )
 
 
-def with_body(body, magic=b"ENEXGAL3"):
+def with_body(body, magic=MAGIC):
     """A snapshot around ``body`` whose header and checksum are valid."""
     return magic + struct.pack("<Q", len(body)) + body + struct.pack("<I", zlib.crc32(body))
 
@@ -101,27 +103,24 @@ def _array(values):
     return struct.pack("<II", *values.shape) + values.tobytes()
 
 
-def _transform_section(transforms, discriminative, eigenvalues, ridge):
-    out = struct.pack("<I", len(transforms))
-    for fid, matrix in transforms:
-        values = np.ones(np.shape(matrix)[1]) if eigenvalues is None else eigenvalues
-        values = np.asarray(values, dtype="<f8")
-        out += _text(fid) + _array(matrix) + struct.pack("<I", len(values))
-        out += values.tobytes() + struct.pack("<dB", ridge, discriminative)
+def _assemble(parts, padding):
+    """Join byte strings and float arrays; each array starts at a multiple
+    of 8, after bytes of the value ``padding``."""
+    out = b""
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            out += bytes([padding]) * (-len(out) % 8) + part.astype("<f8").tobytes()
+        else:
+            out += part
     return out
 
 
-def trait_record(fid, holders, counts, block, width=None):
-    """One ENEXGAL3 trait record; ``width`` defaults to the block's."""
+def trait_record(counts, block, width=None):
+    """One ENEXGAL4 trait record, as ``forged_body`` parts: every class's row
+    count and the sample block; ``width`` defaults to the block's."""
     block = np.asarray(block, dtype="<f8")
     width = block.shape[1] if width is None else width
-    return (
-        _text(fid)
-        + struct.pack("<II", len(holders), width)
-        + np.asarray(holders, dtype="<u4").tobytes()
-        + np.asarray(counts, dtype="<u4").tobytes()
-        + block.tobytes()
-    )
+    return [struct.pack("<I", width), np.asarray(counts, dtype="<u4").tobytes(), block]
 
 
 def forged_body(
@@ -132,47 +131,48 @@ def forged_body(
     eigenvalues=None,
     ridge=1e-6,
     records=None,
-    label_count=None,
     sizes=None,
+    padding=0,
 ):
     """Encode (label, [(fid, samples)]) classes and (fid, matrix) transforms.
 
-    Every class has size 1, or the size ``sizes`` lists for it. A trait's
-    record lists its holders in class order, in the order traits first
-    appear; ``records`` (raw ``trait_record`` bytes) replaces those
-    records and ``label_count`` the declared class count. Each transform
-    gets ``eigenvalues`` (default: a 1 per matrix column) and the ridge
-    ``ridge``.
+    Every class has size 1, or the size ``sizes`` lists for it. ``records``
+    maps a trait id to ``trait_record`` parts that replace its record.
+    A trait's transform slot is written once per matrix given for it, so
+    a trait named twice gets two slots. Each transform gets
+    ``eigenvalues`` (default: a 1 per matrix column) and the ridge
+    ``ridge``; every padding byte holds ``padding``.
     """
     fitted = (1 if transforms else 0) if fitted is None else fitted
     labels = [label if isinstance(label, bytes) else label.encode() for label, _ in classes]
-    count = len(classes) if label_count is None else label_count
-    out = struct.pack("<BI", fitted, count) + _text(b"\n".join(labels))
-    out += np.array(sizes or [1] * len(classes), dtype="<u4").tobytes()
-    if records is None:
-        holders = {}
-        for index, (_, features) in enumerate(classes):
-            for fid, samples in features:
-                holders.setdefault(fid, []).append((index, np.asarray(samples)))
-        records = [
-            trait_record(
-                fid,
-                [index for index, _ in held],
-                [len(samples) for _, samples in held],
-                np.concatenate([samples for _, samples in held]),
-            )
-            for fid, held in holders.items()
-        ]
-    out += struct.pack("<I", len(records)) + b"".join(records)
-    return out + _transform_section(transforms, discriminative, eigenvalues, ridge)
+    parts = [struct.pack("<B", fitted), _text(b"\n".join(labels))]
+    parts.append(np.array(sizes or [1] * len(classes), dtype="<u4").tobytes())
+    for fid in FEATURE_IDS:
+        held = [dict(features).get(fid) for _, features in classes]
+        rows = [np.asarray(samples) for samples in held if samples is not None]
+        parts += (records or {}).get(fid) or trait_record(
+            [0 if samples is None else len(samples) for samples in held],
+            np.concatenate(rows) if rows else np.empty((0, 0)),
+        )
+    for fid in FEATURE_IDS:
+        matrices = [np.asarray(m, dtype="<f8") for f, m in transforms if f == fid]
+        if not matrices:
+            parts.append(struct.pack("<I", 0))
+        for matrix in matrices:
+            values = np.ones(matrix.shape[1]) if eigenvalues is None else eigenvalues
+            parts += [struct.pack("<I", matrix.shape[1]), matrix, np.asarray(values)]
+            parts.append(struct.pack("<dB", ridge, discriminative))
+    return _assemble(parts, padding)
 
 
 def enexgal2_snapshot(gallery):
-    """The whole ``ENEXGAL2`` snapshot file of ``gallery``, the layout before ENEXGAL3.
+    """The whole ``ENEXGAL2`` snapshot file of ``gallery``, two layouts before ENEXGAL4.
 
     A frozen copy of that layout's encoder: per class its label, size,
     and one (fid, rows, cols, values) record per trait it holds, in
-    sorted trait order; then the transforms as ENEXGAL3 still writes them.
+    sorted trait order; then the transform count and per transform, in
+    sorted order, its id, shaped matrix, eigenvalue count and values,
+    ridge and flag.
     """
     fitted = gallery.fitted
     out = struct.pack("<BI", 1 if fitted else 0, gallery.n)

@@ -239,6 +239,19 @@ class TestEnroll:
         assert err.startswith("error:") and "line 2" in err and "'s 001'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["enroll", "evaluate"])
+    def test_manifest_not_utf8_is_an_error_line(self, dataset, tmp_path, capsys, command):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes((dataset / "manifest.csv").read_bytes() + b"s\xff01,probe\n")
+        argv = [command, "--manifest", str(manifest)]
+        if command == "enroll":
+            argv += ["--snapshot", str(tmp_path / "g.bin")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {manifest}: not UTF-8")
+        assert "Traceback" not in err
+
     def test_missing_manifest(self, tmp_path, capsys):
         code = main(
             [
@@ -395,9 +408,9 @@ class TestMatch:
         assert code == 1
 
     def test_undecodable_snapshot_is_an_error_line(self, dataset, snapshot, tmp_path, capsys):
-        # The first label starts at body byte 9; 0xff never begins UTF-8.
+        # The first label starts at body byte 5; 0xff never begins UTF-8.
         blob = bytearray(snapshot.read_bytes())
-        blob[16 + 9] = 0xFF
+        blob[16 + 5] = 0xFF
         body = bytes(blob[16:-4])
         damaged = tmp_path / "damaged.bin"
         damaged.write_bytes(bytes(blob[:-4]) + struct.pack("<I", zlib.crc32(body)))
@@ -536,6 +549,17 @@ class TestEvaluate:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_manifest_without_probe_rows(self, dataset, tmp_path, capsys):
+        copy = tmp_path / "data"
+        shutil.copytree(dataset, copy)
+        manifest = copy / "manifest.csv"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(line for line in lines if ",probe," not in line))
+        assert main(["evaluate", "--manifest", str(manifest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: manifest has no probe rows\n"
+        assert captured.out == ""
 
     def test_corrupt_manifest(self, tmp_path, capsys):
         bad = tmp_path / "manifest.csv"

@@ -141,6 +141,39 @@ class TestManifestIO:
         with pytest.raises(ManifestError):
             read_manifest(tmp_path / "nope.csv")
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_bytes(
+            b"label,role,image,mask,bbox_height,bbox_width,"
+            b"entrance_ref_height,camera_id,view\n"
+            b"s001,gallery,images/\xe9.ppm,,,,,c1,front\n"
+        )
+        with pytest.raises(ManifestError, match=f"{path}: not UTF-8"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("image, mask", [("a\0.ppm", ""), ("a.ppm", "m\0.pgm")])
+    def test_path_with_a_nul_byte(self, tmp_path, image, mask):
+        # The operating system cannot open such a path, so the row is refused.
+        path = tmp_path / "manifest.csv"
+        path.write_text(
+            "label,role,image,mask,bbox_height,bbox_width,"
+            "entrance_ref_height,camera_id,view\n"
+            "s000,gallery,b.ppm,,,,,c1,front\n"
+            f"s001,gallery,{image},{mask},,,,c1,front\n"
+        )
+        with pytest.raises(ManifestError, match=f"{path} line 3: a path holds a NUL byte"):
+            read_manifest(path)
+
+    def test_field_past_the_csv_limit(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text(
+            "label,role,image,mask,bbox_height,bbox_width,"
+            "entrance_ref_height,camera_id,view\n"
+            f"s001,gallery,{'a' * 200_000}.ppm,,,,,c1,front\n"
+        )
+        with pytest.raises(ManifestError, match=f"{path}: field larger than field limit"):
+            read_manifest(path)
+
     @pytest.mark.parametrize("role", ["gallery", "probe"])
     @pytest.mark.parametrize("label", ["s 001", "s,001", "", "-"])
     def test_label_the_gallery_cannot_hold(self, tmp_path, role, label):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from enexmatch import (
+    FEATURE_IDS,
     DegenerateProblemError,
     DimensionMismatchError,
     DuplicateLabelError,
@@ -390,13 +391,24 @@ class TestSnapshot:
 
     def test_layout(self, tmp_path):
         rng = np.random.default_rng(344)
-        _, blob = snapshot_bytes(tmp_path, enrolled_gallery(rng, n=2))
-        assert blob[:8] == b"ENEXGAL3"
+        gallery = Gallery()
+        for label, count, traits in (("a", 2, FEATURE_IDS), ("bb", 1, ("height", "build"))):
+            bundles = [random_bundle(rng, features=traits) for _ in range(count)]
+            gallery = gallery.enroll(label, bundles + [FeatureBundle()])
+        _, blob = snapshot_bytes(tmp_path, gallery)
+        assert blob[:8] == b"ENEXGAL4"
         (body_len,) = struct.unpack("<Q", blob[8:16])
         body = blob[16 : 16 + body_len]
         (checksum,) = struct.unpack("<I", blob[16 + body_len :])
         assert len(blob) == 16 + body_len + 4
         assert zlib.crc32(body) == checksum
+        # The test helper's independent encoder writes the same body.
+        classes = [
+            (label, [(fid, samples) for fid in FEATURE_IDS
+                     if (samples := gallery.feature_samples(label, fid)) is not None])
+            for label in gallery.labels
+        ]
+        assert body == forged_body(classes, sizes=[3, 2])
 
     def test_bad_magic(self, tmp_path):
         rng = np.random.default_rng(345)
@@ -454,6 +466,19 @@ class TestSnapshot:
         with pytest.raises(SnapshotFormatError, match="unknown snapshot magic"):
             Gallery.load(path)
 
+    def test_third_layout_rejected(self, tmp_path):
+        # ENEXGAL3 stored the class count beside the label table, and per
+        # trait record its id, holder count and holder indices: here two
+        # classes holding one height sample each, unfitted.
+        body = struct.pack("<BI", 0, 2) + struct.pack("<I", 3) + b"a\nb"
+        body += struct.pack("<II", 1, 1) + struct.pack("<I", 1)
+        body += struct.pack("<I", 6) + b"height" + struct.pack("<6I", 2, 1, 0, 1, 1, 1)
+        body += struct.pack("<ddI", 0.5, 0.5, 0)
+        path = tmp_path / "old.bin"
+        path.write_bytes(with_body(body, b"ENEXGAL3"))
+        with pytest.raises(SnapshotFormatError, match="unknown snapshot magic"):
+            Gallery.load(path)
+
     def test_first_layout_rejected(self, tmp_path):
         # ENEXGAL1 appended per-class projections to the ENEXGAL2 body; an
         # unfitted gallery wrote an empty projection section.
@@ -469,23 +494,22 @@ class TestSnapshot:
         unfitted = enrolled_gallery(rng, n=3, samples=2)
         _, plain = snapshot_bytes(tmp_path, unfitted, "plain.bin")
         _, fitted = snapshot_bytes(tmp_path, unfitted.fit(), "fitted.bin")
-        # Magic, body length, checksum; flag, n, the label table, the
-        # sizes, the trait count; per trait its id, holder count, width,
-        # holder indices, row counts and sample block; the transform count.
+        # Magic, body length, checksum; flag, the label table, the sizes;
+        # per trait its width, row counts, padding to a multiple of 8 and
+        # sample block; per trait a transform slot.
         labels = unfitted.labels
         traits = {"clothing": 96, "height": 1, "build": 1, "complexion": 2}
-        body = 1 + 4 + 4 + len("\n".join(labels)) + 4 * len(labels) + 4 + 4 + sum(
-            4 + len(fid) + 8 + 8 * len(labels) + 2 * len(labels) * width * 8
-            for fid, width in traits.items()
-        )
-        assert len(plain) == 8 + 8 + body + 4
-        # The fitted body adds only the transforms: per transform its id,
-        # matrix shape and values, eigenvalue count and values, ridge, flag.
-        extra = sum(
-            4 + len(fid) + 8 + t.matrix.size * 8 + 4 + t.rank * 8 + 8 + 1
-            for fid, t in unfitted.fit().transforms.items()
-        )
-        assert len(fitted) == len(plain) + extra
+        body = 1 + 4 + len("\n".join(labels)) + 4 * len(labels)
+        for width in traits.values():
+            body += 4 + 4 * len(labels)
+            body += -body % 8 + 2 * len(labels) * width * 8
+        assert len(plain) == 8 + 8 + body + 4 * len(traits) + 4
+        # A fitted slot adds, after its column count, padding, the matrix,
+        # the eigenvalues, the ridge and the flag.
+        for t in unfitted.fit().transforms.values():
+            body += 4
+            body += -body % 8 + t.matrix.size * 8 + t.rank * 8 + 8 + 1
+        assert len(fitted) == 8 + 8 + body + 4
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -577,6 +601,23 @@ class TestSharedBlocks:
                 )
 
 
+    def test_loaded_arrays_are_aligned_views_of_the_file(self, tmp_path):
+        fitted = shared_blocks_gallery(np.random.default_rng(383)).fit()
+        path, blob = snapshot_bytes(tmp_path, fitted)
+        loaded = Gallery.load(path)
+        arrays = [samples for f in loaded._classes.values() for samples in f.values()]
+        for t in loaded.transforms.values():
+            arrays += [t.matrix, t.eigenvalues]
+        for array in arrays:
+            owner = array
+            while isinstance(owner, np.ndarray):
+                owner = owner.base
+            # The bytes the load read from the file, not a copy of them.
+            assert isinstance(owner, memoryview) and owner.obj == blob
+            assert np.shares_memory(array, np.frombuffer(owner.obj, dtype=np.uint8))
+            assert array.flags.aligned and not array.flags.writeable
+
+
 class TestForgedSnapshots:
     """Bodies with a valid checksum that no save could have written."""
 
@@ -598,23 +639,26 @@ class TestForgedSnapshots:
             pytest.param(
                 [("p", HEIGHTS), ("p", HEIGHTS)], [], "enrolled twice", id="duplicate-label"
             ),
-            pytest.param(
-                [("a", [("shoe", [[1.0]])])], [], "unknown feature", id="unknown-feature"
-            ),
-            pytest.param(
-                [("a", HEIGHTS + HEIGHTS)],
-                [],
-                "not strictly increasing",
-                id="duplicate-feature",
-            ),
             pytest.param([("a", [("height", [[np.nan]])])], [], "non-finite", id="nan"),
             pytest.param(
-                [("a", [("height", np.zeros((0, 1)))])], [], "zero rows", id="rowless"
+                [("a", [("height", np.zeros((0, 1)))])],
+                [],
+                "height record of width 1 has 0 holder classes",
+                id="rowless",
             ),
             pytest.param(TWO, [("height", [[np.inf]])], "non-finite", id="inf-transform"),
-            pytest.param(TWO, [UNIT, UNIT], "repeats", id="duplicate-transform"),
-            pytest.param(TWO, [("build", [[1.0]])], r"widths \[\]", id="unheld"),
-            pytest.param(TWO, [("height", [[1.0], [1.0]])], r"widths \[1\]", id="width"),
+            # A repeated slot reads as the next trait's, which no class holds.
+            pytest.param(
+                TWO, [UNIT, UNIT], "build transform fits a trait no class holds",
+                id="duplicate-transform",
+            ),
+            pytest.param(
+                TWO, [("build", [[1.0]])], "build transform fits a trait no class holds",
+                id="unheld",
+            ),
+            # A matrix row past the trait's width shifts the eigenvalues,
+            # ridge and flag; the flag then reads the ridge's first byte.
+            pytest.param(TWO, [("height", [[1.0], [1.0]])], "flag byte 141", id="width"),
             pytest.param(
                 [("a", [("height", [[1e200]])]), ("b", HEIGHTS)],
                 [("height", [[1e200]])],
@@ -632,29 +676,35 @@ class TestForgedSnapshots:
     @pytest.mark.parametrize(
         "forged, message",
         [
-            ({"label_count": 3}, "table holds 2 labels for 3 classes"),
-            ({"label_count": 0}, "table holds 2 labels for 0 classes"),
-            ({"records": [trait_record("height", [0, 2], [1, 1], [[0.5], [0.5]])]},
-             "index 2 is out of range for 2 labels"),
-            ({"records": [trait_record("height", [1, 0], [1, 1], [[0.5], [0.5]])]},
-             "not strictly increasing"),
-            ({"records": [trait_record("height", [0, 1], [1, 0], [[0.5]])]},
-             "zero rows"),
-            ({"records": [trait_record("height", [0, 1], [1, 1], np.zeros((2, 0)))]},
-             "width 0"),
-            ({"records": [trait_record("height", [], [], np.zeros((0, 1)))]},
-             "0 holder classes"),
-            ({"records": [trait_record("height", [0, 1], [1, 2], [[0.5], [0.5]])]},
+            # The size and row-count arrays hold one entry per label: a body
+            # with more or fewer, or a row count past the table, reads on
+            # out of step with its records.
+            ({"sizes": [1, 1, 1]}, "clothing record of width 1 has 0 holder classes"),
+            ({"sizes": [1]}, "class 'b' has size 0"),
+            ({"records": {"height": trait_record([1, 1, 1], [[0.5]] * 3)}},
+             "padding byte is not zero"),
+            ({"records": {"height": trait_record([1, 1], np.zeros((2, 0)))}},
+             "height record of width 0 has 2 holder classes"),
+            ({"records": {"height": trait_record([0, 0], np.zeros((0, 1)))}},
+             "height record of width 1 has 0 holder classes"),
+            ({"records": {"height": trait_record([1, 600], [[0.5], [0.5]])},
+              "sizes": [1, 600]},
              "ends early"),
-            ({"records": [trait_record("height", [0, 1], [1, 1], [[0.5]] * 3)]},
+            # The extra row's zeros read as four empty transform slots.
+            ({"records": {"complexion": trait_record([1, 1], [[0.5, 0.5]] * 2 + [[0, 0]])}},
              "unread bytes"),
-            ({"records": [trait_record("height", [0, 1], [1, 1], [[0.5], [0.5]])] * 2},
-             "height trait record repeats"),
+            # The second height record reads as build's, and the rest of the
+            # body one record late.
+            ({"records": {"height": trait_record([1, 1], [[0.5], [0.5]]) * 2}},
+             "unread bytes"),
             ({"sizes": [1, 0]}, "class 'b' has size 0"),
+            ({"records": {"height": trait_record([1, 2], [[0.5]] * 3)}},
+             "height record gives class 'b' more rows than its size"),
+            ({"padding": 0xA5}, "padding byte is not zero"),
         ],
         ids=["more-labels-declared", "fewer-labels-declared", "holder-out-of-range",
-             "holders-not-increasing", "zero-row-count", "zero-width", "no-holders",
-             "block-too-short", "block-too-long", "repeated-trait", "zero-size"],
+             "zero-width", "no-holders", "block-too-short", "block-too-long", "repeated-trait",
+             "zero-size", "rows-past-size", "non-zero-padding"],
     )
     def test_columnar_records_rejected(self, tmp_path, forged, message):
         path = tmp_path / "g.bin"
@@ -663,9 +713,11 @@ class TestForgedSnapshots:
             Gallery.load(path)
 
     def test_label_holding_a_newline_splits_the_table(self, tmp_path):
+        # The table reads as the labels "a" and "b" with one size between
+        # them, so the second size is the clothing record's width, 0.
         path = tmp_path / "g.bin"
         path.write_bytes(with_body(forged_body([("a\nb", HEIGHTS)])))
-        with pytest.raises(SnapshotFormatError, match="table holds 2 labels for 1 classes"):
+        with pytest.raises(SnapshotFormatError, match="class 'b' has size 0"):
             Gallery.load(path)
 
     @pytest.mark.parametrize(
@@ -689,7 +741,9 @@ class TestForgedSnapshots:
             ({"ridge": -np.inf}, "ridge -inf"),
             ({"ridge": 0.0}, "ridge 0.0"),
             ({"ridge": -1e-6}, "ridge -1e-06"),
-            ({"eigenvalues": [1.0, 0.5]}, "2 eigenvalues for 1 columns"),
+            # The column count fixes the eigenvalue count, so a second
+            # eigenvalue reads as the ridge and the ridge's first byte as the flag.
+            ({"eigenvalues": [1.0, 0.5]}, "flag byte 141"),
             ({"eigenvalues": [-0.5]}, "negative eigenvalue"),
         ],
         ids=["nan-ridge", "minus-inf-ridge", "zero-ridge", "negative-ridge",
