@@ -31,7 +31,7 @@ from .evaluation import (
     ingest,
     probe_bundles,
 )
-from .features import FEATURE_IDS, FeatureConfig, SubjectSample, extract_bundle
+from .features import FEATURE_IDS, SubjectSample, extract_bundle
 from .gallery import Gallery
 from .imaging import load_image, load_mask
 from .matching import match_probe
@@ -76,10 +76,6 @@ def _bad_epsilon(epsilon: float | None) -> bool:
     return epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0)
 
 
-def _feature_config(args: argparse.Namespace) -> FeatureConfig:
-    return FeatureConfig(build_threshold=args.threshold)
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     try:
         fields = {name: getattr(args, name) for _, name, _ in _GENERATE_OPTIONS}
@@ -102,11 +98,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
     snapshot = Path(args.snapshot)
     if _bad_epsilon(args.epsilon):
         return _usage("--epsilon must be finite and positive")
-    try:
-        config = _feature_config(args)
-    except ValueError as exc:
-        return _usage(str(exc))
-    gallery_map, _ = ingest(args.manifest, config)
+    gallery_map, _ = ingest(args.manifest)
     if not gallery_map:
         raise ManifestError("manifest has no gallery rows")
     gallery = Gallery.load(snapshot) if snapshot.exists() else Gallery()
@@ -122,7 +114,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
     return EXIT_SUCCESS
 
 
-def _single_probe(args: argparse.Namespace, config: FeatureConfig):
+def _single_probe(args: argparse.Namespace):
     image = load_image(args.image)
     mask = load_mask(args.mask) if args.mask else None
     sample = SubjectSample(
@@ -134,7 +126,7 @@ def _single_probe(args: argparse.Namespace, config: FeatureConfig):
         camera_id=args.camera,
         view=args.view,
     )
-    return [extract_bundle(sample, config)]
+    return [extract_bundle(sample)]
 
 
 def cmd_match(args: argparse.Namespace) -> int:
@@ -145,18 +137,14 @@ def cmd_match(args: argparse.Namespace) -> int:
         return _usage("give exactly one probe source: --manifest or --image")
     if args.top < 1:
         return _usage("--top must be at least 1")
-    try:
-        config = _feature_config(args)
-    except ValueError as exc:
-        return _usage(str(exc))
     gallery = Gallery.load(snapshot)
     if args.manifest is not None:
-        probes = probe_bundles(args.manifest, config)
+        probes = probe_bundles(args.manifest)
         if not probes:
             raise ManifestError("manifest has no probe rows")
     else:
         try:
-            probes = _single_probe(args, config)
+            probes = _single_probe(args)
         except ValueError as exc:
             return _usage(str(exc))
     blocks = []
@@ -189,11 +177,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         unknown = set(features) - set(FEATURE_IDS)
         if unknown:
             return _usage(f"unknown features: {', '.join(sorted(unknown))}")
-    try:
-        config = _feature_config(args)
-    except ValueError as exc:
-        return _usage(str(exc))
-    gallery_map, probes = ingest(args.manifest, config)
+    gallery_map, probes = ingest(args.manifest)
     if not probes:
         raise ManifestError("manifest has no probe rows")
     result = evaluate(gallery_map, probes, epsilon=args.epsilon, ks=ks, features=features)
@@ -231,13 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="ridge added to the within-class scatter (default: scale-aware)",
     )
-    threshold_opt = argparse.ArgumentParser(add_help=False)
-    threshold_opt.add_argument(
-        "--threshold",
-        type=float,
-        default=FeatureConfig().build_threshold,
-        help="profile fraction a column needs to count toward body width",
-    )
 
     p = sub.add_parser("generate", help="write a synthetic dataset", formatter_class=fmt)
     p.add_argument("--subjects", type=int, required=True, help="number of subjects")
@@ -258,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         "enroll",
         help="extract gallery features into a snapshot",
         formatter_class=fmt,
-        parents=[snapshot_opt, epsilon_opt, threshold_opt],
+        parents=[snapshot_opt, epsilon_opt],
     )
     p.add_argument("--manifest", required=True, help="dataset manifest CSV")
     p.set_defaults(func=cmd_enroll)
@@ -267,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         "match",
         help="rank enrolled subjects for probes",
         formatter_class=fmt,
-        parents=[snapshot_opt, threshold_opt],
+        parents=[snapshot_opt],
     )
     p.add_argument("--manifest", default=None, help="manifest whose probe rows are matched")
     p.add_argument("--image", default=None, help="single probe image (P6)")
@@ -284,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluate",
         help="closed-set protocol with a matching-rate table",
         formatter_class=fmt,
-        parents=[epsilon_opt, threshold_opt],
+        parents=[epsilon_opt],
     )
     p.add_argument("--manifest", required=True, help="dataset manifest CSV")
     p.add_argument("--ranks", default="1,5,10", help="comma-separated ranks to tabulate")

@@ -8,6 +8,7 @@ curve always reaches 1.0 at rank n.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -17,7 +18,6 @@ import numpy as np
 from .errors import ManifestError, UnknownLabelError
 from .features import (
     FeatureBundle,
-    FeatureConfig,
     SubjectSample,
     VIEWS,
     check_label,
@@ -74,13 +74,17 @@ class DatasetManifest:
     entries: tuple[ManifestEntry, ...]
 
 
-def _parse_optional_int(raw: str, column: str, line: int) -> int | None:
+_DIGITS = re.compile(r"[0-9]+")
+
+
+def _parse_optional_int(record: Mapping[str, str], column: str, where: str) -> int | None:
+    """An empty cell, or a count written the way ``write_manifest`` writes one."""
+    raw = record[column]
     if raw == "":
         return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ManifestError(f"line {line}: {column} must be an integer, got {raw!r}")
+    if not _DIGITS.fullmatch(raw):
+        raise ManifestError(f"{where}: {column} must be an integer in digits 0-9, got {raw!r}")
+    return int(raw)
 
 
 def read_manifest(path: str | Path) -> DatasetManifest:
@@ -102,32 +106,31 @@ def read_manifest(path: str | Path) -> DatasetManifest:
         )
     entries = []
     for line, row in enumerate(rows[1:], start=2):
+        where = f"{path} line {line}"
         if len(row) != len(MANIFEST_COLUMNS):
-            raise ManifestError(f"{path} line {line}: expected {len(MANIFEST_COLUMNS)} fields")
+            raise ManifestError(f"{where}: expected {len(MANIFEST_COLUMNS)} fields")
         record = dict(zip(MANIFEST_COLUMNS, row))
         try:
             check_label(record["label"])
         except ValueError as exc:
-            raise ManifestError(f"{path} line {line}: {exc}") from None
+            raise ManifestError(f"{where}: {exc}") from None
         if record["role"] not in ROLES:
-            raise ManifestError(f"{path} line {line}: bad role {record['role']!r}")
+            raise ManifestError(f"{where}: bad role {record['role']!r}")
         if record["view"] not in VIEWS:
-            raise ManifestError(f"{path} line {line}: bad view {record['view']!r}")
+            raise ManifestError(f"{where}: bad view {record['view']!r}")
         if not record["image"]:
-            raise ManifestError(f"{path} line {line}: empty image path")
+            raise ManifestError(f"{where}: empty image path")
         if "\0" in record["image"] + record["mask"]:
-            raise ManifestError(f"{path} line {line}: a path holds a NUL byte")
+            raise ManifestError(f"{where}: a path holds a NUL byte")
         entries.append(
             ManifestEntry(
                 label=record["label"],
                 role=record["role"],
                 image=record["image"],
                 mask=record["mask"] or None,
-                bbox_height=_parse_optional_int(record["bbox_height"], "bbox_height", line),
-                bbox_width=_parse_optional_int(record["bbox_width"], "bbox_width", line),
-                entrance_ref_height=_parse_optional_int(
-                    record["entrance_ref_height"], "entrance_ref_height", line
-                ),
+                bbox_height=_parse_optional_int(record, "bbox_height", where),
+                bbox_width=_parse_optional_int(record, "bbox_width", where),
+                entrance_ref_height=_parse_optional_int(record, "entrance_ref_height", where),
                 camera_id=record["camera_id"] or "c1",
                 view=record["view"],
             )
@@ -177,9 +180,7 @@ def load_sample(entry: ManifestEntry, root: str | Path) -> SubjectSample:
         raise ManifestError(f"bad row for {entry.image!r}: {exc}") from exc
 
 
-def _observations(
-    manifest: DatasetManifest, role: str, config: FeatureConfig
-) -> list[FeatureBundle]:
+def _observations(manifest: DatasetManifest, role: str) -> list[FeatureBundle]:
     """Extract one fused bundle per observation of the given role.
 
     Rows are grouped by label and camera; cameras pair up row-by-row in
@@ -207,26 +208,22 @@ def _observations(
         cameras = sorted(per_camera)
         for i in range(count):
             extracted = {
-                cid: extract_bundle(load_sample(per_camera[cid][i], manifest.root), config)
+                cid: extract_bundle(load_sample(per_camera[cid][i], manifest.root))
                 for cid in cameras
             }
             bundles.append(fuse_bundles(extracted, label=label))
     return bundles
 
 
-def probe_bundles(
-    manifest: DatasetManifest | str | Path,
-    config: FeatureConfig = FeatureConfig(),
-) -> list[FeatureBundle]:
+def probe_bundles(manifest: DatasetManifest | str | Path) -> list[FeatureBundle]:
     """Extract only the probe-role observations of a dataset."""
     if not isinstance(manifest, DatasetManifest):
         manifest = read_manifest(manifest)
-    return _observations(manifest, "probe", config)
+    return _observations(manifest, "probe")
 
 
 def ingest(
     manifest: DatasetManifest | str | Path,
-    config: FeatureConfig = FeatureConfig(),
 ) -> tuple[dict[str, list[FeatureBundle]], list[FeatureBundle]]:
     """Extract gallery and probe bundles from a dataset.
 
@@ -237,9 +234,9 @@ def ingest(
     if not isinstance(manifest, DatasetManifest):
         manifest = read_manifest(manifest)
     gallery_map: dict[str, list[FeatureBundle]] = {}
-    for bundle in _observations(manifest, "gallery", config):
+    for bundle in _observations(manifest, "gallery"):
         gallery_map.setdefault(bundle.label, []).append(bundle)
-    probes = _observations(manifest, "probe", config)
+    probes = _observations(manifest, "probe")
     missing = sorted({p.label for p in probes} - set(gallery_map))
     if missing:
         raise ManifestError(f"probe labels missing from the gallery: {missing}")

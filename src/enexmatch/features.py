@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -37,6 +37,10 @@ SKIN_CR_RANGE = (133, 173)
 
 HISTOGRAM_BINS = 24
 
+# A column counts toward body width when it reaches this fraction of the
+# projection profile's peak.
+BUILD_THRESHOLD = 0.5
+
 
 # In a str pattern \s matches exactly the characters str.isspace accepts.
 _LABEL = re.compile(r"(?!-\Z)[^\s,]+")
@@ -52,20 +56,6 @@ def check_label(label: str) -> None:
         raise ValueError(
             f"label {label!r} must be non-empty, not '-', without spaces or commas"
         )
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Extraction settings shared across a dataset: the build threshold only.
-
-    Frame size, histogram bins and the skin box are fixed module defaults.
-    """
-
-    build_threshold: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.build_threshold < 1.0:
-            raise ValueError("build_threshold must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -150,8 +140,8 @@ class BuildFeature:
     value: float
 
     def __post_init__(self) -> None:
-        if not self.value > 0.0:
-            raise ValueError("build ratio must be positive")
+        if not 0.0 < self.value < math.inf:
+            raise ValueError("build ratio must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -265,30 +255,20 @@ def vertical_projection(mask: SilhouetteMask) -> np.ndarray:
     return mask.bits.sum(axis=0, dtype=np.int64)
 
 
-def build_ratio(
-    profiles: Sequence[np.ndarray], threshold: float = 0.5
-) -> BuildFeature:
-    """Peak height-to-effective-width ratio over the given column profiles.
+def build_ratio(profile: np.ndarray) -> BuildFeature:
+    """Peak height-to-effective-width ratio of one column profile.
 
-    The effective width of a profile counts only columns reaching at
-    least ``threshold`` times the profile peak, which suppresses swinging
+    The effective width counts only columns reaching at least
+    ``BUILD_THRESHOLD`` times the profile peak, which suppresses swinging
     arms and other thin protrusions.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0, 1)")
-    if len(profiles) == 0:
-        raise FeatureUnavailableError("no projection profiles given")
-    best = 0.0
-    for profile in profiles:
-        counts = np.asarray(profile, dtype=np.int64)
-        if counts.ndim != 1:
-            raise ValueError("each profile must be a 1-D count array")
-        peak = int(counts.max()) if counts.size else 0
-        if peak <= 0:
-            raise FeatureUnavailableError("projection profile is all zero")
-        effective = int(np.count_nonzero(counts >= threshold * peak))
-        best = max(best, peak / effective)
-    return BuildFeature(best)
+    counts = np.asarray(profile, dtype=np.int64)
+    if counts.ndim != 1:
+        raise ValueError("profile must be a 1-D count array")
+    peak = int(counts.max()) if counts.size else 0
+    if peak <= 0:
+        raise FeatureUnavailableError("projection profile is all zero")
+    return BuildFeature(peak / int(np.count_nonzero(counts >= BUILD_THRESHOLD * peak)))
 
 
 def skin_mask(region: YCbCrImage) -> SilhouetteMask:
@@ -318,11 +298,7 @@ def complexion(region: YCbCrImage) -> ComplexionFeature:
     return ComplexionFeature((cb, cr), valid=True)
 
 
-def extract_bundle(
-    sample: SubjectSample,
-    config: FeatureConfig = FeatureConfig(),
-    label: str | None = None,
-) -> FeatureBundle:
+def extract_bundle(sample: SubjectSample, label: str | None = None) -> FeatureBundle:
     """Run the full extraction chain on one observation.
 
     Clothing and complexion come from the size-normalized frame; height
@@ -342,9 +318,7 @@ def extract_bundle(
     build: BuildFeature | None = None
     if sample.mask is not None:
         try:
-            build = build_ratio(
-                [vertical_projection(sample.mask)], config.build_threshold
-            )
+            build = build_ratio(vertical_projection(sample.mask))
         except FeatureUnavailableError:
             build = None
 
@@ -366,7 +340,8 @@ def fuse_bundles(
     camera order; the fused complexion is valid only when every camera
     saw skin. Height and build are taken from the first camera (in that
     same order) that measured them, which is the entrance-facing one in
-    datasets produced here.
+    datasets produced here. The result carries ``label`` whatever the
+    camera bundles carry.
     """
     if not per_camera:
         raise ValueError("need at least one camera")
@@ -374,15 +349,7 @@ def fuse_bundles(
     bundles = [per_camera[cid] for cid in order]
     if len(bundles) == 1:
         only = bundles[0]
-        if label is not None and only.label != label:
-            return FeatureBundle(
-                clothing=only.clothing,
-                height=only.height,
-                build=only.build,
-                complexion=only.complexion,
-                label=label,
-            )
-        return only
+        return only if only.label == label else replace(only, label=label)
 
     if any(b.clothing is None for b in bundles):
         clothing = None

@@ -66,6 +66,13 @@ class TestParsing:
         assert main(["generate", "--help"]) == 0
         assert "--subjects" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["enroll", "match", "evaluate"])
+    def test_build_threshold_is_not_an_option(self, command, capsys):
+        # The half-peak build rule is fixed: a snapshot stores no threshold,
+        # so probes could not be extracted under the gallery's rule.
+        assert main([command, "--manifest", "m.csv", "--threshold", "0.5"]) == 2
+        assert "--threshold" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_writes_dataset(self, dataset, capsys):

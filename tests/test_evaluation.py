@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -118,14 +120,18 @@ class TestManifestIO:
             read_manifest(path)
 
     def test_bad_integer(self, tmp_path):
+        # Only what write_manifest writes: ASCII digits, no sign, space,
+        # underscore or other script's digits, all of which int() takes.
         path = tmp_path / "manifest.csv"
-        path.write_text(
-            "label,role,image,mask,bbox_height,bbox_width,"
-            "entrance_ref_height,camera_id,view\n"
-            "s001,gallery,images/a.ppm,,tall,,,c1,front\n"
-        )
-        with pytest.raises(ManifestError):
-            read_manifest(path)
+        for raw in ("tall", "1_000", " 7 ", "+5", "-5", "\u0663"):
+            path.write_text(
+                "label,role,image,mask,bbox_height,bbox_width,"
+                "entrance_ref_height,camera_id,view\n"
+                f"s001,gallery,images/a.ppm,,{raw},,,c1,front\n",
+                encoding="utf-8",
+            )
+            with pytest.raises(ManifestError, match=re.escape(f"{path} line 2: bbox_height")):
+                read_manifest(path)
 
     def test_short_row(self, tmp_path):
         path = tmp_path / "manifest.csv"

@@ -5,10 +5,10 @@ import pytest
 
 from enexmatch import (
     BodyRegions,
+    BuildFeature,
     ClothingHistogram,
     ComplexionFeature,
     FeatureBundle,
-    FeatureConfig,
     FeatureUnavailableError,
     Image,
     SilhouetteMask,
@@ -24,6 +24,7 @@ from enexmatch import (
     skin_mask,
     vertical_projection,
 )
+from enexmatch.features import BUILD_THRESHOLD
 from helpers import random_bundle, random_image, random_mask, random_ycbcr
 
 
@@ -145,35 +146,25 @@ class TestProjectionAndBuild:
         assert vertical_projection(mask).tolist() == [0, 0, 0, 0]
 
     def test_documented_profile(self):
-        assert build_ratio([np.array([10, 10, 2, 2])], 0.5).value == 5.0
+        assert build_ratio(np.array([10, 10, 2, 2])).value == 5.0
 
-    def test_takes_best_profile(self):
-        profiles = [np.array([4, 4, 4, 4]), np.array([8, 1, 1, 1])]
-        assert build_ratio(profiles, 0.5).value == 8.0
+    def test_column_at_half_the_peak_counts(self):
+        assert BUILD_THRESHOLD == 0.5
+        assert build_ratio(np.array([10, 5, 4])).value == 5.0
 
     def test_all_zero_profile(self):
-        with pytest.raises(FeatureUnavailableError):
-            build_ratio([np.zeros(5, dtype=np.int64)], 0.5)
+        for width in (5, 0):
+            with pytest.raises(FeatureUnavailableError):
+                build_ratio(np.zeros(width, dtype=np.int64))
 
-    def test_no_profiles(self):
-        with pytest.raises(FeatureUnavailableError):
-            build_ratio([], 0.5)
-
-    @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.2, 1.5])
-    def test_bad_threshold(self, threshold):
+    def test_profile_must_be_one_dimensional(self):
         with pytest.raises(ValueError):
-            build_ratio([np.array([3, 3])], threshold)
+            build_ratio(np.ones((2, 3), dtype=np.int64))
 
-    def test_ratio_non_decreasing_in_threshold(self):
-        rng = np.random.default_rng(61)
-        for _ in range(20):
-            profile = rng.integers(0, 30, size=16)
-            profile[rng.integers(0, 16)] = 30
-            previous = 0.0
-            for threshold in (0.2, 0.4, 0.6, 0.8):
-                value = build_ratio([profile], threshold).value
-                assert value >= previous
-                previous = value
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_build_feature_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="build ratio"):
+            BuildFeature(value)
 
 
 class TestComplexion:
@@ -321,18 +312,6 @@ class TestExtractBundle:
         with pytest.raises(KeyError):
             bundle.restrict(("clothing", "gait"))
 
-    def test_config_threshold_reaches_build(self):
-        rng = np.random.default_rng(87)
-        image = random_image(rng, 16, 16)
-        bits = np.zeros((16, 16), dtype=np.bool_)
-        bits[:, 4:8] = True
-        bits[:6, 8:12] = True
-        sample = SubjectSample(image=image, mask=SilhouetteMask(bits))
-        wide = extract_bundle(sample, FeatureConfig(build_threshold=0.2))
-        narrow = extract_bundle(sample, FeatureConfig(build_threshold=0.7))
-        assert wide.build.value == 2.0
-        assert narrow.build.value == 4.0
-
 
 class TestFusion:
     def test_two_camera_concatenation(self):
@@ -376,10 +355,13 @@ class TestFusion:
 
     def test_single_camera_passthrough(self):
         rng = np.random.default_rng(94)
-        bundle = random_bundle(rng)
-        fused = fuse_bundles({"c1": bundle}, label="s2")
-        assert fused.label == "s2"
-        assert np.array_equal(fused.clothing.values, bundle.clothing.values)
+        bundle = random_bundle(rng, label="x")
+        assert fuse_bundles({"c1": bundle}, label="x") is bundle
+        for label in ("s2", None):
+            fused = fuse_bundles({"c1": bundle}, label=label)
+            assert fused.label == label
+            for trait in ("clothing", "height", "build", "complexion"):
+                assert getattr(fused, trait) is getattr(bundle, trait)
 
     def test_empty_mapping(self):
         with pytest.raises(ValueError):

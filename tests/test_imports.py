@@ -185,6 +185,12 @@ def test_no_private_names_imported(module):
     assert private_imports(module.read_text(encoding="utf-8")) == []
 
 
+def test_every_exported_name_is_bound_once():
+    names = enexmatch.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(enexmatch, name)] == []
+
+
 def test_every_private_name_is_read():
     sources = [module.read_text(encoding="utf-8") for module in MODULES]
     assert unreferenced_private_names(sources) == []
