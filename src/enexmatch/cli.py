@@ -27,6 +27,7 @@ from .evaluation import (
     cmc_csv,
     emit_report,
     evaluate,
+    gallery_bundles,
     generate_synthetic,
     ingest,
     probe_bundles,
@@ -98,7 +99,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
     snapshot = Path(args.snapshot)
     if _bad_epsilon(args.epsilon):
         return _usage("--epsilon must be finite and positive")
-    gallery_map, _ = ingest(args.manifest)
+    gallery_map = gallery_bundles(args.manifest)
     if not gallery_map:
         raise ManifestError("manifest has no gallery rows")
     gallery = Gallery.load(snapshot) if snapshot.exists() else Gallery()

@@ -215,6 +215,19 @@ def _observations(manifest: DatasetManifest, role: str) -> list[FeatureBundle]:
     return bundles
 
 
+def gallery_bundles(
+    manifest: DatasetManifest | str | Path,
+) -> dict[str, list[FeatureBundle]]:
+    """Extract only the gallery-role observations of a dataset, as
+    label -> bundles in first-seen order."""
+    if not isinstance(manifest, DatasetManifest):
+        manifest = read_manifest(manifest)
+    gallery_map: dict[str, list[FeatureBundle]] = {}
+    for bundle in _observations(manifest, "gallery"):
+        gallery_map.setdefault(bundle.label, []).append(bundle)
+    return gallery_map
+
+
 def probe_bundles(manifest: DatasetManifest | str | Path) -> list[FeatureBundle]:
     """Extract only the probe-role observations of a dataset."""
     if not isinstance(manifest, DatasetManifest):
@@ -233,10 +246,8 @@ def ingest(
     """
     if not isinstance(manifest, DatasetManifest):
         manifest = read_manifest(manifest)
-    gallery_map: dict[str, list[FeatureBundle]] = {}
-    for bundle in _observations(manifest, "gallery"):
-        gallery_map.setdefault(bundle.label, []).append(bundle)
-    probes = _observations(manifest, "probe")
+    gallery_map = gallery_bundles(manifest)
+    probes = probe_bundles(manifest)
     missing = sorted({p.label for p in probes} - set(gallery_map))
     if missing:
         raise ManifestError(f"probe labels missing from the gallery: {missing}")

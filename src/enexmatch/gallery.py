@@ -33,34 +33,15 @@ from .errors import (
 )
 from .features import FEATURE_IDS, FeatureBundle, check_label
 
-MAGIC = b"ENEXGAL4"
+MAGIC = b"ENEXGAL5"
 
 
-def _pack(classes: Mapping[str, Mapping[str, np.ndarray]], fid: str) -> ClassBlock | None:
-    """Stack one trait's samples over its holder classes into one read-only
-    float64 block; None when no class holds the trait."""
-    labels, parts = [], []
-    for label, features in classes.items():
-        samples = features.get(fid)
-        if samples is not None:
-            labels.append(label)
-            parts.append(samples)
-    if not parts:
-        return None
-    block = np.concatenate(parts, dtype=np.float64)
+def _pack(holders: Mapping[str, np.ndarray]) -> ClassBlock:
+    """Stack one trait's holder rows, in enrollment order, into one read-only
+    float64 block."""
+    block = np.concatenate(list(holders.values()), dtype=np.float64)
     block.flags.writeable = False
-    return ClassBlock(tuple(labels), [len(samples) for samples in parts], block)
-
-
-def _class_views(
-    labels: Sequence[str], traits: Mapping[str, ClassBlock]
-) -> dict[str, dict[str, np.ndarray]]:
-    """Per class, in ``labels`` order, read-only row views into each trait's block."""
-    classes: dict[str, dict[str, np.ndarray]] = {label: {} for label in labels}
-    for fid, trait in traits.items():
-        for label, start, count in zip(trait.labels, trait.starts.tolist(), trait.counts):
-            classes[label][fid] = trait.rows[start : start + count]
-    return classes
+    return ClassBlock(tuple(holders), [len(rows) for rows in holders.values()], block)
 
 
 class Gallery:
@@ -70,19 +51,19 @@ class Gallery:
     ``load`` make every other one.
     """
 
-    __slots__ = ("_classes", "_sizes", "_transforms", "_projected")
+    __slots__ = ("_labels", "_traits", "_transforms", "_projected")
 
     def __init__(self) -> None:
-        self._classes: dict[str, Mapping[str, np.ndarray]] = {}
-        self._sizes: dict[str, int] = {}
+        self._labels: dict[str, None] = {}
+        self._traits: dict[str, dict[str, np.ndarray]] = {}
         self._transforms: dict[str, FeatureTransform] | None = None
         self._projected: dict[str, ClassBlock] = {}
 
     @classmethod
     def _build(
         cls,
-        classes: dict[str, Mapping[str, np.ndarray]],
-        sizes: dict[str, int],
+        labels: dict[str, None],
+        traits: dict[str, dict[str, np.ndarray]],
         transforms: dict[str, FeatureTransform] | None = None,
         packed: Mapping[str, ClassBlock] | None = None,
     ) -> "Gallery":
@@ -90,12 +71,12 @@ class Gallery:
         is a dict. ``packed`` holds each transform's trait as one block, which
         is projected here in one stacked call over its holders.
 
-        Class feature dicts are never mutated, so galleries share them;
-        their key order is the enrollment order.
+        ``labels`` and each trait's holder map keep enrollment order and
+        are never mutated, so galleries share them and their row arrays.
         """
         gallery = cls()
-        gallery._classes = classes
-        gallery._sizes = sizes
+        gallery._labels = labels
+        gallery._traits = traits
         gallery._transforms = transforms
         for fid, transform in (transforms or {}).items():
             trait = packed[fid]
@@ -106,11 +87,11 @@ class Gallery:
 
     @property
     def n(self) -> int:
-        return len(self._classes)
+        return len(self._labels)
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(self._classes)
+        return tuple(self._labels)
 
     @property
     def fitted(self) -> bool:
@@ -124,16 +105,11 @@ class Gallery:
         """The packed projected rows of one fitted trait, read-only and C-contiguous."""
         return self._projected[feature_id]
 
-    def class_size(self, label: str) -> int:
-        if label not in self._sizes:
-            raise UnknownLabelError(f"label {label!r} is not enrolled")
-        return self._sizes[label]
-
     def feature_samples(self, label: str, feature_id: str) -> np.ndarray | None:
         """Raw enrolled vectors of one feature for one class, or None."""
-        if label not in self._classes:
+        if label not in self._labels:
             raise UnknownLabelError(f"label {label!r} is not enrolled")
-        samples = self._classes[label].get(feature_id)
+        samples = self._traits.get(feature_id, {}).get(label)
         return None if samples is None else samples.copy()
 
     def covered_features(self) -> tuple[str, ...]:
@@ -152,7 +128,7 @@ class Gallery:
         snapshot stores for that trait.
         """
         check_label(label)
-        if label in self._classes:
+        if label in self._labels:
             raise DuplicateLabelError(f"label {label!r} is already enrolled")
         if len(bundles) == 0:
             raise ValueError("enroll needs at least one bundle")
@@ -167,33 +143,38 @@ class Gallery:
                 by_feature.setdefault(fid, []).append(
                     np.asarray(vector, dtype=np.float64)
                 )
-        stacked: dict[str, np.ndarray] = {}
+        traits = dict(self._traits)
         for fid, vectors in by_feature.items():
             dims = {v.shape[0] for v in vectors}
             if len(dims) != 1:
                 raise DimensionMismatchError(
                     f"{fid} vectors of class {label!r} have mixed dimensions {sorted(dims)}"
                 )
-            stacked[fid] = np.stack(vectors)
-            held = next((f[fid] for f in self._classes.values() if fid in f), None)
-            if held is not None and held.shape[1] != stacked[fid].shape[1]:
+            rows = np.stack(vectors)
+            holders = self._traits.get(fid, {})
+            held = next(iter(holders.values()), None)
+            if held is not None and held.shape[1] != rows.shape[1]:
                 raise DimensionMismatchError(
                     f"{fid} vectors of class {label!r} have dimension "
-                    f"{stacked[fid].shape[1]}, enrolled classes {held.shape[1]}"
+                    f"{rows.shape[1]}, enrolled classes {held.shape[1]}"
                 )
-        classes = dict(self._classes)
-        classes[label] = stacked
-        sizes = dict(self._sizes)
-        sizes[label] = len(bundles)
-        return Gallery._build(classes, sizes)
+            traits[fid] = {**holders, label: rows}
+        return Gallery._build({**self._labels, label: None}, traits)
 
     def retire(self, label: str) -> "Gallery":
-        """Remove a class; clears any previous fit."""
-        if label not in self._classes:
+        """Remove a class; clears any previous fit. A trait it alone held goes too."""
+        if label not in self._labels:
             raise UnknownLabelError(f"label {label!r} is not enrolled")
-        classes = {k: v for k, v in self._classes.items() if k != label}
-        sizes = {k: v for k, v in self._sizes.items() if k != label}
-        return Gallery._build(classes, sizes)
+        labels = dict(self._labels)
+        del labels[label]
+        traits = {}
+        for fid, holders in self._traits.items():
+            if label in holders:
+                holders = dict(holders)
+                del holders[label]
+            if holders:
+                traits[fid] = holders
+        return Gallery._build(labels, traits)
 
     def fit(self, epsilon: float | None = None) -> "Gallery":
         """Learn per-feature transforms; the result projects the enrolled samples.
@@ -206,13 +187,14 @@ class Gallery:
         transforms: dict[str, FeatureTransform] = {}
         packed: dict[str, ClassBlock] = {}
         for fid in FEATURE_IDS:
-            trait = _pack(self._classes, fid)
-            if trait is not None and len(trait) >= 2:
+            holders = self._traits.get(fid, {})
+            if len(holders) >= 2:
+                trait = _pack(holders)
                 transforms[fid] = fit_transform(trait, epsilon, feature_id=fid)
                 packed[fid] = trait
-        # The fitted gallery shares this gallery's class arrays; the packed
-        # blocks live only until they are projected.
-        return Gallery._build(self._classes, self._sizes, transforms, packed)
+        # The fitted gallery shares this gallery's label and trait maps; the
+        # packed blocks live only until they are projected.
+        return Gallery._build(self._labels, self._traits, transforms, packed)
 
     def __eq__(self, other: object) -> bool:
         """Equal when both encode to the same snapshot body.
@@ -371,8 +353,8 @@ class _BodyReader:
 
 
 def _encode_body(gallery: Gallery) -> list[bytes | memoryview]:
-    """Flag, the label table, class sizes, one record and then one transform
-    slot per trait in ``FEATURE_IDS`` order, as byte chunks in file order.
+    """Flag, the label table, one record and then one transform slot per
+    trait in ``FEATURE_IDS`` order, as byte chunks in file order.
 
     A trait record holds the width d (0 when no class holds the trait),
     every class's row count (0 for a class without it) and one
@@ -382,15 +364,14 @@ def _encode_body(gallery: Gallery) -> list[bytes | memoryview]:
     """
     w = _BodyWriter()
     w.u8(1 if gallery.fitted else 0)
-    classes = gallery._classes
+    labels = gallery._labels
     # Labels hold no whitespace, so a newline separates them unambiguously.
-    w.text("\n".join(classes))
-    w.u32s([gallery._sizes[label] for label in classes])
+    w.text("\n".join(labels))
     for fid in FEATURE_IDS:
-        trait = _pack(classes, fid)
-        rows = np.empty((0, 0)) if trait is None else trait.rows
+        holders = gallery._traits.get(fid, {})
+        rows = _pack(holders).rows if holders else np.empty((0, 0))
         w.u32(rows.shape[1])
-        w.u32s([len(f[fid]) if fid in f else 0 for f in classes.values()])
+        w.u32s([len(holders[label]) if label in holders else 0 for label in labels])
         w.array(rows)
     transforms = gallery._transforms or {}
     for fid in FEATURE_IDS:
@@ -417,10 +398,8 @@ def _decode_body(body: memoryview, origin: str) -> Gallery:
     n = len(labels)
     if len(set(labels)) != n:
         raise r.error("a label is enrolled twice")
-    sizes = r.u32s(n)
-    if (sizes == 0).any():
-        raise r.error(f"class {labels[int(np.argmin(sizes))]!r} has size 0")
     traits: dict[str, ClassBlock] = {}
+    holder_rows: dict[str, dict[str, np.ndarray]] = {}
     for fid in FEATURE_IDS:
         width, counts = r.u32(), r.u32s(n)
         holders = np.flatnonzero(counts)
@@ -428,14 +407,15 @@ def _decode_body(body: memoryview, origin: str) -> Gallery:
             raise r.error(
                 f"{fid} record of width {width} has {len(holders)} holder classes"
             )
-        over = np.flatnonzero(counts > sizes)
-        if len(over):
-            label = labels[over[0]]
-            raise r.error(f"{fid} record gives class {label!r} more rows than its size")
         block = r.array(int(counts.sum()), width)
         if width:
             held = tuple([labels[i] for i in holders.tolist()])
-            traits[fid] = ClassBlock(held, counts[holders].tolist(), block)
+            trait = traits[fid] = ClassBlock(held, counts[holders].tolist(), block)
+            # Each holder's rows are a read-only view into the block.
+            holder_rows[fid] = {
+                label: block[start : start + count]
+                for label, start, count in zip(held, trait.starts.tolist(), trait.counts)
+            }
     transforms: dict[str, FeatureTransform] = {}
     for fid in FEATURE_IDS:
         rank = r.u32()
@@ -463,10 +443,7 @@ def _decode_body(body: memoryview, origin: str) -> Gallery:
         raise r.error("an unfitted snapshot holds transforms")
     try:
         return Gallery._build(
-            _class_views(labels, traits),
-            dict(zip(labels, sizes.tolist())),
-            transforms if fitted else None,
-            traits,
+            dict.fromkeys(labels), holder_rows, transforms if fitted else None, traits
         )
     except NonFiniteInputError as exc:
         raise r.error(str(exc)) from None

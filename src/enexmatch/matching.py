@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -86,17 +86,6 @@ class MatchReport:
     per_feature: tuple[PerFeatureRanking, ...]
     collective: dict[str, float]
     ranking: tuple[str, ...]
-
-    @cached_property
-    def confidences(self) -> dict[str, dict[str, float]]:
-        """Per feature, each class's confidence (n - r + 1)/n, closest first."""
-        n = self.n
-        return {
-            pf.feature_id: {
-                label: confidence(r, n) for r, label in enumerate(pf.labels, start=1)
-            }
-            for pf in self.per_feature
-        }
 
     def _rank_columns(self) -> list[list[int]]:
         """Per feature, the rank of each class in final order."""

@@ -116,7 +116,7 @@ def _assemble(parts, padding):
 
 
 def trait_record(counts, block, width=None):
-    """One ENEXGAL4 trait record, as ``forged_body`` parts: every class's row
+    """One ENEXGAL5 trait record, as ``forged_body`` parts: every class's row
     count and the sample block; ``width`` defaults to the block's."""
     block = np.asarray(block, dtype="<f8")
     width = block.shape[1] if width is None else width
@@ -131,13 +131,13 @@ def forged_body(
     eigenvalues=None,
     ridge=1e-6,
     records=None,
-    sizes=None,
+    table=None,
     padding=0,
 ):
     """Encode (label, [(fid, samples)]) classes and (fid, matrix) transforms.
 
-    Every class has size 1, or the size ``sizes`` lists for it. ``records``
-    maps a trait id to ``trait_record`` parts that replace its record.
+    ``records`` maps a trait id to ``trait_record`` parts that replace its
+    record, and ``table`` replaces the label table's bytes.
     A trait's transform slot is written once per matrix given for it, so
     a trait named twice gets two slots. Each transform gets
     ``eigenvalues`` (default: a 1 per matrix column) and the ridge
@@ -145,8 +145,8 @@ def forged_body(
     """
     fitted = (1 if transforms else 0) if fitted is None else fitted
     labels = [label if isinstance(label, bytes) else label.encode() for label, _ in classes]
-    parts = [struct.pack("<B", fitted), _text(b"\n".join(labels))]
-    parts.append(np.array(sizes or [1] * len(classes), dtype="<u4").tobytes())
+    table = b"\n".join(labels) if table is None else table
+    parts = [struct.pack("<B", fitted), _text(table)]
     for fid in FEATURE_IDS:
         held = [dict(features).get(fid) for _, features in classes]
         rows = [np.asarray(samples) for samples in held if samples is not None]
@@ -166,13 +166,14 @@ def forged_body(
 
 
 def enexgal2_snapshot(gallery):
-    """The whole ``ENEXGAL2`` snapshot file of ``gallery``, two layouts before ENEXGAL4.
+    """The whole ``ENEXGAL2`` snapshot file of ``gallery``, three layouts before ENEXGAL5.
 
     A frozen copy of that layout's encoder: per class its label, size,
     and one (fid, rows, cols, values) record per trait it holds, in
     sorted trait order; then the transform count and per transform, in
     sorted order, its id, shaped matrix, eigenvalue count and values,
-    ridge and flag.
+    ridge and flag. A gallery stores no class sizes, so a class's
+    size is taken as its largest trait row count.
     """
     fitted = gallery.fitted
     out = struct.pack("<BI", 1 if fitted else 0, gallery.n)
@@ -182,7 +183,8 @@ def enexgal2_snapshot(gallery):
             for fid in sorted(("clothing", "height", "build", "complexion"))
             if (samples := gallery.feature_samples(label, fid)) is not None
         }
-        out += _text(label) + struct.pack("<II", gallery.class_size(label), len(features))
+        size = max(map(len, features.values()), default=0)
+        out += _text(label) + struct.pack("<II", size, len(features))
         out += b"".join(_text(fid) + _array(v) for fid, v in features.items())
     transforms = gallery.transforms
     out += struct.pack("<I", len(transforms))

@@ -169,16 +169,15 @@ class TestCriterion2:
             n = int(rng.integers(2, 11))
             gallery = enrolled_gallery(rng, n=n, samples=int(rng.integers(1, 4))).fit()
             report = match_probe(random_bundle(rng), gallery)
-            for fid in report.features_used:
-                total = sum(report.confidences[fid].values())
+            classes = report.to_records()["classes"]
+            for column, fid in enumerate(report.features_used):
+                total = sum(row["cf"][column] for row in classes)
                 if abs(total - (n + 1) / 2) > 1e-12:
                     failures.append(
                         f"run {run} feature {fid}: sum {total!r} != {(n + 1) / 2!r}"
                     )
-            for label in report.ranking:
-                values = [
-                    report.confidences[fid][label] for fid in report.features_used
-                ]
+            for row in classes:
+                label, values = row["label"], row["cf"]
                 mean = sum(values) / len(values)
                 cf = report.collective[label]
                 if abs(cf - mean) > 1e-12:

@@ -170,6 +170,25 @@ class TestEnroll:
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_enroll_onto_a_snapshot_reads_gallery_rows_only(self, dataset, tmp_path, capsys):
+        # The second manifest's probe rows name s002 and s003, which only the
+        # snapshot holds, and one points at an image that does not decode:
+        # enroll neither extracts them nor holds them to the closed-set check.
+        copy = tmp_path / "data"
+        shutil.copytree(dataset, copy)
+        header, *rows = (copy / "manifest.csv").read_text().splitlines()
+        first = [row for row in rows if row.startswith(("s002,gallery,", "s003,gallery,"))]
+        second = [row for row in rows if row not in first]
+        assert [row.split(",")[1] for row in second].count("probe") == 3
+        (copy / "images" / "s003_p000_c1.ppm").write_bytes(b"not an image")
+        path = tmp_path / "g.bin"
+        for name, part in (("first.csv", first), ("second.csv", second)):
+            (copy / name).write_text("\n".join([header, *part]) + "\n")
+            code = main(["enroll", "--manifest", str(copy / name), "--snapshot", str(path)])
+            assert code == 0, capsys.readouterr().err
+        assert "enrolled 1 classes (gallery now holds 3)" in capsys.readouterr().out
+        assert Gallery.load(path).labels == ("s002", "s003", "s001")
+
     def test_bad_epsilon(self, dataset, tmp_path, capsys):
         for value in ("-1", "nan", "inf"):
             code = main(
@@ -187,7 +206,8 @@ class TestEnroll:
     def test_oversized_image_header_is_an_error_line(self, dataset, tmp_path, capsys):
         copy = tmp_path / "data"
         shutil.copytree(dataset, copy)
-        victim = next((copy / "images").glob("*.ppm"))
+        # A gallery image: enroll reads no probe rows.
+        victim = next((copy / "images").glob("*_g*.ppm"))
         victim.write_bytes(b"P6\n" + b"9" * 5000 + b" 1\n255\n")
         code = main(
             [

@@ -294,9 +294,9 @@ class TestGalleryBlockPath:
         assert fitted.transforms
         for fid, transform in fitted.transforms.items():
             classes = [
-                (label, gallery._classes[label][fid])
+                (label, samples)
                 for label in gallery.labels
-                if fid in gallery._classes[label]
+                if (samples := gallery.feature_samples(label, fid)) is not None
             ]
             matrix, eigenvalues, epsilon, discriminative = frozen_fit(classes)
             assert same_bytes(transform.matrix, matrix)
@@ -325,16 +325,15 @@ class TestGalleryBlockPath:
 
     def test_integer_valued_samples(self, tmp_path):
         rng = np.random.default_rng(162)
-        classes, sizes = [], []
+        classes = []
         for i, count in enumerate(rng.integers(1, 7, size=30).tolist()):
             features = [
                 ("height", rng.integers(0, 1000, size=(count, 1))),
                 ("complexion", rng.integers(-50, 50, size=(count, 4)).astype(np.float64)),
             ]
             classes.append((f"c{i}", features))
-            sizes.append(count)
         path = tmp_path / "g.bin"
-        path.write_bytes(with_body(forged_body(classes, sizes=sizes)))
+        path.write_bytes(with_body(forged_body(classes)))
         self.assert_same_transforms(Gallery.load(path))
 
 

@@ -87,17 +87,10 @@ class TestLifecycle:
         with pytest.raises(UnknownLabelError):
             enrolled_gallery(rng, n=2).retire("ghost")
 
-    def test_class_size_counts_feature_samples(self):
-        rng = np.random.default_rng(306)
-        gallery = Gallery().enroll("s1", [random_bundle(rng) for _ in range(4)])
-        assert gallery.class_size("s1") == 4
-        assert gallery.feature_samples("s1", "clothing").shape == (4, 96)
-        assert gallery.feature_samples("s1", "height").shape == (4, 1)
-
     def test_no_public_layout_constructor(self):
         # enroll, retire, fit and load make every gallery but the empty one.
         with pytest.raises(TypeError):
-            Gallery(classes={}, sizes={})
+            Gallery(labels={}, traits={})
 
     def test_partial_bundles_recorded_sparsely(self):
         rng = np.random.default_rng(307)
@@ -194,6 +187,18 @@ class TestFit:
         for array in (block.rows, block.starts, first_class):
             with pytest.raises(ValueError):
                 array[0] = 0
+
+    def test_transforms_keep_trait_order_when_the_first_class_lacks_clothing(self, tmp_path):
+        rng = np.random.default_rng(329)
+        gallery = Gallery().enroll(
+            "a", [random_bundle(rng, features=("height", "build", "complexion"))]
+        )
+        for label in ("b", "c"):
+            gallery = gallery.enroll(label, [random_bundle(rng)])
+        fitted = gallery.fit()
+        assert list(fitted.transforms) == list(FEATURE_IDS)
+        path, _ = snapshot_bytes(tmp_path, fitted)
+        assert list(Gallery.load(path).transforms) == list(FEATURE_IDS)
 
     def test_fit_needs_two_classes(self):
         rng = np.random.default_rng(321)
@@ -306,10 +311,7 @@ class TestEquality:
         bundles = [random_bundle(rng) for _ in range(2)]
         others = [[random_bundle(rng)] for _ in range(2)]
         altered = list(bundles)
-        if change == "bundle count":
-            # A bundle without traits counts toward the size only.
-            altered.append(FeatureBundle())
-        elif change == "sample value":
+        if change == "sample value":
             height = HeightFeature(float(np.nextafter(bundles[1].height.value, 0.0)))
             altered[1] = dataclasses.replace(bundles[1], height=height)
         pair = []
@@ -322,7 +324,7 @@ class TestEquality:
             return pair[0].fit(epsilon=1e-4), pair[1].fit(epsilon=2e-4)
         return pair[0].fit(), pair[1].fit()
 
-    @pytest.mark.parametrize("change", ["bundle count", "sample value", "regularization"])
+    @pytest.mark.parametrize("change", ["sample value", "regularization"])
     def test_single_field_difference_is_unequal(self, tmp_path, change):
         g, h = self._pair(change)
         assert g != h and h != g
@@ -382,6 +384,32 @@ class TestSnapshot:
         path, _ = snapshot_bytes(tmp_path, Gallery())
         assert Gallery.load(path) == Gallery()
 
+    def test_retiring_the_only_holder_saves_width_zero(self, tmp_path):
+        rng = np.random.default_rng(352)
+        bundles = {label: [random_bundle(rng, features=("height",))] for label in "ab"}
+        plain = Gallery().enroll("a", bundles["a"]).enroll("b", bundles["b"])
+        retired = plain.enroll("x", [random_bundle(rng)]).retire("x")
+        # The trait no class holds any longer leaves no holder map behind.
+        assert sorted(retired._traits) == ["height"]
+        assert retired == plain
+        path, blob = snapshot_bytes(tmp_path, retired)
+        # Clothing's record comes first, after the flag and the label table.
+        assert struct.unpack_from("<I", blob, 16 + 1 + 4 + len("a\nb")) == (0,)
+        assert blob == snapshot_bytes(tmp_path, plain, "plain.bin")[1]
+        assert Gallery.load(path) == retired
+
+    def test_class_without_traits_round_trips(self, tmp_path):
+        rng = np.random.default_rng(353)
+        gallery = Gallery().enroll("a", [random_bundle(rng)])
+        gallery = gallery.enroll("bare", [FeatureBundle()]).enroll("b", [random_bundle(rng)])
+        for original in (gallery, gallery.fit()):
+            path, _ = snapshot_bytes(tmp_path, original)
+            loaded = Gallery.load(path)
+            assert loaded == original
+            assert loaded.labels == ("a", "bare", "b")
+            assert [loaded.feature_samples("bare", fid) for fid in FEATURE_IDS] == [None] * 4
+        assert gallery.fit().covered_features() == ()
+
     def test_save_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(343)
         gallery = enrolled_gallery(rng, n=3).fit()
@@ -396,19 +424,20 @@ class TestSnapshot:
             bundles = [random_bundle(rng, features=traits) for _ in range(count)]
             gallery = gallery.enroll(label, bundles + [FeatureBundle()])
         _, blob = snapshot_bytes(tmp_path, gallery)
-        assert blob[:8] == b"ENEXGAL4"
+        assert blob[:8] == b"ENEXGAL5"
         (body_len,) = struct.unpack("<Q", blob[8:16])
         body = blob[16 : 16 + body_len]
         (checksum,) = struct.unpack("<I", blob[16 + body_len :])
         assert len(blob) == 16 + body_len + 4
         assert zlib.crc32(body) == checksum
-        # The test helper's independent encoder writes the same body.
+        # The test helper's independent encoder writes the same body; the
+        # trait-less bundle each class got leaves no trace in it.
         classes = [
             (label, [(fid, samples) for fid in FEATURE_IDS
                      if (samples := gallery.feature_samples(label, fid)) is not None])
             for label in gallery.labels
         ]
-        assert body == forged_body(classes, sizes=[3, 2])
+        assert body == forged_body(classes)
 
     def test_bad_magic(self, tmp_path):
         rng = np.random.default_rng(345)
@@ -479,6 +508,16 @@ class TestSnapshot:
         with pytest.raises(SnapshotFormatError, match="unknown snapshot magic"):
             Gallery.load(path)
 
+    def test_fourth_layout_rejected(self, tmp_path):
+        # ENEXGAL4 also stored a u32 size per class after the label table;
+        # the table "a\nb" ends 8 bytes in, so no padding moves.
+        body = forged_body(TWO)
+        body = body[:8] + struct.pack("<2I", 1, 1) + body[8:]
+        path = tmp_path / "old.bin"
+        path.write_bytes(with_body(body, b"ENEXGAL4"))
+        with pytest.raises(SnapshotFormatError, match="unknown snapshot magic"):
+            Gallery.load(path)
+
     def test_first_layout_rejected(self, tmp_path):
         # ENEXGAL1 appended per-class projections to the ENEXGAL2 body; an
         # unfitted gallery wrote an empty projection section.
@@ -494,12 +533,12 @@ class TestSnapshot:
         unfitted = enrolled_gallery(rng, n=3, samples=2)
         _, plain = snapshot_bytes(tmp_path, unfitted, "plain.bin")
         _, fitted = snapshot_bytes(tmp_path, unfitted.fit(), "fitted.bin")
-        # Magic, body length, checksum; flag, the label table, the sizes;
-        # per trait its width, row counts, padding to a multiple of 8 and
-        # sample block; per trait a transform slot.
+        # Magic, body length, checksum; flag, the label table; per trait
+        # its width, row counts, padding to a multiple of 8 and sample
+        # block; per trait a transform slot.
         labels = unfitted.labels
         traits = {"clothing": 96, "height": 1, "build": 1, "complexion": 2}
-        body = 1 + 4 + len("\n".join(labels)) + 4 * len(labels)
+        body = 1 + 4 + len("\n".join(labels))
         for width in traits.values():
             body += 4 + 4 * len(labels)
             body += -body % 8 + 2 * len(labels) * width * 8
@@ -535,26 +574,29 @@ def assert_views_into_blocks(gallery):
     """Every class's samples of a trait are read-only rows of one block per
     trait: the holders' rows lie back to back in enrollment order."""
     for fid, holders in HOLDERS:
-        held = [(label, f[fid]) for label, f in gallery._classes.items() if fid in f]
-        assert len(held) == holders and "bare" not in dict(held)
-        address = held[0][1].__array_interface__["data"][0]
-        for label, samples in held:
-            assert len(samples) == gallery.class_size(label)
+        held = gallery._traits[fid]
+        assert list(held) == [label for label in gallery.labels if label in held]
+        assert len(held) == holders and "bare" not in held
+        address = next(iter(held.values())).__array_interface__["data"][0]
+        for label, samples in held.items():
+            assert len(samples) == int(label[1:]) % 6 + 1
             assert not samples.flags.writeable and samples.flags.c_contiguous
             assert samples.__array_interface__["data"][0] == address
             address += samples.nbytes
     copy = gallery.feature_samples("c4", "complexion")
-    assert copy.flags.writeable and not np.shares_memory(copy, held[0][1])
+    assert copy.flags.writeable and not np.shares_memory(copy, held["c4"])
     copy[0, 0] = -1.0
     assert gallery.feature_samples("c4", "complexion")[0, 0] != -1.0
     assert gallery.feature_samples("bare", "height") is None
 
 
-def assert_shares_classes(fitted, parent):
-    """The fitted gallery's class arrays are its parent's own, not copies."""
+def assert_shares_rows(fitted, parent):
+    """The fitted gallery's trait maps, and so its row arrays, are its
+    parent's own, not copies."""
     assert fitted.labels == parent.labels
-    for label in parent.labels:
-        assert fitted._classes[label] is parent._classes[label]
+    assert list(fitted._traits) == list(parent._traits)
+    for fid, holders in parent._traits.items():
+        assert fitted._traits[fid] is holders
 
 
 class TestSharedBlocks:
@@ -570,20 +612,21 @@ class TestSharedBlocks:
     def test_fitted_samples_are_the_enrolled_arrays(self, tmp_path):
         rng = np.random.default_rng(381)
         gallery = shared_blocks_gallery(rng)
-        assert_shares_classes(gallery.fit(), gallery)
+        assert_shares_rows(gallery.fit(), gallery)
 
         path, _ = snapshot_bytes(tmp_path, gallery)
         loaded = Gallery.load(path)
         bundles = [random_bundle(rng, features=("clothing", "height", "build"))] * 3
         changed = loaded.retire("c3").enroll("c9", bundles)
         refitted = changed.fit()
-        assert_shares_classes(refitted, changed)
+        assert_shares_rows(refitted, changed)
         assert refitted.labels[-1] == "c9" and "c3" not in refitted.labels
         # The kept classes still view the loaded blocks.
         assert_views_into_blocks(loaded)
-        for label in loaded.labels:
-            if label != "c3":
-                assert refitted._classes[label] is loaded._classes[label]
+        for fid, holders in loaded._traits.items():
+            for label, samples in holders.items():
+                if label != "c3":
+                    assert refitted._traits[fid][label] is samples
 
     def test_loaded_blocks_project_and_fit_as_saved(self, tmp_path):
         # The loaded blocks view the file's bytes wherever they fall in it.
@@ -605,7 +648,7 @@ class TestSharedBlocks:
         fitted = shared_blocks_gallery(np.random.default_rng(383)).fit()
         path, blob = snapshot_bytes(tmp_path, fitted)
         loaded = Gallery.load(path)
-        arrays = [samples for f in loaded._classes.values() for samples in f.values()]
+        arrays = [samples for held in loaded._traits.values() for samples in held.values()]
         for t in loaded.transforms.values():
             arrays += [t.matrix, t.eigenvalues]
         for array in arrays:
@@ -676,20 +719,19 @@ class TestForgedSnapshots:
     @pytest.mark.parametrize(
         "forged, message",
         [
-            # The size and row-count arrays hold one entry per label: a body
-            # with more or fewer, or a row count past the table, reads on
-            # out of step with its records.
-            ({"sizes": [1, 1, 1]}, "clothing record of width 1 has 0 holder classes"),
-            ({"sizes": [1]}, "class 'b' has size 0"),
+            # A row-count array holds one entry per label: a table naming
+            # more or fewer labels than the records count, or a row count
+            # past the table, reads on out of step with the records. With a
+            # third label, clothing's third count is height's width, 1.
+            ({"table": b"a\nb\nc"}, "clothing record of width 0 has 1 holder classes"),
+            ({"table": b"a"}, "complexion record of width 0 has 1 holder classes"),
             ({"records": {"height": trait_record([1, 1, 1], [[0.5]] * 3)}},
              "padding byte is not zero"),
             ({"records": {"height": trait_record([1, 1], np.zeros((2, 0)))}},
              "height record of width 0 has 2 holder classes"),
             ({"records": {"height": trait_record([0, 0], np.zeros((0, 1)))}},
              "height record of width 1 has 0 holder classes"),
-            ({"records": {"height": trait_record([1, 600], [[0.5], [0.5]])},
-              "sizes": [1, 600]},
-             "ends early"),
+            ({"records": {"height": trait_record([1, 600], [[0.5], [0.5]])}}, "ends early"),
             # The extra row's zeros read as four empty transform slots.
             ({"records": {"complexion": trait_record([1, 1], [[0.5, 0.5]] * 2 + [[0, 0]])}},
              "unread bytes"),
@@ -697,14 +739,11 @@ class TestForgedSnapshots:
             # body one record late.
             ({"records": {"height": trait_record([1, 1], [[0.5], [0.5]]) * 2}},
              "unread bytes"),
-            ({"sizes": [1, 0]}, "class 'b' has size 0"),
-            ({"records": {"height": trait_record([1, 2], [[0.5]] * 3)}},
-             "height record gives class 'b' more rows than its size"),
             ({"padding": 0xA5}, "padding byte is not zero"),
         ],
         ids=["more-labels-declared", "fewer-labels-declared", "holder-out-of-range",
              "zero-width", "no-holders", "block-too-short", "block-too-long", "repeated-trait",
-             "zero-size", "rows-past-size", "non-zero-padding"],
+             "non-zero-padding"],
     )
     def test_columnar_records_rejected(self, tmp_path, forged, message):
         path = tmp_path / "g.bin"
@@ -713,11 +752,14 @@ class TestForgedSnapshots:
             Gallery.load(path)
 
     def test_label_holding_a_newline_splits_the_table(self, tmp_path):
-        # The table reads as the labels "a" and "b" with one size between
-        # them, so the second size is the clothing record's width, 0.
+        # The table reads as the labels "a" and "b" with one row count per
+        # record, so the clothing record's second count is the height
+        # record's width, 1.
         path = tmp_path / "g.bin"
         path.write_bytes(with_body(forged_body([("a\nb", HEIGHTS)])))
-        with pytest.raises(SnapshotFormatError, match="class 'b' has size 0"):
+        with pytest.raises(
+            SnapshotFormatError, match="clothing record of width 0 has 1 holder classes"
+        ):
             Gallery.load(path)
 
     @pytest.mark.parametrize(

@@ -5,13 +5,15 @@ preceded the packed, vectorized matcher, on the seeded dataset below. A
 change that alters any rank, confidence, order, or snapshot byte fails
 here.
 
-The snapshot digest is of the columnar ``ENEXGAL4`` layout, which holds
-one raw-sample block per trait and one transform slot per trait, each
-float array 8-byte aligned (524,677 bytes with header and checksum).
+The snapshot digest is of the columnar ``ENEXGAL5`` layout, which holds
+the label table, one raw-sample block per trait and one transform slot
+per trait, each float array 8-byte aligned (523,877 bytes with header
+and checksum).
 The loaded gallery, written again in the older per-class ``ENEXGAL2``
-layout by a frozen copy of its encoder, still hashes to that layout's
-pin (538,318 bytes), so samples and fitted transforms are byte for byte
-those the older layouts stored.
+layout by a frozen copy of its encoder (a class's size taken as its
+largest trait row count), still hashes to that layout's pin (538,318
+bytes), so samples and fitted transforms are byte for byte those the
+older layouts stored.
 
 The resize digests pin frames that go through ``normalize_size``'s
 resampling (256x128 down to 128x64, two cameras); they were taken from
@@ -26,7 +28,7 @@ from enexmatch import Gallery, SyntheticConfig, generate_synthetic, ingest, matc
 from helpers import enexgal2_snapshot
 
 REPORTS_SHA256 = "ae8ee35ba09933d284194565d5cd3d6ca67717fb45f04715810274c149bb24ea"
-SNAPSHOT_SHA256 = "c53f46247dafc0b56410ddb0e9bf1ca38c81d42d614317f56cd316df2307c2ca"
+SNAPSHOT_SHA256 = "147cc8e603563dc3388b361f814d85c8e9bba4b0f9af440ca2e381346520bc55"
 ENEXGAL2_SNAPSHOT_SHA256 = "f5861526f8de167f1e87b4c9e0a03069e1e88fa0b7fdc1b9a9e3db087578ce49"
 
 RESIZED_CLOTHING_SHA256 = "f5cb70c850b346f5401dbd7a5b98ae918f5e469e69117ff89f4409645b964a9e"

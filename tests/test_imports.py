@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, each
 module imports at run time only the package modules its layer allows,
 every private name the library defines is read somewhere in the library,
-and no module imports another module's private name.
+no module imports another module's private name, and no module uses
+``functools.cached_property``.
 
 Names that ``enexmatch/__init__.py`` lists in ``__all__`` are re-exports
 and count as used there.
@@ -166,6 +167,18 @@ def private_imports(source):
     return sorted(found)
 
 
+def cached_properties(source):
+    """Lines that name ``cached_property`` in code, as an import, a name or
+    an attribute; comments and strings do not count."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.alias) and node.name == "cached_property")
+        or (isinstance(node, ast.Name) and node.id == "cached_property")
+        or (isinstance(node, ast.Attribute) and node.attr == "cached_property")
+    )
+
+
 def test_package_has_modules():
     assert len(MODULES) > 5
 
@@ -183,6 +196,14 @@ def test_runtime_imports_follow_the_layers(module):
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_private_names_imported(module):
     assert private_imports(module.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_cached_properties(module):
+    # A cached value is written into the built instance's __dict__ on first
+    # read, which slows every later attribute read on that instance; the
+    # library derives such values on construction instead.
+    assert cached_properties(module.read_text(encoding="utf-8")) == []
 
 
 def test_every_exported_name_is_bound_once():
@@ -237,6 +258,18 @@ class TestChecker:
         assert unreferenced_private_names([source]) == ["_Box", "_LIMIT", "_spare", "_unused"]
         user = "from box import _Box, _unused\n_unused()\nx = _Box()\n"
         assert unreferenced_private_names([source, user]) == ["_LIMIT", "_spare"]
+
+    def test_flags_cached_properties_outside_comments_and_strings(self):
+        source = (
+            "import functools\n"
+            "from functools import cached_property as cached\n"
+            "# functools.cached_property writes into __dict__\n"
+            "class A:\n"
+            "    @functools.cached_property\n"
+            "    def x(self):\n"
+            "        return 'cached_property'\n"
+        )
+        assert cached_properties(source) == [2, 5]
 
     def test_flags_private_imports_from_the_package_only(self):
         source = (

@@ -276,9 +276,12 @@ class TestMatchProbe:
         rng = np.random.default_rng(212)
         gallery = enrolled_gallery(rng, n=5, samples=2).fit()
         report = match_probe(random_bundle(rng), gallery)
-        for label in report.ranking:
-            values = [report.confidences[fid][label] for fid in report.features_used]
-            assert report.collective[label] == pytest.approx(
+        classes = report.to_records()["classes"]
+        assert [row["label"] for row in classes] == list(report.ranking)
+        for row in classes:
+            values = row["cf"]
+            assert len(values) == len(report.features_used)
+            assert report.collective[row["label"]] == pytest.approx(
                 sum(values) / len(values), abs=1e-12
             )
 
@@ -287,8 +290,9 @@ class TestMatchProbe:
         gallery = enrolled_gallery(rng, n=6, samples=2).fit()
         report = match_probe(random_bundle(rng), gallery)
         n = gallery.n
-        for fid in report.features_used:
-            total = sum(report.confidences[fid].values())
+        classes = report.to_records()["classes"]
+        for column in range(len(report.features_used)):
+            total = sum(row["cf"][column] for row in classes)
             assert total == pytest.approx((n + 1) / 2, abs=1e-12)
 
     def test_ranking_sorted_by_collective(self):
@@ -551,7 +555,7 @@ class TestVectorizedOracle:
         gallery = gallery.fit()
         assert "complexion" in gallery.transforms
         assert "complexion" not in gallery.covered_features()
-        sizes = [gallery.class_size(label) for label in gallery.labels]
+        sizes = [len(gallery.feature_samples(label, "clothing")) for label in gallery.labels]
         assert min(sizes) == 1 and max(sizes) == 6
 
         tied = 0
