@@ -122,10 +122,7 @@ def _single_probe(args: argparse.Namespace):
         image=image,
         mask=mask,
         bbox_height=args.bbox_height,
-        bbox_width=args.bbox_width,
         entrance_ref_height=args.entrance_ref,
-        camera_id=args.camera,
-        view=args.view,
     )
     return [extract_bundle(sample)]
 
@@ -251,10 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", default=None, help="single probe image (P6)")
     p.add_argument("--mask", default=None, help="silhouette mask for the probe (P5)")
     p.add_argument("--bbox-height", type=int, default=None, help="probe box height, pixels")
-    p.add_argument("--bbox-width", type=int, default=None, help="probe box width, pixels")
     p.add_argument("--entrance-ref", type=int, default=None, help="entrance reference height")
-    p.add_argument("--camera", default="c1", help="camera id for the single probe")
-    p.add_argument("--view", default="unknown", help="probe view (front/back/lateral/oblique/unknown)")
     p.add_argument("--top", type=int, default=3, help="candidates in the summary line")
     p.set_defaults(func=cmd_match)
 

@@ -271,7 +271,13 @@ def fit_transform(
 
     dim = within.shape[0]
     regularized = within + epsilon * np.eye(dim)
-    chol = np.linalg.cholesky(regularized)
+    try:
+        chol = np.linalg.cholesky(regularized)
+    except np.linalg.LinAlgError:
+        raise DegenerateProblemError(
+            f"{feature_id}: within scatter plus ridge {epsilon!r} is not positive "
+            "definite; use a larger epsilon"
+        ) from None
     half = np.linalg.solve(chol, between)
     whitened = np.linalg.solve(chol, half.T).T
     whitened = (whitened + whitened.T) / 2.0

@@ -19,7 +19,6 @@ from .errors import ManifestError, UnknownLabelError
 from .features import (
     FeatureBundle,
     SubjectSample,
-    VIEWS,
     check_label,
     extract_bundle,
     fuse_bundles,
@@ -49,6 +48,7 @@ MANIFEST_COLUMNS = (
     "view",
 )
 ROLES = ("gallery", "probe")
+VIEWS = frozenset({"front", "back", "lateral", "oblique", "unknown"})
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,16 @@ class DatasetManifest:
 _DIGITS = re.compile(r"[0-9]+")
 
 
-def _parse_optional_int(record: Mapping[str, str], column: str, where: str) -> int | None:
-    """An empty cell, or a count written the way ``write_manifest`` writes one."""
+def _parse_metric(record: Mapping[str, str], column: str, where: str) -> int | None:
+    """An empty cell, or a pixel count of at least 1 written the way
+    ``write_manifest`` writes one."""
     raw = record[column]
     if raw == "":
         return None
     if not _DIGITS.fullmatch(raw):
         raise ManifestError(f"{where}: {column} must be an integer in digits 0-9, got {raw!r}")
+    if int(raw) < 1:
+        raise ManifestError(f"{where}: {column} must be at least 1, got {raw!r}")
     return int(raw)
 
 
@@ -128,9 +131,9 @@ def read_manifest(path: str | Path) -> DatasetManifest:
                 role=record["role"],
                 image=record["image"],
                 mask=record["mask"] or None,
-                bbox_height=_parse_optional_int(record, "bbox_height", where),
-                bbox_width=_parse_optional_int(record, "bbox_width", where),
-                entrance_ref_height=_parse_optional_int(record, "entrance_ref_height", where),
+                bbox_height=_parse_metric(record, "bbox_height", where),
+                bbox_width=_parse_metric(record, "bbox_width", where),
+                entrance_ref_height=_parse_metric(record, "entrance_ref_height", where),
                 camera_id=record["camera_id"] or "c1",
                 view=record["view"],
             )
@@ -171,10 +174,7 @@ def load_sample(entry: ManifestEntry, root: str | Path) -> SubjectSample:
             image=image,
             mask=mask,
             bbox_height=entry.bbox_height,
-            bbox_width=entry.bbox_width,
             entrance_ref_height=entry.entrance_ref_height,
-            camera_id=entry.camera_id,
-            view=entry.view,
         )
     except ValueError as exc:
         raise ManifestError(f"bad row for {entry.image!r}: {exc}") from exc
@@ -415,6 +415,8 @@ class SyntheticConfig:
             raise ValueError("images must be at least 12x16")
         if self.entrance_ref_height < 2:
             raise ValueError("entrance_ref_height must be at least 2")
+        if self.seed < 0:
+            raise ValueError("seed cannot be negative")
 
 
 # Chroma sampling boxes. Clothing stays inside the RGB gamut at mid

@@ -29,8 +29,6 @@ from .imaging import (
 # Canonical trait order, used for report fields and fusion layout.
 FEATURE_IDS = ("clothing", "height", "build", "complexion")
 
-VIEWS = frozenset({"front", "back", "lateral", "oblique", "unknown"})
-
 # Chroma box for skin detection, inclusive bounds on Cb and Cr.
 SKIN_CB_RANGE = (77, 127)
 SKIN_CR_RANGE = (133, 173)
@@ -70,21 +68,16 @@ class SubjectSample:
     image: Image
     mask: SilhouetteMask | None = None
     bbox_height: int | None = None
-    bbox_width: int | None = None
     entrance_ref_height: int | None = None
-    camera_id: str = "c1"
-    view: str = "unknown"
 
     def __post_init__(self) -> None:
-        if self.view not in VIEWS:
-            raise ValueError(f"unknown view {self.view!r}")
         if self.mask is not None:
             if (self.mask.height, self.mask.width) != (
                 self.image.height,
                 self.image.width,
             ):
                 raise ValueError("mask dimensions must match the image")
-        for name in ("bbox_height", "bbox_width", "entrance_ref_height"):
+        for name in ("bbox_height", "entrance_ref_height"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -162,14 +155,6 @@ class ComplexionFeature:
         if self.valid and not all(0.0 <= m <= 255.0 for m in self.means):
             raise ValueError("valid chroma means must lie in [0, 255]")
 
-    @property
-    def mean_cb(self) -> float:
-        return self.means[0]
-
-    @property
-    def mean_cr(self) -> float:
-        return self.means[1]
-
 
 @dataclass(frozen=True)
 class FeatureBundle:
@@ -202,11 +187,6 @@ class FeatureBundle:
                 return None
             return np.asarray(self.complexion.means, dtype=np.float64)
         raise KeyError(feature_id)
-
-    def available_features(self) -> tuple[str, ...]:
-        return tuple(
-            fid for fid in FEATURE_IDS if self.feature_vector(fid) is not None
-        )
 
     def restrict(self, features: Sequence[str]) -> "FeatureBundle":
         """Copy with every trait outside ``features`` dropped."""
@@ -298,7 +278,7 @@ def complexion(region: YCbCrImage) -> ComplexionFeature:
     return ComplexionFeature((cb, cr), valid=True)
 
 
-def extract_bundle(sample: SubjectSample, label: str | None = None) -> FeatureBundle:
+def extract_bundle(sample: SubjectSample) -> FeatureBundle:
     """Run the full extraction chain on one observation.
 
     Clothing and complexion come from the size-normalized frame; height
@@ -327,7 +307,6 @@ def extract_bundle(sample: SubjectSample, label: str | None = None) -> FeatureBu
         height=height,
         build=build,
         complexion=skin,
-        label=label,
     )
 
 

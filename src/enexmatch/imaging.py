@@ -97,16 +97,12 @@ class SilhouetteMask:
 
 @dataclass(frozen=True)
 class BodyRegions:
-    """Head, torso, and leg bands cut from one normalized frame.
-
-    ``boundaries`` holds the two row indices where the cuts were made, so
-    head rows are [0, boundaries[0]) and legs start at boundaries[1].
-    """
+    """Head, torso, and leg bands cut from one normalized frame at the
+    rows ``band_boundaries`` gives for its height."""
 
     head: YCbCrImage
     torso: YCbCrImage
     legs: YCbCrImage
-    boundaries: tuple[int, int]
 
 
 def _parse_header(data: bytes, magic: bytes, path: Path) -> tuple[int, int, int]:
@@ -283,5 +279,4 @@ def decompose_regions(image: YCbCrImage) -> BodyRegions:
         head=YCbCrImage(image.planes[:head_end]),
         torso=YCbCrImage(image.planes[head_end:torso_end]),
         legs=YCbCrImage(image.planes[torso_end:]),
-        boundaries=(head_end, torso_end),
     )

@@ -65,6 +65,11 @@ def random_bundle(
     )
 
 
+def held_traits(bundle: FeatureBundle) -> tuple[str, ...]:
+    """The traits a bundle holds a vector for, in ``FEATURE_IDS`` order."""
+    return tuple(fid for fid in FEATURE_IDS if bundle.feature_vector(fid) is not None)
+
+
 def enrolled_gallery(
     rng: np.random.Generator,
     n: int = 4,

@@ -105,6 +105,10 @@ class TestGenerate:
         code = main(argv)
         assert code == 2
         assert "cameras must be 1 or 2" in capsys.readouterr().err
+        argv = ["generate", "--subjects", "2", "--seed", "-1", "--out", str(tmp_path / "d")]
+        assert main(argv) == 2
+        assert "seed cannot be negative" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_defaults_are_the_config_defaults(self, tmp_path, monkeypatch, capsys):
         built = []
@@ -203,6 +207,24 @@ class TestEnroll:
             assert "--epsilon must be finite and positive" in capsys.readouterr().err
             assert not (tmp_path / "g.bin").exists()
 
+    def test_ridge_too_small_is_an_error_line(self, tmp_path, capsys):
+        # Each clothing histogram block sums to 1, so with pixel noise the
+        # within scatter is singular and 1e-20 cannot lift it.
+        data = tmp_path / "data"
+        generate = ["generate", "--subjects", "6", "--samples", "4", "--metric-samples", "3"]
+        assert main(generate + ["--pixel-noise", "3", "--out", str(data)]) == 0
+        manifest = str(data / "manifest.csv")
+        capsys.readouterr()
+        for argv in (
+            ["enroll", "--manifest", manifest, "--snapshot", str(tmp_path / "g.bin")],
+            ["evaluate", "--manifest", manifest],
+        ):
+            assert main(argv + ["--epsilon", "1e-20"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: clothing:") and "1e-20" in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "g.bin").exists()
+
     def test_oversized_image_header_is_an_error_line(self, dataset, tmp_path, capsys):
         copy = tmp_path / "data"
         shutil.copytree(dataset, copy)
@@ -242,7 +264,10 @@ class TestEnroll:
         )
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error:") and row[header.index("image")] in err
+        # A metric below 1 is refused as the manifest is read, by its line;
+        # the other rows when their sample is built, by image.
+        where = f"{manifest} line 2" if value == "0" else row[header.index("image")]
+        assert err.startswith("error:") and where in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["enroll", "evaluate"])
@@ -353,7 +378,6 @@ class TestMatch:
                 "--image", str(image),
                 "--mask", str(mask),
                 "--bbox-height", "150",
-                "--bbox-width", "30",
                 "--entrance-ref", "200",
             ]
         )
@@ -390,7 +414,6 @@ class TestMatch:
                 "--image", str(image),
                 "--mask", str(mask),
                 "--bbox-height", "150",
-                "--bbox-width", "30",
                 "--entrance-ref", "200",
             ]
         )
@@ -477,17 +500,15 @@ class TestMatch:
         assert err.startswith("error:") and "distances overflow" in err
         assert "Traceback" not in err
 
-    def test_bad_view_rejected(self, dataset, snapshot, capsys):
+    @pytest.mark.parametrize("option", ["--bbox-width", "--camera", "--view"])
+    def test_single_probe_options_are_gone(self, dataset, snapshot, capsys, option):
+        # Extraction reads no box width, camera or view from a single probe.
         image = next((dataset / "images").glob("*.ppm"))
         code = main(
-            [
-                "match",
-                "--snapshot", str(snapshot),
-                "--image", str(image),
-                "--view", "upside-down",
-            ]
+            ["match", "--snapshot", str(snapshot), "--image", str(image), option, "1"]
         )
         assert code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -426,6 +426,15 @@ class TestFitTransform:
             with pytest.raises(ValueError):
                 fit_transform(classes, epsilon=epsilon)
 
+    def test_ridge_too_small_for_a_singular_within_scatter(self):
+        # The two columns are equal, so the within scatter is singular and a
+        # ridge of 1e-20 vanishes beside its unit entries.
+        x = np.array([[0.1], [0.3], [0.2], [0.6]])
+        classes = class_block([("a", np.hstack([x[:2]] * 2)), ("b", np.hstack([x[2:]] * 2))])
+        with pytest.raises(DegenerateProblemError, match="clothing.*ridge 1e-20"):
+            fit_transform(classes, epsilon=1e-20, feature_id="clothing")
+        assert fit_transform(classes, epsilon=1e-15).rank == 1
+
     def test_rejects_non_finite_epsilon(self):
         rng = np.random.default_rng(116)
         classes = class_block(make_classes(rng))

@@ -26,6 +26,7 @@ from enexmatch import (
     save_mask,
     write_manifest,
 )
+from helpers import held_traits
 
 SMALL = SyntheticConfig(
     subjects=4,
@@ -194,6 +195,19 @@ class TestManifestIO:
         with pytest.raises(ManifestError, match=f"{path} line 3: label"):
             read_manifest(path)
 
+    @pytest.mark.parametrize("column", ["bbox_height", "bbox_width", "entrance_ref_height"])
+    def test_metric_below_one(self, tmp_path, column):
+        metrics = {"bbox_height": "40", "bbox_width": "20", "entrance_ref_height": "200"}
+        metrics[column] = "0"
+        path = tmp_path / "manifest.csv"
+        path.write_text(
+            "label,role,image,mask,bbox_height,bbox_width,"
+            "entrance_ref_height,camera_id,view\n"
+            f"s001,gallery,images/a.ppm,,{','.join(metrics.values())},c1,front\n"
+        )
+        with pytest.raises(ManifestError, match=f"line 2: {column} must be at least 1"):
+            read_manifest(path)
+
     def test_missing_image_fails_at_load(self, tmp_path):
         entry = ManifestEntry(label="s001", role="probe", image="images/gone.ppm")
         with pytest.raises(ManifestError):
@@ -204,7 +218,6 @@ class TestManifestIO:
         [
             {"mask": "small.pgm"},
             {"bbox_height": 0},
-            {"bbox_width": 0, "bbox_height": 40},
             {"entrance_ref_height": 0},
             {"bbox_height": 201, "entrance_ref_height": 200},
         ],
@@ -447,7 +460,7 @@ class TestEvaluate:
 
     def test_unknown_probe_label(self, small_dataset):
         gallery_map, probes = ingest(small_dataset)
-        renamed = [p.restrict(p.available_features()) for p in probes]
+        renamed = [p.restrict(held_traits(p)) for p in probes]
         stranger = type(probes[0])(
             clothing=probes[0].clothing,
             height=probes[0].height,

@@ -25,7 +25,7 @@ from enexmatch import (
     vertical_projection,
 )
 from enexmatch.features import BUILD_THRESHOLD
-from helpers import random_bundle, random_image, random_mask, random_ycbcr
+from helpers import held_traits, random_bundle, random_image, random_mask, random_ycbcr
 
 
 def histogram_reference(regions: BodyRegions) -> np.ndarray:
@@ -80,7 +80,7 @@ class TestClothingHistogram:
         rng = np.random.default_rng(53)
         image = random_ycbcr(rng, 12, 8)
         empty = YCbCrImage(image.planes[:0])
-        regions = BodyRegions(head=empty, torso=empty, legs=image, boundaries=(0, 0))
+        regions = BodyRegions(head=empty, torso=empty, legs=image)
         hist = clothing_histogram(regions)
         assert np.all(hist.values[:48] == 0.0)
         assert hist.values[48:].reshape(2, 24).sum(axis=1) == pytest.approx([1.0, 1.0])
@@ -199,8 +199,8 @@ class TestComplexion:
             feature = complexion(region)
             if feature.valid:
                 found_valid += 1
-                assert 77 <= feature.mean_cb <= 127
-                assert 133 <= feature.mean_cr <= 173
+                assert 77 <= feature.means[0] <= 127
+                assert 133 <= feature.means[1] <= 173
         assert found_valid > 0
 
     def test_no_skin_is_invalid(self):
@@ -209,7 +209,7 @@ class TestComplexion:
         planes[..., 2] = 100
         feature = complexion(YCbCrImage(planes))
         assert not feature.valid
-        assert math.isnan(feature.mean_cb)
+        assert math.isnan(feature.means[0])
 
     def test_mean_over_skin_pixels_only(self):
         planes = np.zeros((1, 2, 3), dtype=np.uint8)
@@ -217,10 +217,10 @@ class TestComplexion:
         planes[0, 1] = (90, 0, 0)
         feature = complexion(YCbCrImage(planes))
         assert feature.valid
-        assert (feature.mean_cb, feature.mean_cr) == (100.0, 150.0)
+        assert (feature.means[0], feature.means[1]) == (100.0, 150.0)
 
 
-def full_sample(rng, view="front"):
+def full_sample(rng):
     image = random_image(rng, 128, 64)
     mask = np.zeros((128, 64), dtype=np.bool_)
     mask[:, 20:44] = True
@@ -228,17 +228,15 @@ def full_sample(rng, view="front"):
         image=image,
         mask=SilhouetteMask(mask),
         bbox_height=150,
-        bbox_width=24,
         entrance_ref_height=200,
-        view=view,
     )
 
 
 class TestExtractBundle:
     def test_full_observation(self):
         rng = np.random.default_rng(80)
-        bundle = extract_bundle(full_sample(rng), label="s1")
-        assert bundle.label == "s1"
+        bundle = extract_bundle(full_sample(rng))
+        assert bundle.label is None
         assert bundle.clothing is not None
         assert bundle.height is not None and bundle.height.value == 0.75
         assert bundle.build is not None and bundle.build.value == pytest.approx(128 / 24)
@@ -281,7 +279,7 @@ class TestExtractBundle:
     def test_available_features_and_vectors(self):
         rng = np.random.default_rng(85)
         bundle = extract_bundle(full_sample(rng))
-        assert bundle.available_features() == ("clothing", "height", "build", "complexion")
+        assert held_traits(bundle) == ("clothing", "height", "build", "complexion")
         assert bundle.feature_vector("clothing").shape == (96,)
         assert bundle.feature_vector("height").shape == (1,)
         assert bundle.feature_vector("build").shape == (1,)
@@ -294,7 +292,7 @@ class TestExtractBundle:
             complexion=ComplexionFeature((math.nan, math.nan), valid=False)
         )
         assert bundle.feature_vector("complexion") is None
-        assert bundle.available_features() == ()
+        assert held_traits(bundle) == ()
 
     @pytest.mark.parametrize("label", ["", "-", "x y", "x,y", "x\ny"])
     def test_label_a_report_cannot_carry(self, label):
@@ -307,7 +305,7 @@ class TestExtractBundle:
         rng = np.random.default_rng(86)
         bundle = random_bundle(rng, label="x")
         reduced = bundle.restrict(("clothing",))
-        assert reduced.available_features() == ("clothing",)
+        assert held_traits(reduced) == ("clothing",)
         assert reduced.label == "x"
         with pytest.raises(KeyError):
             bundle.restrict(("clothing", "gait"))

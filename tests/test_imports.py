@@ -1,14 +1,16 @@
 """Every name a library module imports is used in that module, each
 module imports at run time only the package modules its layer allows,
 every private name the library defines is read somewhere in the library,
-no module imports another module's private name, and no module uses
-``functools.cached_property``.
+every public method and property of a library class is read outside that
+class by the library or the benchmark, no module imports another module's
+private name, and no module uses ``functools.cached_property``.
 
 Names that ``enexmatch/__init__.py`` lists in ``__all__`` are re-exports
 and count as used there.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,9 @@ import enexmatch
 
 PACKAGE = Path(enexmatch.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+# The benchmark and its tests read the library from outside it; this
+# directory's tests do not count as readers.
+BENCHMARK_MODULES = sorted((PACKAGE.parents[1] / "perfbench").rglob("*.py"))
 
 
 def imported_names(tree):
@@ -114,6 +119,35 @@ def unreferenced_private_names(sources):
                 read.add(node.attr)
     defined = {name for tree in trees for name in private_definitions(tree)}
     return sorted(defined - read)
+
+
+def attribute_reads(tree):
+    """How often each attribute name is read in ``tree``."""
+    return Counter(
+        n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def unread_public_members(library, readers=()):
+    """Public methods and properties of the classes in ``library`` that no
+    source in ``library`` or ``readers`` reads by attribute name outside the
+    class's own body."""
+    trees = [ast.parse(source) for source in library]
+    reads = sum(map(attribute_reads, trees + [ast.parse(s) for s in readers]), Counter())
+    unread = []
+    for tree in trees:
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            own = attribute_reads(cls)
+            unread.extend(
+                node.name
+                for node in cls.body
+                if isinstance(node, ast.FunctionDef)
+                and not node.name.startswith("_")
+                and reads[node.name] == own[node.name]
+            )
+    return sorted(unread)
 
 
 def package_imports(source):
@@ -217,6 +251,13 @@ def test_every_private_name_is_read():
     assert unreferenced_private_names(sources) == []
 
 
+def test_every_public_member_is_read():
+    library = [module.read_text(encoding="utf-8") for module in MODULES]
+    readers = [module.read_text(encoding="utf-8") for module in BENCHMARK_MODULES]
+    assert readers
+    assert unread_public_members(library, readers) == []
+
+
 class TestChecker:
     def test_flags_an_unused_import(self):
         source = "import os\nfrom typing import Mapping, Sequence\nx: Mapping = {}\n"
@@ -258,6 +299,26 @@ class TestChecker:
         assert unreferenced_private_names([source]) == ["_Box", "_LIMIT", "_spare", "_unused"]
         user = "from box import _Box, _unused\n_unused()\nx = _Box()\n"
         assert unreferenced_private_names([source, user]) == ["_LIMIT", "_spare"]
+
+    def test_flags_public_members_read_only_by_their_own_class(self):
+        source = (
+            "class Box:\n"
+            "    def __len__(self):\n"
+            "        return self.size + self.spare()\n"
+            "    @property\n"
+            "    def size(self):\n"
+            "        return 1\n"
+            "    def spare(self):\n"
+            "        return 0\n"
+            "    def used(self):\n"
+            "        return 2\n"
+            "    @classmethod\n"
+            "    def make(cls):\n"
+            "        return cls()\n"
+        )
+        assert unread_public_members([source]) == ["make", "size", "spare", "used"]
+        user = "box = Box.make()\nbox.used = 3\nprint(box.size)\n"
+        assert unread_public_members([source], [user]) == ["spare", "used"]
 
     def test_flags_cached_properties_outside_comments_and_strings(self):
         source = (
