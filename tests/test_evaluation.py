@@ -220,6 +220,7 @@ class TestManifestIO:
             {"bbox_height": 0},
             {"entrance_ref_height": 0},
             {"bbox_height": 201, "entrance_ref_height": 200},
+            {"mask": "gone.pgm"},
         ],
     )
     def test_inconsistent_row_fails_at_load(self, tmp_path, fields):
