@@ -125,15 +125,18 @@ def read_manifest(path: str | Path) -> DatasetManifest:
             raise ManifestError(f"{where}: empty image path")
         if "\0" in record["image"] + record["mask"]:
             raise ManifestError(f"{where}: a path holds a NUL byte")
+        box, width, door = (_parse_metric(record, c, where) for c in MANIFEST_COLUMNS[4:7])
+        if box is not None and door is not None and box > door:
+            raise ManifestError(f"{where}: bbox_height {box} exceeds entrance_ref_height {door}")
         entries.append(
             ManifestEntry(
                 label=record["label"],
                 role=record["role"],
                 image=record["image"],
                 mask=record["mask"] or None,
-                bbox_height=_parse_metric(record, "bbox_height", where),
-                bbox_width=_parse_metric(record, "bbox_width", where),
-                entrance_ref_height=_parse_metric(record, "entrance_ref_height", where),
+                bbox_height=box,
+                bbox_width=width,
+                entrance_ref_height=door,
                 camera_id=record["camera_id"] or "c1",
                 view=record["view"],
             )

@@ -18,9 +18,9 @@ import numpy as np
 from .errors import FeatureUnavailableError
 from .imaging import (
     BodyRegions,
+    ChromaImage,
     Image,
     SilhouetteMask,
-    YCbCrImage,
     decompose_regions,
     normalize_size,
     rgb_to_ycbcr,
@@ -34,6 +34,11 @@ SKIN_CB_RANGE = (77, 127)
 SKIN_CR_RANGE = (133, 173)
 
 HISTOGRAM_BINS = 24
+
+# The histogram key of each chroma value in each of the four blocks one
+# frame gives, torso-Cb, torso-Cr, legs-Cb and legs-Cr: block * bins + bin.
+_BLOCK_KEYS = np.arange(4)[:, None] * HISTOGRAM_BINS + np.arange(256) * HISTOGRAM_BINS // 256
+_BLOCK_KEYS.flags.writeable = False
 
 # A column counts toward body width when it reaches this fraction of the
 # projection profile's peak.
@@ -203,24 +208,17 @@ class FeatureBundle:
         )
 
 
-def _chroma_histogram(region: YCbCrImage, channel: int) -> np.ndarray:
-    values = region.planes[..., channel].ravel()
-    if values.size == 0:
-        return np.zeros(HISTOGRAM_BINS, dtype=np.float64)
-    idx = values.astype(np.int64) * HISTOGRAM_BINS // 256
-    counts = np.bincount(idx, minlength=HISTOGRAM_BINS).astype(np.float64)
-    return counts / values.size
-
-
 def clothing_histogram(regions: BodyRegions) -> ClothingHistogram:
     """Chroma histograms over the torso and leg bands of one frame."""
-    blocks = [
-        _chroma_histogram(regions.torso, 1),
-        _chroma_histogram(regions.torso, 2),
-        _chroma_histogram(regions.legs, 1),
-        _chroma_histogram(regions.legs, 2),
-    ]
-    return ClothingHistogram(np.concatenate(blocks))
+    torso, legs = regions.torso.planes, regions.legs.planes
+    # Every byte indexes the 256-entry table, so "wrap" wraps nothing; it
+    # only spares the bounds check that "raise" makes.
+    blocks = enumerate((*torso, *legs))
+    keys = np.concatenate([np.take(_BLOCK_KEYS[k], p.ravel(), mode="wrap") for k, p in blocks])
+    counts = np.bincount(keys, minlength=4 * HISTOGRAM_BINS)
+    # A band without pixels counts nothing, and its block stays all zero.
+    sizes = np.repeat([torso[0].size, legs[0].size], 2 * HISTOGRAM_BINS)
+    return ClothingHistogram(counts / np.maximum(sizes, 1))
 
 
 def extract_height(sample: SubjectSample) -> HeightFeature:
@@ -251,10 +249,9 @@ def build_ratio(profile: np.ndarray) -> BuildFeature:
     return BuildFeature(peak / int(np.count_nonzero(counts >= BUILD_THRESHOLD * peak)))
 
 
-def skin_mask(region: YCbCrImage) -> SilhouetteMask:
+def skin_mask(region: ChromaImage) -> SilhouetteMask:
     """Pixels whose chroma falls in the skin box (bounds inclusive)."""
-    cb = region.planes[..., 1]
-    cr = region.planes[..., 2]
+    cb, cr = region.planes
     bits = (
         (cb >= SKIN_CB_RANGE[0])
         & (cb <= SKIN_CB_RANGE[1])
@@ -264,7 +261,7 @@ def skin_mask(region: YCbCrImage) -> SilhouetteMask:
     return SilhouetteMask(bits)
 
 
-def complexion(region: YCbCrImage) -> ComplexionFeature:
+def complexion(region: ChromaImage) -> ComplexionFeature:
     """Mean chroma over skin pixels of the head band.
 
     Returns an invalid feature when the band shows no skin at all, which
@@ -273,8 +270,7 @@ def complexion(region: YCbCrImage) -> ComplexionFeature:
     skin = skin_mask(region)
     if not skin.bits.any():
         return ComplexionFeature((math.nan, math.nan), valid=False)
-    cb = float(region.planes[..., 1][skin.bits].mean())
-    cr = float(region.planes[..., 2][skin.bits].mean())
+    cb, cr = (float(plane[skin.bits].mean()) for plane in region.planes)
     return ComplexionFeature((cb, cr), valid=True)
 
 

@@ -1,4 +1,4 @@
-"""Raster input, resampling, color conversion, and body-band splitting.
+"""Raster input, resampling, chroma conversion, and body-band splitting.
 
 Only binary netpbm rasters are handled: P6 color images and P5 grayscale
 silhouette masks, both with maxval 255. Headers may carry ``#`` comments.
@@ -20,6 +20,10 @@ from .errors import (
 
 # Refuse headers that would allocate unreasonable buffers.
 MAX_PIXELS = 1 << 26
+
+# The (height, width) every observation is resampled to before its
+# clothing and complexion are read.
+FRAME = (128, 64)
 
 # Grayscale value above which a mask pixel counts as foreground.
 FOREGROUND_THRESHOLD = 127
@@ -52,25 +56,17 @@ class Image:
 
 
 @dataclass(frozen=True)
-class YCbCrImage:
-    """Luma/chroma raster, same layout as Image, planes ordered Y, Cb, Cr."""
+class ChromaImage:
+    """Cb and Cr planes of a raster, as one (2, height, width) uint8 array."""
 
     planes: np.ndarray
 
     def __post_init__(self) -> None:
         p = self.planes
-        if not isinstance(p, np.ndarray) or p.ndim != 3 or p.shape[2] != 3:
-            raise ValueError("planes must be a (height, width, 3) array")
+        if not isinstance(p, np.ndarray) or p.ndim != 3 or p.shape[0] != 2:
+            raise ValueError("planes must be a (2, height, width) array")
         if p.dtype != np.uint8:
             raise ValueError("planes must be uint8")
-
-    @property
-    def height(self) -> int:
-        return self.planes.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.planes.shape[1]
 
 
 @dataclass(frozen=True)
@@ -100,9 +96,9 @@ class BodyRegions:
     """Head, torso, and leg bands cut from one normalized frame at the
     rows ``band_boundaries`` gives for its height."""
 
-    head: YCbCrImage
-    torso: YCbCrImage
-    legs: YCbCrImage
+    head: ChromaImage
+    torso: ChromaImage
+    legs: ChromaImage
 
 
 def _parse_header(data: bytes, magic: bytes, path: Path) -> tuple[int, int, int]:
@@ -193,69 +189,80 @@ def save_mask(mask: SilhouetteMask, path: str | Path) -> None:
     Path(path).write_bytes(header + gray.tobytes())
 
 
-def normalize_size(image: Image, height: int = 128, width: int = 64) -> Image:
-    """Resample to a fixed frame with bilinear interpolation.
+def _taps(source: int, target: int) -> tuple[np.ndarray, ...]:
+    """Both source neighbours of each of ``target`` samples along one axis,
+    and their weights in 1 / (2 * target) units: sample i sits at
+    ((2i + 1) * source - target) / (2 * target), clamped to the source."""
+    scale = 2 * target
+    n = np.arange(1, scale, 2) * source - target
+    first, weight = np.divmod(np.clip(n, 0, scale * (source - 1)), scale)
+    return first, np.minimum(first + 1, source - 1), scale - weight, weight
+
+
+def _resample(values: np.ndarray, axis: int) -> np.ndarray:
+    """Resample a (rows, columns, 3) array along ``axis`` to that side of
+    ``FRAME``, unrounded: each value is a whole number of 1 / (2 * side)
+    units of the input, uint8 into uint16 or uint16 into uint32."""
+    first, second, w0, w1 = _taps(values.shape[axis], FRAME[axis])
+    weights = np.stack([w0, w1]).astype(np.uint16 if values.dtype == np.uint8 else np.uint32)
+    # Weights span every later axis, so each product runs in long strides.
+    weights = weights[:, :, None, None] if axis == 0 else np.repeat(weights[:, :, None], 3, axis=2)
+    out = values.take(first, axis) * weights[0]
+    out += values.take(second, axis) * weights[1]
+    return out
+
+
+def normalize_size(image: Image) -> Image:
+    """Resample to the fixed ``FRAME`` with bilinear interpolation.
 
     Sample positions align source and target pixel centers; coordinates
-    are clamped at the borders, so corners map to corner pixels.
+    are clamped at the borders, so corners map to corner pixels. Both
+    frame sides are powers of two, so every weight is a whole number of
+    256ths (rows) or 128ths (columns), and the resample is exact in
+    integers: a first pass into uint16 (at most 256 * 255), a second into
+    uint32 (at most 2**15 * 255) and one rounding, half up. A float64
+    resampler's weights and sums are all exact too, so it gives the same
+    bytes. The axis whose pass shrinks the data more goes first, so no
+    temporary outgrows both the source and a few frames.
     """
-    if height < 1 or width < 1:
-        raise ValueError("target dimensions must be positive")
-    if image.height == height and image.width == width:
-        return Image(image.pixels.copy())
-    src_h, src_w = image.height, image.width
-    ys = (np.arange(height, dtype=np.float64) + 0.5) * (src_h / height) - 0.5
-    xs = (np.arange(width, dtype=np.float64) + 0.5) * (src_w / width) - 0.5
-    ys = np.clip(ys, 0.0, src_h - 1.0)
-    xs = np.clip(xs, 0.0, src_w - 1.0)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, src_h - 1)
-    x1 = np.minimum(x0 + 1, src_w - 1)
-    wy = (ys - y0)[:, None, None]
-    wx = (xs - x0)[None, :, None]
-    r0 = (y0 * src_w)[:, None]
-    r1 = (y1 * src_w)[:, None]
-    flat = image.pixels.reshape(-1, 3)
-    # The neighbours are gathered from the uint8 pixels, and the terms are
-    # summed in place and left to right, as w00*p00 + w01*p01 + w10*p10 +
-    # w11*p11 reads: another order can round a sum near .5 to a different
-    # byte, and a fresh full-size array per operation made enroll jobs
-    # page-fault heavily.
-    out = (1.0 - wy) * (1.0 - wx) * np.take(flat, r0 + x0, axis=0)
-    term = np.empty_like(out)
-    out += np.multiply((1.0 - wy) * wx, np.take(flat, r0 + x1, axis=0), out=term)
-    out += np.multiply(wy * (1.0 - wx), np.take(flat, r1 + x0, axis=0), out=term)
-    out += np.multiply(wy * wx, np.take(flat, r1 + x1, axis=0), out=term)
-    out += 0.5
-    np.floor(out, out=out)
-    np.clip(out, 0, 255, out=out)
+    pixels = image.pixels
+    height, width = pixels.shape[:2]
+    if (height, width) == FRAME:
+        return Image(pixels.copy())
+    out = pixels
+    for axis in (0, 1) if FRAME[0] * width <= height * FRAME[1] else (1, 0):
+        out = _resample(out, axis)
+    out += 1 << 14
+    out >>= 15
     return Image(out.astype(np.uint8))
 
 
-def rgb_to_ycbcr(image: Image) -> YCbCrImage:
-    """Full-range BT.601 conversion, rounded half-up and clamped to [0, 255]."""
+def rgb_to_ycbcr(image: Image) -> ChromaImage:
+    """Cb and Cr of the full-range BT.601 conversion, rounded half-up and
+    clamped to [0, 255], as one read-only planar array; no trait reads luma."""
     rgb = np.ascontiguousarray(image.pixels.transpose(2, 0, 1), dtype=np.float64)
     r, g, b = rgb
-    planes = np.empty_like(rgb)
-    y, cb, cr = planes
-    term = np.empty_like(r)
+    planes = np.empty((2, *r.shape))
+    cb, cr = planes
     # Evaluated in place, term by term and left to right, so every value
-    # rounds as the formula 0.299 * r + 0.587 * g + 0.114 * b and so on
-    # does; a fresh array per operation made enroll jobs page-fault heavily.
-    np.multiply(r, 0.299, out=y)
-    y += np.multiply(g, 0.587, out=term)
-    y += np.multiply(b, 0.114, out=term)
+    # rounds as the formula 128 - 0.168736 * r - 0.331264 * g + 0.5 * b
+    # and so on does; a fresh array per operation made enroll jobs
+    # page-fault heavily. Once both planes have read r, its plane holds
+    # each later term.
     np.subtract(128.0, np.multiply(r, 0.168736, out=cb), out=cb)
+    np.add(128.0, np.multiply(r, 0.5, out=cr), out=cr)
+    term = r
     cb -= np.multiply(g, 0.331264, out=term)
     cb += np.multiply(b, 0.5, out=term)
-    np.add(128.0, np.multiply(r, 0.5, out=cr), out=cr)
     cr -= np.multiply(g, 0.418688, out=term)
     cr -= np.multiply(b, 0.081312, out=term)
     planes += 0.5
-    np.floor(planes, out=planes)
-    np.clip(planes, 0, 255, out=planes)
-    return YCbCrImage(np.ascontiguousarray(planes.astype(np.uint8).transpose(1, 2, 0)))
+    # Before the half is added each value is 0.5 or more, to within
+    # rounding, so the cast's truncation floors it; only 255 needs a clamp.
+    np.minimum(planes, 255.0, out=planes)
+    chroma = planes.astype(np.uint8)
+    chroma.flags.writeable = False
+    return ChromaImage(chroma)
 
 
 def band_boundaries(height: int) -> tuple[int, int]:
@@ -272,11 +279,12 @@ def band_boundaries(height: int) -> tuple[int, int]:
     return head_end, torso_end
 
 
-def decompose_regions(image: YCbCrImage) -> BodyRegions:
+def decompose_regions(image: ChromaImage) -> BodyRegions:
     """Split a normalized frame into head, torso, and leg bands."""
-    head_end, torso_end = band_boundaries(image.height)
+    planes = image.planes
+    head_end, torso_end = band_boundaries(planes.shape[1])
     return BodyRegions(
-        head=YCbCrImage(image.planes[:head_end]),
-        torso=YCbCrImage(image.planes[head_end:torso_end]),
-        legs=YCbCrImage(image.planes[torso_end:]),
+        head=ChromaImage(planes[:, :head_end]),
+        torso=ChromaImage(planes[:, head_end:torso_end]),
+        legs=ChromaImage(planes[:, torso_end:]),
     )

@@ -10,6 +10,7 @@ import numpy as np
 from enexmatch import (
     FEATURE_IDS,
     BuildFeature,
+    ChromaImage,
     ClassBlock,
     ClothingHistogram,
     ComplexionFeature,
@@ -18,7 +19,6 @@ from enexmatch import (
     HeightFeature,
     Image,
     SilhouetteMask,
-    YCbCrImage,
 )
 from enexmatch.gallery import MAGIC
 
@@ -27,8 +27,8 @@ def random_image(rng: np.random.Generator, height: int = 128, width: int = 64) -
     return Image(rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8))
 
 
-def random_ycbcr(rng: np.random.Generator, height: int = 128, width: int = 64) -> YCbCrImage:
-    return YCbCrImage(rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8))
+def random_chroma(rng: np.random.Generator, height: int = 128, width: int = 64) -> ChromaImage:
+    return ChromaImage(rng.integers(0, 256, size=(2, height, width), dtype=np.uint8))
 
 
 def random_mask(

@@ -36,7 +36,7 @@ from helpers import (
     enrolled_gallery,
     random_bundle,
     random_mask,
-    random_ycbcr,
+    random_chroma,
 )
 
 MODERATE_NOISE = dict(
@@ -70,15 +70,15 @@ class TestCriterion1:
 
         # Clothing histogram against a per-pixel counting loop.
         for trial in range(50):
-            regions = decompose_regions(random_ycbcr(rng, 128, 64))
+            regions = decompose_regions(random_chroma(rng, 128, 64))
             expected = []
             for region in (regions.torso, regions.legs):
-                for channel in (1, 2):
+                for plane in region.planes:
                     counts = [0] * 24
                     total = 0
-                    for row in region.planes:
-                        for pixel in row:
-                            counts[int(pixel[channel]) * 24 // 256] += 1
+                    for row in plane:
+                        for value in row:
+                            counts[int(value) * 24 // 256] += 1
                             total += 1
                     expected.extend(c / total if total else 0.0 for c in counts)
             got = clothing_histogram(regions).values

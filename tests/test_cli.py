@@ -264,9 +264,10 @@ class TestEnroll:
         )
         err = capsys.readouterr().err
         assert code == 1
-        # A metric below 1 is refused as the manifest is read, by its line;
-        # the other rows when their sample is built, by image.
-        where = f"{manifest} line 2" if value == "0" else row[header.index("image")]
+        # A metric below 1, or a box taller than its entrance, is refused as
+        # the manifest is read, by its line; a mask of another size when its
+        # sample is built, by image.
+        where = row[header.index("image")] if column == "mask" else f"{manifest} line 2"
         assert err.startswith("error:") and where in err
         assert "Traceback" not in err
 

@@ -208,6 +208,20 @@ class TestManifestIO:
         with pytest.raises(ManifestError, match=f"line 2: {column} must be at least 1"):
             read_manifest(path)
 
+    def test_box_taller_than_its_entrance(self, tmp_path):
+        # Refused by line as the manifest is read, before any image of an
+        # earlier row is decoded; a box as tall as its entrance is kept.
+        path = tmp_path / "manifest.csv"
+        path.write_text(
+            "label,role,image,mask,bbox_height,bbox_width,"
+            "entrance_ref_height,camera_id,view\n"
+            "s000,gallery,images/a.ppm,,200,,200,c1,front\n"
+            "s001,gallery,images/b.ppm,,201,,200,c1,front\n"
+        )
+        message = f"{path} line 3: bbox_height 201 exceeds entrance_ref_height 200"
+        with pytest.raises(ManifestError, match=re.escape(message)):
+            read_manifest(path)
+
     def test_missing_image_fails_at_load(self, tmp_path):
         entry = ManifestEntry(label="s001", role="probe", image="images/gone.ppm")
         with pytest.raises(ManifestError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from enexmatch import (
     BodyRegions,
     BuildFeature,
+    ChromaImage,
     ClothingHistogram,
     ComplexionFeature,
     FeatureBundle,
@@ -13,7 +15,6 @@ from enexmatch import (
     Image,
     SilhouetteMask,
     SubjectSample,
-    YCbCrImage,
     build_ratio,
     clothing_histogram,
     complexion,
@@ -25,19 +26,19 @@ from enexmatch import (
     vertical_projection,
 )
 from enexmatch.features import BUILD_THRESHOLD
-from helpers import held_traits, random_bundle, random_image, random_mask, random_ycbcr
+from helpers import held_traits, random_bundle, random_chroma, random_image, random_mask
 
 
 def histogram_reference(regions: BodyRegions) -> np.ndarray:
     """Count pixels one at a time, the way the histogram is defined."""
     out = []
     for region in (regions.torso, regions.legs):
-        for channel in (1, 2):
+        for plane in region.planes:
             counts = [0] * 24
             total = 0
-            for row in region.planes:
-                for pixel in row:
-                    counts[int(pixel[channel]) * 24 // 256] += 1
+            for row in plane:
+                for value in row:
+                    counts[int(value) * 24 // 256] += 1
                     total += 1
             if total:
                 out.extend(c / total for c in counts)
@@ -46,44 +47,74 @@ def histogram_reference(regions: BodyRegions) -> np.ndarray:
     return np.array(out)
 
 
+def per_block_histogram(regions: BodyRegions) -> np.ndarray:
+    """Frozen copy of the histogram as one bincount per block, each divided
+    by its band's pixel count."""
+
+    def block(values):
+        values = values.ravel()
+        if values.size == 0:
+            return np.zeros(24, dtype=np.float64)
+        idx = values.astype(np.int64) * 24 // 256
+        counts = np.bincount(idx, minlength=24).astype(np.float64)
+        return counts / values.size
+
+    torso, legs = regions.torso.planes, regions.legs.planes
+    return np.concatenate([block(torso[0]), block(torso[1]), block(legs[0]), block(legs[1])])
+
+
 class TestClothingHistogram:
     def test_matches_counting_reference(self):
         rng = np.random.default_rng(50)
-        regions = decompose_regions(random_ycbcr(rng))
+        regions = decompose_regions(random_chroma(rng))
         hist = clothing_histogram(regions)
         assert np.array_equal(hist.values, histogram_reference(regions))
 
     def test_shape_and_block_sums(self):
         rng = np.random.default_rng(51)
-        hist = clothing_histogram(decompose_regions(random_ycbcr(rng)))
+        hist = clothing_histogram(decompose_regions(random_chroma(rng)))
         assert hist.values.shape == (96,)
         sums = hist.values.reshape(4, 24).sum(axis=1)
         assert sums == pytest.approx([1.0, 1.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("value,bin_index", [(0, 0), (128, 12), (200, 18), (255, 23)])
     def test_bin_placement(self, value, bin_index):
-        planes = np.full((128, 64, 3), value, dtype=np.uint8)
-        hist = clothing_histogram(decompose_regions(YCbCrImage(planes)))
+        planes = np.full((2, 128, 64), value, dtype=np.uint8)
+        hist = clothing_histogram(decompose_regions(ChromaImage(planes)))
         for block in hist.values.reshape(4, 24):
             assert block[bin_index] == 1.0
             assert block.sum() == 1.0
 
     def test_mirror_invariance(self):
         rng = np.random.default_rng(52)
-        image = random_ycbcr(rng)
-        mirrored = YCbCrImage(image.planes[:, ::-1].copy())
+        image = random_chroma(rng)
+        mirrored = ChromaImage(image.planes[:, :, ::-1].copy())
         a = clothing_histogram(decompose_regions(image))
         b = clothing_histogram(decompose_regions(mirrored))
         assert np.array_equal(a.values, b.values)
 
     def test_empty_band_gives_zero_block(self):
         rng = np.random.default_rng(53)
-        image = random_ycbcr(rng, 12, 8)
-        empty = YCbCrImage(image.planes[:0])
+        image = random_chroma(rng, 12, 8)
+        empty = ChromaImage(image.planes[:, :0])
         regions = BodyRegions(head=empty, torso=empty, legs=image)
         hist = clothing_histogram(regions)
         assert np.all(hist.values[:48] == 0.0)
         assert hist.values[48:].reshape(2, 24).sum(axis=1) == pytest.approx([1.0, 1.0])
+        assert np.array_equal(hist.values, per_block_histogram(regions))
+
+    def test_one_bincount_matches_the_per_block_histogram(self):
+        # Seeded frames of every band layout from 3 to 130 rows, some with
+        # only a few distinct values, so bins both fill and stay empty.
+        rng = np.random.default_rng(54)
+        for trial in range(200):
+            height = 3 + trial % 128
+            image = random_chroma(rng, height, int(rng.integers(1, 80)))
+            if trial % 3 == 0:
+                image = ChromaImage(image.planes // 64 * 64)
+            regions = decompose_regions(image)
+            hist = clothing_histogram(regions)
+            assert np.array_equal(hist.values, per_block_histogram(regions))
 
     def test_rejects_denormalized_values(self):
         with pytest.raises(ValueError):
@@ -169,10 +200,10 @@ class TestProjectionAndBuild:
 
 class TestComplexion:
     def test_detects_inside_box(self):
-        planes = np.zeros((2, 2, 3), dtype=np.uint8)
-        planes[..., 1] = 100
-        planes[..., 2] = 150
-        mask = skin_mask(YCbCrImage(planes))
+        planes = np.zeros((2, 2, 2), dtype=np.uint8)
+        planes[0] = 100
+        planes[1] = 150
+        mask = skin_mask(ChromaImage(planes))
         assert mask.bits.all()
 
     @pytest.mark.parametrize(
@@ -187,15 +218,14 @@ class TestComplexion:
         ],
     )
     def test_box_bounds_inclusive(self, cb, cr, inside):
-        planes = np.zeros((1, 1, 3), dtype=np.uint8)
-        planes[0, 0] = (90, cb, cr)
-        assert skin_mask(YCbCrImage(planes)).bits[0, 0] == inside
+        planes = np.array([cb, cr], dtype=np.uint8).reshape(2, 1, 1)
+        assert skin_mask(ChromaImage(planes)).bits[0, 0] == inside
 
     def test_means_inside_box_when_valid(self):
         rng = np.random.default_rng(70)
         found_valid = 0
         for _ in range(50):
-            region = random_ycbcr(rng, 8, 8)
+            region = random_chroma(rng, 8, 8)
             feature = complexion(region)
             if feature.valid:
                 found_valid += 1
@@ -204,18 +234,17 @@ class TestComplexion:
         assert found_valid > 0
 
     def test_no_skin_is_invalid(self):
-        planes = np.zeros((4, 4, 3), dtype=np.uint8)
-        planes[..., 1] = 110
-        planes[..., 2] = 100
-        feature = complexion(YCbCrImage(planes))
+        planes = np.zeros((2, 4, 4), dtype=np.uint8)
+        planes[0] = 110
+        planes[1] = 100
+        feature = complexion(ChromaImage(planes))
         assert not feature.valid
         assert math.isnan(feature.means[0])
 
     def test_mean_over_skin_pixels_only(self):
-        planes = np.zeros((1, 2, 3), dtype=np.uint8)
-        planes[0, 0] = (90, 100, 150)
-        planes[0, 1] = (90, 0, 0)
-        feature = complexion(YCbCrImage(planes))
+        planes = np.zeros((2, 1, 2), dtype=np.uint8)
+        planes[:, 0, 0] = (100, 150)
+        feature = complexion(ChromaImage(planes))
         assert feature.valid
         assert (feature.means[0], feature.means[1]) == (100.0, 150.0)
 
@@ -269,6 +298,20 @@ class TestExtractBundle:
                 image=random_image(rng, 16, 16),
                 mask=SilhouetteMask(np.ones((8, 8), dtype=np.bool_)),
             )
+
+    def test_a_resized_frame_makes_no_full_size_float_temporaries(self):
+        # Full-size temporaries made enroll jobs page-fault; the float64
+        # chain that resized through per-pixel float weights and converted
+        # all three YCbCr planes peaked at 651 KiB on this frame.
+        sample = SubjectSample(image=random_image(np.random.default_rng(87), 256, 128))
+        extract_bundle(sample)
+        tracemalloc.start()
+        try:
+            extract_bundle(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.7 * 651 * 1024
 
     def test_normalization_makes_input_size_irrelevant(self):
         pixels = np.full((128, 64, 3), 90, dtype=np.uint8)

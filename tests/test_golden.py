@@ -17,7 +17,9 @@ older layouts stored.
 
 The resize digests pin frames that go through ``normalize_size``'s
 resampling (256x128 down to 128x64, two cameras); they were taken from
-the per-frame index-and-weight resampler that preceded the planned one.
+the per-frame index-and-weight resampler that preceded the planned one,
+and now also pin the exact integer resampler that replaced the float64
+one, and the chroma-only conversion.
 """
 
 import hashlib
