@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 from pathlib import Path
@@ -72,11 +71,6 @@ def _usage(message: str) -> int:
     return EXIT_USAGE
 
 
-def _bad_epsilon(epsilon: float | None) -> bool:
-    """True for a ridge that was given but is not a finite positive number."""
-    return epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0)
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     try:
         fields = {name: getattr(args, name) for _, name, _ in _GENERATE_OPTIONS}
@@ -97,15 +91,13 @@ def cmd_enroll(args: argparse.Namespace) -> int:
     if not args.snapshot:
         return _usage(f"snapshot path required (--snapshot or {SNAPSHOT_ENV})")
     snapshot = Path(args.snapshot)
-    if _bad_epsilon(args.epsilon):
-        return _usage("--epsilon must be finite and positive")
     gallery_map = gallery_bundles(args.manifest)
     if not gallery_map:
         raise ManifestError("manifest has no gallery rows")
     gallery = Gallery.load(snapshot) if snapshot.exists() else Gallery()
     for label, bundles in gallery_map.items():
         gallery = gallery.enroll(label, bundles)
-    gallery = gallery.fit(args.epsilon)
+    gallery = gallery.fit()
     gallery.save(snapshot)
     print(
         f"enrolled {len(gallery_map)} classes (gallery now holds {gallery.n}), "
@@ -159,8 +151,6 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if _bad_epsilon(args.epsilon):
-        return _usage("--epsilon must be finite and positive")
     try:
         ks = tuple(int(tok) for tok in args.ranks.split(","))
     except ValueError:
@@ -178,7 +168,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     gallery_map, probes = ingest(args.manifest)
     if not probes:
         raise ManifestError("manifest has no probe rows")
-    result = evaluate(gallery_map, probes, epsilon=args.epsilon, ks=ks, features=features)
+    result = evaluate(gallery_map, probes, ks=ks, features=features)
     name = ",".join(features) if features else "all-features"
     print(emit_report([(name, result.rank_accuracy)], ks), end="")
     if args.cmc_csv:
@@ -206,13 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.environ.get(SNAPSHOT_ENV),
         help=f"snapshot file (default: ${SNAPSHOT_ENV})",
     )
-    epsilon_opt = argparse.ArgumentParser(add_help=False)
-    epsilon_opt.add_argument(
-        "--epsilon",
-        type=float,
-        default=None,
-        help="ridge added to the within-class scatter (default: scale-aware)",
-    )
 
     p = sub.add_parser("generate", help="write a synthetic dataset", formatter_class=fmt)
     p.add_argument("--subjects", type=int, required=True, help="number of subjects")
@@ -233,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         "enroll",
         help="extract gallery features into a snapshot",
         formatter_class=fmt,
-        parents=[snapshot_opt, epsilon_opt],
+        parents=[snapshot_opt],
     )
     p.add_argument("--manifest", required=True, help="dataset manifest CSV")
     p.set_defaults(func=cmd_enroll)
@@ -256,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluate",
         help="closed-set protocol with a matching-rate table",
         formatter_class=fmt,
-        parents=[epsilon_opt],
     )
     p.add_argument("--manifest", required=True, help="dataset manifest CSV")
     p.add_argument("--ranks", default="1,5,10", help="comma-separated ranks to tabulate")

@@ -79,16 +79,6 @@ def _check_finite(classes: ClassBlock) -> None:
 
 
 @dataclass(frozen=True)
-class ScatterStatistics:
-    """Within and between scatter plus the means they were built from."""
-
-    within: np.ndarray
-    between: np.ndarray
-    class_means: np.ndarray
-    grand_mean: np.ndarray
-
-
-@dataclass(frozen=True)
 class FeatureTransform:
     """Learned projection for one feature.
 
@@ -204,22 +194,13 @@ def _within_terms(
             terms[indices[lo:hi] - start] = np.matmul(block.transpose(0, 2, 1), block)
 
 
-def within_scatter(classes: ClassBlock) -> np.ndarray:
-    """Sum of each class's scatter around its own mean."""
-    means, groups = _centered_groups(classes)
-    return _sum_in_order(*means.shape, partial(_within_terms, groups))
-
-
-def between_scatter(classes: ClassBlock) -> np.ndarray:
-    """Scatter of class means around the pooled mean, sample-count weighted."""
-    return scatter_statistics(classes).between
-
-
-def scatter_statistics(classes: ClassBlock) -> ScatterStatistics:
+def scatter_statistics(classes: ClassBlock) -> tuple[np.ndarray, np.ndarray]:
     """Within and between scatter of a block of at least two classes.
 
-    Each scatter is summed class by class in enrollment order, as a loop
-    of ``+=`` would.
+    Within is the sum of each class's scatter around its own mean; between
+    is the scatter of the class means around the pooled mean, weighted by
+    row count. Each is summed class by class in enrollment order, as a
+    loop of ``+=`` would.
     """
     if len(classes) < 2:
         raise DegenerateProblemError("scatter statistics need at least two classes")
@@ -237,9 +218,7 @@ def scatter_statistics(classes: ClassBlock) -> ScatterStatistics:
         terms *= counts[start:stop, None, None]
 
     between = _sum_in_order(*means.shape, between_terms)
-    return ScatterStatistics(
-        within=within, between=between, class_means=means, grand_mean=grand
-    )
+    return within, between
 
 
 def default_ridge(within: np.ndarray) -> float:
@@ -248,38 +227,40 @@ def default_ridge(within: np.ndarray) -> float:
     return max(RIDGE_FACTOR * float(np.trace(within)) / dim, RIDGE_FLOOR)
 
 
-def fit_transform(
-    classes: ClassBlock,
-    epsilon: float | None = None,
-    feature_id: str = "feature",
-) -> FeatureTransform:
+def fit_transform(classes: ClassBlock, feature_id: str = "feature") -> FeatureTransform:
     """Fit the separation-maximizing transform for one feature.
 
-    Directions solve the eigenproblem of inv(within + epsilon*I) @ between
-    through a Cholesky whitening of the regularized within scatter, which
-    keeps the computation symmetric and stable. All directions whose
-    eigenvalue exceeds a small fraction of the strongest are retained.
+    Directions solve the eigenproblem of inv(within + ridge*I) @ between,
+    with the ridge from ``default_ridge``, through a Cholesky whitening
+    of the regularized within scatter, which keeps the computation
+    symmetric and stable. All directions whose eigenvalue exceeds a small
+    fraction of the strongest are retained.
     """
     if len(classes) < 2:
         raise DegenerateProblemError("fitting needs at least two classes")
-    if epsilon is not None and not (np.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
-    stats = scatter_statistics(classes)
-    within, between = stats.within, stats.between
-    if epsilon is None:
-        epsilon = default_ridge(within)
+    # Finite rows can still square past float64; that is reported below,
+    # not warned about here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        within, between = scatter_statistics(classes)
+        total = float(np.trace(within)) + float(np.trace(between))
+    if not (np.isfinite(total) and np.isfinite(within).all() and np.isfinite(between).all()):
+        raise NonFiniteInputError(f"{feature_id}: scatter overflows float64")
+    ridge = default_ridge(within)
 
     dim = within.shape[0]
-    regularized = within + epsilon * np.eye(dim)
+    regularized = within + ridge * np.eye(dim)
     try:
         chol = np.linalg.cholesky(regularized)
     except np.linalg.LinAlgError:
         raise DegenerateProblemError(
-            f"{feature_id}: within scatter plus ridge {epsilon!r} is not positive "
-            "definite; use a larger epsilon"
+            f"{feature_id}: within scatter plus ridge {ridge!r} is not positive definite"
         ) from None
     half = np.linalg.solve(chol, between)
     whitened = np.linalg.solve(chol, half.T).T
+    # A finite between scatter over a near-zero within scatter can still
+    # whiten past float64; LAPACK returns inf or nan for it, without a warning.
+    if not np.isfinite(whitened).all():
+        raise NonFiniteInputError(f"{feature_id}: whitened scatter overflows float64")
     whitened = (whitened + whitened.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(whitened)
     order = np.argsort(eigvals)[::-1]
@@ -292,15 +273,13 @@ def fit_transform(
     flip = vectors[strongest, np.arange(vectors.shape[1])] < 0
     vectors[:, flip] = -vectors[:, flip]
 
-    discriminative = float(np.trace(between)) > EIGENVALUE_CUTOFF * (
-        float(np.trace(within)) + float(np.trace(between))
-    )
+    discriminative = float(np.trace(between)) > EIGENVALUE_CUTOFF * total
     if not discriminative:
         return FeatureTransform(
             feature_id=feature_id,
             matrix=np.ascontiguousarray(vectors[:, :1]),
             eigenvalues=np.zeros(1, dtype=np.float64),
-            regularization=float(epsilon),
+            regularization=ridge,
             discriminative=False,
         )
     keep = eigvals > EIGENVALUE_CUTOFF * eigvals[0]
@@ -310,7 +289,7 @@ def fit_transform(
         feature_id=feature_id,
         matrix=np.ascontiguousarray(matrix),
         eigenvalues=eigvals[keep].copy(),
-        regularization=float(epsilon),
+        regularization=ridge,
         discriminative=True,
     )
 

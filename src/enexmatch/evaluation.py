@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -68,10 +69,27 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Parsed manifest; file paths are relative to ``root``."""
+    """Parsed manifest; file paths are relative to ``root``.
+
+    Cameras pair up row by row in file order, so every camera must give
+    a label the same number of rows of a role. Construction checks that
+    before any image is read.
+    """
 
     root: Path
     entries: tuple[ManifestEntry, ...]
+
+    def __post_init__(self) -> None:
+        rows: dict[tuple[str, str], Counter[str]] = {}
+        for e in self.entries:
+            rows.setdefault((e.label, e.role), Counter())[e.camera_id] += 1
+        for (label, role), per_camera in rows.items():
+            if len(set(per_camera.values())) != 1:
+                counts = ", ".join(f"{cid} {n}" for cid, n in sorted(per_camera.items()))
+                raise ManifestError(
+                    f"label {label!r} ({role}): cameras disagree on observation count "
+                    f"({counts})"
+                )
 
 
 _DIGITS = re.compile(r"[0-9]+")
@@ -186,33 +204,20 @@ def load_sample(entry: ManifestEntry, root: str | Path) -> SubjectSample:
 def _observations(manifest: DatasetManifest, role: str) -> list[FeatureBundle]:
     """Extract one fused bundle per observation of the given role.
 
-    Rows are grouped by label and camera; cameras pair up row-by-row in
-    file order, so every camera must contribute the same number of rows
-    for a label.
+    Rows are grouped by label, in first-seen order, and by camera; the
+    cameras' rows pair up in file order.
     """
     grouped: dict[str, dict[str, list[ManifestEntry]]] = {}
-    order: list[str] = []
     for entry in manifest.entries:
-        if entry.role != role:
-            continue
-        if entry.label not in grouped:
-            grouped[entry.label] = {}
-            order.append(entry.label)
-        grouped[entry.label].setdefault(entry.camera_id, []).append(entry)
+        if entry.role == role:
+            grouped.setdefault(entry.label, {}).setdefault(entry.camera_id, []).append(entry)
     bundles = []
-    for label in order:
-        per_camera = grouped[label]
-        counts = {len(v) for v in per_camera.values()}
-        if len(counts) != 1:
-            raise ManifestError(
-                f"label {label!r} ({role}): cameras disagree on observation count"
-            )
-        count = counts.pop()
+    for label, per_camera in grouped.items():
         cameras = sorted(per_camera)
-        for i in range(count):
+        for rows in zip(*(per_camera[cid] for cid in cameras)):
             extracted = {
-                cid: extract_bundle(load_sample(per_camera[cid][i], manifest.root))
-                for cid in cameras
+                cid: extract_bundle(load_sample(row, manifest.root))
+                for cid, row in zip(cameras, rows)
             }
             bundles.append(fuse_bundles(extracted, label=label))
     return bundles
@@ -293,7 +298,6 @@ class EvaluationResult:
 def evaluate(
     gallery_map: Mapping[str, Sequence[FeatureBundle]],
     probes: Sequence[FeatureBundle],
-    epsilon: float | None = None,
     ks: Sequence[int] = (1, 5, 10),
     features: Sequence[str] | None = None,
 ) -> EvaluationResult:
@@ -309,7 +313,7 @@ def evaluate(
         if features is not None:
             bundles = [b.restrict(features) for b in bundles]
         gallery = gallery.enroll(label, bundles)
-    gallery = gallery.fit(epsilon)
+    gallery = gallery.fit()
     n = gallery.n
     hits = np.zeros(n, dtype=np.int64)
     for probe in probes:

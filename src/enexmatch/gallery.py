@@ -176,7 +176,7 @@ class Gallery:
                 traits[fid] = holders
         return Gallery._build(labels, traits)
 
-    def fit(self, epsilon: float | None = None) -> "Gallery":
+    def fit(self) -> "Gallery":
         """Learn per-feature transforms; the result projects the enrolled samples.
 
         A feature is fitted when at least two classes hold samples of it;
@@ -190,7 +190,7 @@ class Gallery:
             holders = self._traits.get(fid, {})
             if len(holders) >= 2:
                 trait = _pack(holders)
-                transforms[fid] = fit_transform(trait, epsilon, feature_id=fid)
+                transforms[fid] = fit_transform(trait, feature_id=fid)
                 packed[fid] = trait
         # The fitted gallery shares this gallery's label and trait maps; the
         # packed blocks live only until they are projected.

@@ -17,7 +17,6 @@ import numpy as np
 from enexmatch import (
     Gallery,
     SyntheticConfig,
-    between_scatter,
     clothing_histogram,
     decompose_regions,
     emit_report,
@@ -29,7 +28,6 @@ from enexmatch import (
     rank_feature,
     scatter_statistics,
     vertical_projection,
-    within_scatter,
 )
 from helpers import (
     class_block,
@@ -121,8 +119,7 @@ class TestCriterion1:
             for m, mu in zip(counts, means):
                 naive_between += m * np.outer(mu - grand, mu - grand)
             block = class_block(classes)
-            got_within = within_scatter(block)
-            got_between = between_scatter(block)
+            got_within, got_between = scatter_statistics(block)
             if not close(got_within, naive_within, 1e-12):
                 failures.append(f"within-scatter mismatch on trial {trial}")
                 break
@@ -207,31 +204,23 @@ class TestCriterion3:
                     )
                 )
             block = class_block(classes)
-            stats = scatter_statistics(block)
-            scale = max(
-                float(np.abs(stats.within).max()),
-                float(np.abs(stats.between).max()),
-                1.0,
-            )
-            for name, matrix in (("within", stats.within), ("between", stats.between)):
+            within, between = scatter_statistics(block)
+            scale = max(float(np.abs(within).max()), float(np.abs(between).max()), 1.0)
+            for name, matrix in (("within", within), ("between", between)):
                 if not np.allclose(matrix, matrix.T, rtol=0, atol=1e-8 * scale):
                     failures.append(f"seed {seed}: {name} scatter not symmetric")
                 if np.linalg.eigvalsh(matrix).min() < -1e-8 * scale:
                     failures.append(f"seed {seed}: {name} scatter not PSD")
             stacked = np.vstack([samples for _, samples in classes])
-            centered = stacked - stats.grand_mean
+            centered = stacked - stacked.mean(axis=0)
             total = centered.T @ centered
-            if not np.allclose(
-                stats.within + stats.between, total, rtol=1e-8, atol=1e-8 * scale
-            ):
+            if not np.allclose(within + between, total, rtol=1e-8, atol=1e-8 * scale):
                 failures.append(f"seed {seed}: within+between != total")
 
-            baseline = float(np.trace(stats.between)) / float(np.trace(stats.within))
+            baseline = float(np.trace(between)) / float(np.trace(within))
             transform = fit_transform(block)
             w = transform.matrix
-            fitted = float(np.trace(w.T @ stats.between @ w)) / float(
-                np.trace(w.T @ stats.within @ w)
-            )
+            fitted = float(np.trace(w.T @ between @ w)) / float(np.trace(w.T @ within @ w))
             if fitted < baseline:
                 failures.append(
                     f"seed {seed}: fitted ratio {fitted:.6f} < identity {baseline:.6f}"

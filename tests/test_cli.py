@@ -15,6 +15,7 @@ from enexmatch import (
     save_mask,
 )
 from enexmatch import cli
+from enexmatch import discriminant as discriminant_module
 from enexmatch.cli import SNAPSHOT_ENV, main
 from helpers import forged_body, with_body
 
@@ -194,7 +195,8 @@ class TestEnroll:
         assert Gallery.load(path).labels == ("s002", "s003", "s001")
 
     def test_bad_epsilon(self, dataset, tmp_path, capsys):
-        for value in ("-1", "nan", "inf"):
+        # The ridge is derived from the data: no value is an option.
+        for value in ("1e-3", "-1", "nan"):
             code = main(
                 [
                     "enroll",
@@ -204,12 +206,13 @@ class TestEnroll:
                 ]
             )
             assert code == 2, value
-            assert "--epsilon must be finite and positive" in capsys.readouterr().err
+            assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
             assert not (tmp_path / "g.bin").exists()
 
-    def test_ridge_too_small_is_an_error_line(self, tmp_path, capsys):
+    def test_ridge_too_small_is_an_error_line(self, tmp_path, capsys, monkeypatch):
         # Each clothing histogram block sums to 1, so with pixel noise the
-        # within scatter is singular and 1e-20 cannot lift it.
+        # within scatter is singular and a ridge of 1e-20 cannot lift it.
+        monkeypatch.setattr(discriminant_module, "default_ridge", lambda within: 1e-20)
         data = tmp_path / "data"
         generate = ["generate", "--subjects", "6", "--samples", "4", "--metric-samples", "3"]
         assert main(generate + ["--pixel-noise", "3", "--out", str(data)]) == 0
@@ -219,7 +222,7 @@ class TestEnroll:
             ["enroll", "--manifest", manifest, "--snapshot", str(tmp_path / "g.bin")],
             ["evaluate", "--manifest", manifest],
         ):
-            assert main(argv + ["--epsilon", "1e-20"]) == 1
+            assert main(argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: clothing:") and "1e-20" in err
             assert "Traceback" not in err
@@ -545,10 +548,11 @@ class TestEvaluate:
         assert set(parse_report(capsys.readouterr().out)[0][1]) == {1, 2, 3}
 
     def test_non_finite_epsilon_is_usage_error(self, dataset, capsys):
-        for value in ("nan", "inf", "0"):
+        # As for enroll, any --epsilon is refused.
+        for value in ("nan", "inf", "1e-3"):
             argv = ["evaluate", "--manifest", str(dataset / "manifest.csv")]
             assert main(argv + ["--epsilon", value]) == 2, value
-            assert "--epsilon must be finite and positive" in capsys.readouterr().err
+            assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
 
     def test_unknown_feature(self, dataset, capsys):
         code = main(
@@ -615,3 +619,45 @@ class TestEvaluate:
         bad.write_text("label,role\nx,gallery\n")
         assert main(["evaluate", "--manifest", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestManifestMutations:
+    def test_seeded_mutations_exit_zero_or_one(self, tmp_path, capsys):
+        # Flip bytes of a small two-camera manifest, or swap, drop, repeat or
+        # cut its lines; enroll and evaluate then either run or print one
+        # error line, and no exception escapes main.
+        data = tmp_path / "data"
+        generate = ["generate", "--subjects", "3", "--samples", "2", "--metric-samples", "1"]
+        frames = ["--cameras", "2", "--image-height", "64", "--image-width", "32"]
+        assert main(generate + frames + ["--seed", "3", "--out", str(data)]) == 0
+        lines = (data / "manifest.csv").read_bytes().splitlines(keepends=True)
+        rng = np.random.default_rng(380)
+        manifest, snapshot = data / "mutant.csv", tmp_path / "g.bin"
+        codes = {0: 0, 1: 0}
+        for _ in range(100):
+            mutant = list(lines)
+            kind = int(rng.integers(5))
+            i, j = (int(k) for k in rng.integers(len(mutant), size=2))
+            if kind == 0:
+                mutant[i], mutant[j] = mutant[j], mutant[i]
+            elif kind == 1:
+                del mutant[i]
+            elif kind == 2:
+                mutant.insert(j, mutant[i])
+            blob = bytearray(b"".join(mutant))
+            if kind == 3:
+                for pos in rng.integers(len(blob), size=int(rng.integers(1, 4))):
+                    blob[pos] ^= int(rng.integers(1, 256))
+            elif kind == 4:
+                del blob[int(rng.integers(len(blob))) :]
+            manifest.write_bytes(bytes(blob))
+            snapshot.unlink(missing_ok=True)
+            for argv in (
+                ["enroll", "--manifest", str(manifest), "--snapshot", str(snapshot)],
+                ["evaluate", "--manifest", str(manifest)],
+            ):
+                code = main(argv)
+                assert code in codes, (code, argv, bytes(blob))
+                codes[code] += 1
+        capsys.readouterr()
+        assert min(codes.values()) > 20, codes

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from enexmatch import (
+    BuildFeature,
     DegenerateProblemError,
     DimensionMismatchError,
+    FeatureBundle,
     Gallery,
     NonFiniteInputError,
-    between_scatter,
     default_ridge,
     fit_transform,
     project,
     scatter_statistics,
-    within_scatter,
 )
+from enexmatch import discriminant as discriminant_module
 from helpers import class_block, enrolled_gallery, forged_body, random_bundle, with_body
 
 
@@ -55,14 +56,14 @@ class TestScatter:
         rng = np.random.default_rng(100)
         for _ in range(10):
             classes = make_classes(rng)
-            total = within_scatter(class_block(classes))
+            total, _ = scatter_statistics(class_block(classes))
             assert np.allclose(total, within_reference(classes), rtol=1e-12, atol=1e-12)
 
     def test_between_matches_reference(self):
         rng = np.random.default_rng(101)
         for _ in range(10):
             classes = make_classes(rng, count=4)
-            got = between_scatter(class_block(classes))
+            _, got = scatter_statistics(class_block(classes))
             assert np.allclose(got, between_reference(classes), rtol=1e-12, atol=1e-12)
 
     def test_unbalanced_counts_weighted_by_size(self):
@@ -71,14 +72,13 @@ class TestScatter:
             ("a", rng.normal(0, 1, (2, 3))),
             ("b", rng.normal(3, 1, (9, 3))),
         ]
-        got = between_scatter(class_block(classes))
+        _, got = scatter_statistics(class_block(classes))
         assert np.allclose(got, between_reference(classes), rtol=1e-12, atol=1e-12)
 
     def test_symmetric_and_psd(self):
         rng = np.random.default_rng(103)
         for _ in range(5):
-            stats = scatter_statistics(class_block(make_classes(rng)))
-            for matrix in (stats.within, stats.between):
+            for matrix in scatter_statistics(class_block(make_classes(rng))):
                 scale = max(float(np.abs(matrix).max()), 1.0)
                 assert np.allclose(matrix, matrix.T, rtol=0, atol=1e-12 * scale)
                 assert np.linalg.eigvalsh(matrix).min() > -1e-10 * scale
@@ -87,11 +87,11 @@ class TestScatter:
         rng = np.random.default_rng(104)
         for _ in range(5):
             classes = make_classes(rng)
-            stats = scatter_statistics(class_block(classes))
+            within, between = scatter_statistics(class_block(classes))
             stacked = np.vstack([samples for _, samples in classes])
-            centered = stacked - stats.grand_mean
+            centered = stacked - stacked.mean(axis=0)
             total = centered.T @ centered
-            assert np.allclose(stats.within + stats.between, total, rtol=1e-8)
+            assert np.allclose(within + between, total, rtol=1e-8)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(105)
@@ -100,59 +100,51 @@ class TestScatter:
         ]
         shift = np.array([7.0, -3.0, 11.0, 0.0, 2.0])
         moved = class_block([(label, samples + shift) for label, samples in base])
-        base = class_block(base)
-        w0 = within_scatter(base)
-        w1 = within_scatter(moved)
-        assert np.array_equal(w0, w1)
-        assert np.array_equal(between_scatter(base), between_scatter(moved))
+        for got, want in zip(scatter_statistics(class_block(base)), scatter_statistics(moved)):
+            assert np.array_equal(got, want)
 
     def test_single_sample_classes_have_zero_within(self):
         classes = [
             ("a", np.array([[1.0, 2.0]])),
             ("b", np.array([[5.0, 0.0]])),
         ]
-        total = within_scatter(class_block(classes))
+        total, _ = scatter_statistics(class_block(classes))
         assert np.all(total == 0.0)
 
     def test_non_finite_rejected(self):
         bad = np.ones((2, 3))
         bad[0, 0] = np.nan
         with pytest.raises(NonFiniteInputError):
-            within_scatter(class_block([("a", bad), ("b", np.ones((2, 3)))]))
+            scatter_statistics(class_block([("a", bad), ("b", np.ones((2, 3)))]))
 
     def test_between_needs_two_classes(self):
         with pytest.raises(DegenerateProblemError):
-            between_scatter(class_block([("a", np.ones((3, 2)))]))
-
-
-def frozen_within(classes):
-    """The per-class loop ``within_scatter`` used to run, over (label, samples) pairs."""
-    dim = classes[0][1].shape[1]
-    total = np.zeros((dim, dim), dtype=np.float64)
-    for _, samples in classes:
-        centered = samples.astype(np.float64) - samples.mean(axis=0)
-        total += centered.T @ centered
-    return total
+            scatter_statistics(class_block([("a", np.ones((3, 2)))]))
 
 
 def frozen_statistics(classes):
-    """The per-class loops of the former ``scatter_statistics``."""
-    within = frozen_within(classes)
+    """Within and between scatter by the per-class loops ``scatter_statistics``
+    replaced, over (label, samples) pairs."""
+    dim = classes[0][1].shape[1]
+    within = np.zeros((dim, dim), dtype=np.float64)
+    for _, samples in classes:
+        centered = samples.astype(np.float64) - samples.mean(axis=0)
+        within += centered.T @ centered
     counts = np.array([len(samples) for _, samples in classes], dtype=np.float64)
     means = np.stack([samples.mean(axis=0) for _, samples in classes])
     grand = (counts[:, None] * means).sum(axis=0) / counts.sum()
     between = np.zeros_like(within)
     for m, diff in zip(counts, means - grand):
         between += m * np.outer(diff, diff)
-    return within, between, means, grand
+    return within, between
 
 
 def frozen_fit(classes):
     """The former ``fit_transform`` with the default ridge, on the frozen loops."""
-    within, between, _, _ = frozen_statistics(classes)
+    within, between = frozen_statistics(classes)
     dim = within.shape[0]
-    epsilon = default_ridge(within)
-    chol = np.linalg.cholesky(within + epsilon * np.eye(dim))
+    ridge = default_ridge(within)
+    chol = np.linalg.cholesky(within + ridge * np.eye(dim))
     half = np.linalg.solve(chol, between)
     whitened = np.linalg.solve(chol, half.T).T
     whitened = (whitened + whitened.T) / 2.0
@@ -169,10 +161,10 @@ def frozen_fit(classes):
         float(np.trace(within)) + float(np.trace(between))
     )
     if not discriminative:
-        return vectors[:, :1], np.zeros(1), epsilon, False
+        return vectors[:, :1], np.zeros(1), ridge, False
     keep = eigvals > 1e-12 * eigvals[0]
     keep[0] = True
-    return vectors[:, keep] * eigvals[keep], eigvals[keep], epsilon, True
+    return vectors[:, keep] * eigvals[keep], eigvals[keep], ridge, True
 
 
 def mixed_classes(rng, n_classes, dim):
@@ -212,25 +204,19 @@ class TestFrozenLoopOracle:
         rng = np.random.default_rng(130 + dim + n_classes)
         for _ in range(3):
             classes = mixed_classes(rng, n_classes, dim)
-            within, between, means, grand = frozen_statistics(classes)
-            block = class_block(classes)
-            stats = scatter_statistics(block)
-            assert same_bytes(stats.within, within)
-            assert same_bytes(stats.between, between)
-            assert same_bytes(stats.class_means, means)
-            assert same_bytes(stats.grand_mean, grand)
-            assert same_bytes(between_scatter(block), between)
-            assert same_bytes(within_scatter(block), frozen_within(classes))
+            got = scatter_statistics(class_block(classes))
+            for got_scatter, want in zip(got, frozen_statistics(classes), strict=True):
+                assert same_bytes(got_scatter, want)
 
     @pytest.mark.parametrize("dim, n_classes", CASES)
     def test_transform_is_byte_identical(self, dim, n_classes):
         rng = np.random.default_rng(140 + dim + n_classes)
         classes = mixed_classes(rng, n_classes, dim)
-        matrix, eigenvalues, epsilon, discriminative = frozen_fit(classes)
+        matrix, eigenvalues, ridge, discriminative = frozen_fit(classes)
         transform = fit_transform(class_block(classes))
         assert same_bytes(transform.matrix, matrix)
         assert same_bytes(transform.eigenvalues, eigenvalues)
-        assert transform.regularization == epsilon
+        assert transform.regularization == ridge
         assert transform.discriminative == discriminative
 
     def test_long_one_dimensional_classes(self):
@@ -240,13 +226,9 @@ class TestFrozenLoopOracle:
             (f"c{i}", rng.normal(0, 10.0 ** rng.uniform(-3, 3), (int(k), 1)))
             for i, k in enumerate(rng.integers(8, 41, size=40))
         ]
-        within, between, means, grand = frozen_statistics(classes)
-        stats = scatter_statistics(class_block(classes))
-        for got, want in zip(
-            (stats.within, stats.between, stats.class_means, stats.grand_mean),
-            (within, between, means, grand),
-        ):
-            assert same_bytes(got, want)
+        got = scatter_statistics(class_block(classes))
+        for got_scatter, want in zip(got, frozen_statistics(classes), strict=True):
+            assert same_bytes(got_scatter, want)
 
     def test_all_integer_samples(self):
         rng = np.random.default_rng(151)
@@ -255,12 +237,9 @@ class TestFrozenLoopOracle:
                 (f"c{i}", rng.integers(0, 1000, size=(int(k), dim)))
                 for i, k in enumerate(rng.integers(1, 21, size=20))
             ]
-            within, between, means, grand = frozen_statistics(classes)
-            stats = scatter_statistics(class_block(classes))
-            assert same_bytes(stats.within, within)
-            assert same_bytes(stats.between, between)
-            assert same_bytes(stats.class_means, means)
-            assert same_bytes(stats.grand_mean, grand)
+            got = scatter_statistics(class_block(classes))
+            for got_scatter, want in zip(got, frozen_statistics(classes), strict=True):
+                assert same_bytes(got_scatter, want)
 
     def test_first_bad_class_in_enrollment_order_is_named(self):
         # c3 and c5 are non-finite and sit in different size groups.
@@ -298,11 +277,11 @@ class TestGalleryBlockPath:
                 for label in gallery.labels
                 if (samples := gallery.feature_samples(label, fid)) is not None
             ]
-            matrix, eigenvalues, epsilon, discriminative = frozen_fit(classes)
+            matrix, eigenvalues, ridge, discriminative = frozen_fit(classes)
             assert same_bytes(transform.matrix, matrix)
             assert same_bytes(transform.eigenvalues, eigenvalues)
             assert (transform.regularization, transform.discriminative) == (
-                epsilon,
+                ridge,
                 discriminative,
             )
         return fitted
@@ -339,15 +318,17 @@ class TestGalleryBlockPath:
 
 class TestFitTransform:
     def test_scalar_case_matches_closed_form(self):
-        # 1-D: within 0.01, between 1.0, so the fitted scale is near 100.
+        # 1-D: within 0.01, between 1.0 and a ridge of 1e-6 * 0.01, so the
+        # fitted scale is 1 / (0.01 + 1e-8).
         classes = [
             ("a", np.array([[-0.55], [-0.45]])),
             ("b", np.array([[0.45], [0.55]])),
         ]
-        transform = fit_transform(class_block(classes), epsilon=1e-9)
+        transform = fit_transform(class_block(classes))
+        assert transform.regularization == pytest.approx(1e-8, rel=1e-9)
         assert transform.matrix.shape == (1, 1)
-        assert transform.matrix[0, 0] == pytest.approx(100.0, rel=1e-6)
-        assert transform.eigenvalues[0] == pytest.approx(100.0, rel=1e-6)
+        assert transform.matrix[0, 0] == pytest.approx(1 / (0.01 + 1e-8), rel=1e-9)
+        assert transform.eigenvalues[0] == pytest.approx(1 / (0.01 + 1e-8), rel=1e-9)
         assert transform.discriminative
 
     def test_eigenvalues_sorted_descending(self):
@@ -386,12 +367,12 @@ class TestFitTransform:
         rng = np.random.default_rng(113)
         for _ in range(10):
             classes = class_block(make_classes(rng, n_classes=3, dim=6, spread=1.5))
-            stats = scatter_statistics(classes)
-            baseline = np.trace(stats.between) / np.trace(stats.within)
+            within, between = scatter_statistics(classes)
+            baseline = np.trace(between) / np.trace(within)
             transform = fit_transform(classes)
             w = transform.matrix
-            projected_between = float(np.trace(w.T @ stats.between @ w))
-            projected_within = float(np.trace(w.T @ stats.within @ w))
+            projected_between = float(np.trace(w.T @ between @ w))
+            projected_within = float(np.trace(w.T @ within @ w))
             ratio = projected_between / projected_within
             assert ratio >= baseline * (1.0 - 1e-8)
 
@@ -401,7 +382,7 @@ class TestFitTransform:
         assert small == 1e-9
         assert large == pytest.approx(1e-4)
 
-    def test_epsilon_choice_does_not_reorder_scalar_projections(self):
+    def test_epsilon_choice_does_not_reorder_scalar_projections(self, monkeypatch):
         classes = [
             ("a", np.array([[0.0], [0.2]])),
             ("b", np.array([[1.0], [1.2]])),
@@ -409,8 +390,10 @@ class TestFitTransform:
         ]
         probes = np.array([0.1, 0.9, 2.5, 1.7])
         orders = []
-        for epsilon in (1e-9, 1e-6, 1e-3):
-            transform = fit_transform(class_block(classes), epsilon=epsilon)
+        for ridge in (1e-9, 1e-6, 1e-3):
+            monkeypatch.setattr(discriminant_module, "default_ridge", lambda within: ridge)
+            transform = fit_transform(class_block(classes))
+            assert transform.regularization == ridge
             values = [project(transform, np.array([p]))[0] for p in probes]
             orders.append(np.argsort(values).tolist())
         assert orders[0] == orders[1] == orders[2]
@@ -419,34 +402,46 @@ class TestFitTransform:
         with pytest.raises(DegenerateProblemError):
             fit_transform(class_block([("a", np.ones((4, 2)))]))
 
-    def test_rejects_bad_epsilon(self):
-        rng = np.random.default_rng(114)
-        classes = class_block(make_classes(rng))
-        for epsilon in (0.0, -1e-3):
-            with pytest.raises(ValueError):
-                fit_transform(classes, epsilon=epsilon)
-
-    def test_ridge_too_small_for_a_singular_within_scatter(self):
+    def test_ridge_too_small_for_a_singular_within_scatter(self, monkeypatch):
         # The two columns are equal, so the within scatter is singular and a
-        # ridge of 1e-20 vanishes beside its unit entries.
+        # ridge of 1e-20 vanishes beside its unit entries; the default ridge
+        # lifts it.
         x = np.array([[0.1], [0.3], [0.2], [0.6]])
         classes = class_block([("a", np.hstack([x[:2]] * 2)), ("b", np.hstack([x[2:]] * 2))])
+        assert fit_transform(classes).rank == 1
+        monkeypatch.setattr(discriminant_module, "default_ridge", lambda within: 1e-20)
         with pytest.raises(DegenerateProblemError, match="clothing.*ridge 1e-20"):
-            fit_transform(classes, epsilon=1e-20, feature_id="clothing")
-        assert fit_transform(classes, epsilon=1e-15).rank == 1
+            fit_transform(classes, feature_id="clothing")
 
-    def test_rejects_non_finite_epsilon(self):
-        rng = np.random.default_rng(116)
-        classes = class_block(make_classes(rng))
-        for epsilon in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError, match="finite and positive"):
-                fit_transform(classes, epsilon=epsilon)
+    @pytest.mark.parametrize(
+        "rows, overflowing",
+        [
+            pytest.param([[1e160], [-1e160]] * 2, "scatter", id="within"),
+            pytest.param([[1e154]] * 2 + [[-1e154]] * 2, "scatter", id="between"),
+            pytest.param([[1e308]] * 4, "scatter", id="means"),
+            # Each diagonal entry is finite, their sum is not.
+            pytest.param([[6e153, 6e153]] * 2 + [[-6e153, -6e153]] * 2, "scatter", id="trace"),
+            # A between scatter of 4e300 over the ridge floor of 1e-9.
+            pytest.param([[1e150]] * 2 + [[-1e150]] * 2, "whitened scatter", id="whitened"),
+            pytest.param(
+                [[1e150, 0.0]] * 2 + [[-1e150, 1.0]] * 2, "whitened scatter", id="whitened-2d"
+            ),
+        ],
+    )
+    def test_overflowing_scatter_is_an_error_not_a_warning(self, rows, overflowing):
+        # Finite rows whose scatter squares past float64: two classes of
+        # two rows. Warnings are errors in this suite.
+        classes = class_block([("a", np.array(rows[:2])), ("b", np.array(rows[2:]))])
+        with pytest.raises(NonFiniteInputError, match=f"^build: {overflowing} overflows float64$"):
+            fit_transform(classes, feature_id="build")
 
-    def test_gallery_fit_rejects_non_finite_epsilon(self):
-        gallery = enrolled_gallery(np.random.default_rng(117), n=3)
-        for epsilon in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="finite and positive"):
-                gallery.fit(epsilon)
+    def test_gallery_fit_names_the_overflowing_trait(self):
+        gallery = Gallery()
+        for label, value in (("a", 1e200), ("b", 1.0)):
+            bundles = [FeatureBundle(build=BuildFeature(value))] * 2
+            gallery = gallery.enroll(label, bundles)
+        with pytest.raises(NonFiniteInputError, match="^build: scatter overflows float64$"):
+            gallery.fit()
 
     def test_feature_id_recorded(self):
         rng = np.random.default_rng(115)

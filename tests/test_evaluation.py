@@ -222,6 +222,24 @@ class TestManifestIO:
         with pytest.raises(ManifestError, match=re.escape(message)):
             read_manifest(path)
 
+    def test_cameras_disagree_on_observation_count(self, tmp_path):
+        # No image exists: the rule is checked on the manifest as a whole,
+        # before any row is decoded. Another role's rows do not count.
+        path = tmp_path / "manifest.csv"
+        path.write_text(
+            "label,role,image,mask,bbox_height,bbox_width,"
+            "entrance_ref_height,camera_id,view\n"
+            "s000,gallery,a.ppm,,,,,c1,front\n"
+            "s000,gallery,b.ppm,,,,,c2,front\n"
+            "s000,probe,c.ppm,,,,,c2,front\n"
+            "s001,probe,d.ppm,,,,,c1,front\n"
+            "s001,probe,e.ppm,,,,,c1,front\n"
+            "s001,probe,f.ppm,,,,,c2,front\n"
+        )
+        message = "label 's001' (probe): cameras disagree on observation count (c1 2, c2 1)"
+        with pytest.raises(ManifestError, match=re.escape(message)):
+            read_manifest(path)
+
     def test_missing_image_fails_at_load(self, tmp_path):
         entry = ManifestEntry(label="s001", role="probe", image="images/gone.ppm")
         with pytest.raises(ManifestError):
@@ -393,11 +411,8 @@ class TestIngest:
             for i, e in enumerate(two_camera_dataset.entries)
             if not (e.camera_id == "c2" and e.role == "gallery" and i < 4)
         ]
-        broken = DatasetManifest(
-            root=two_camera_dataset.root, entries=tuple(kept)
-        )
-        with pytest.raises(ManifestError, match="cameras disagree"):
-            ingest(broken)
+        with pytest.raises(ManifestError, match=r"label 's001' \(gallery\): cameras disagree"):
+            DatasetManifest(root=two_camera_dataset.root, entries=tuple(kept))
 
     def test_open_set_probe_rejected(self, small_dataset):
         extra = ManifestEntry(

@@ -239,11 +239,14 @@ class TestFit:
         assert not fitted.enroll("new", [random_bundle(rng)]).fitted
         assert not fitted.retire("p01").fitted
 
-    def test_explicit_epsilon_recorded(self):
+    def test_explicit_epsilon_recorded(self, tmp_path):
+        # A loaded transform records the ridge its snapshot stores, not the
+        # one a fit of its samples would choose.
         rng = np.random.default_rng(326)
-        fitted = enrolled_gallery(rng, n=3).fit(epsilon=1e-4)
-        for transform in fitted.transforms.values():
-            assert transform.regularization == 1e-4
+        fitted = enrolled_gallery(rng, n=3).fit()
+        ridges = {fid: (i + 1) * 1e-4 for i, fid in enumerate(fitted.transforms)}
+        loaded = ridge_rewritten(tmp_path, fitted, ridges)
+        assert {fid: t.regularization for fid, t in loaded.transforms.items()} == ridges
 
     def test_fit_calls_the_discriminant_through_its_module_globals(self, monkeypatch):
         # Tracing tools wrap these functions at every module binding the
@@ -305,7 +308,7 @@ class TestEquality:
         assert Gallery() != "gallery"
 
     @staticmethod
-    def _pair(change):
+    def _pair(change, tmp_path):
         """Two galleries that differ only in what ``change`` names."""
         rng = np.random.default_rng(333)
         bundles = [random_bundle(rng) for _ in range(2)]
@@ -321,12 +324,14 @@ class TestEquality:
                 gallery = gallery.enroll(f"b{i}", rest)
             pair.append(gallery)
         if change == "regularization":
-            return pair[0].fit(epsilon=1e-4), pair[1].fit(epsilon=2e-4)
+            fitted = pair[0].fit()
+            ridge = fitted.transforms["height"].regularization
+            return fitted, ridge_rewritten(tmp_path, fitted, {"height": 2 * ridge})
         return pair[0].fit(), pair[1].fit()
 
     @pytest.mark.parametrize("change", ["sample value", "regularization"])
     def test_single_field_difference_is_unequal(self, tmp_path, change):
-        g, h = self._pair(change)
+        g, h = self._pair(change, tmp_path)
         assert g != h and h != g
         for gallery in (g, h):
             path, _ = snapshot_bytes(tmp_path, gallery)
@@ -334,14 +339,10 @@ class TestEquality:
 
     def test_regularization_alone_matters(self, tmp_path):
         gallery = enrolled_gallery(np.random.default_rng(334), n=3, features=("height",))
-        gallery = gallery.fit(epsilon=1e-4)
-        _, blob = snapshot_bytes(tmp_path, gallery)
-        body, ridge = blob[16:-4], struct.pack("<d", 1e-4)
-        assert body.count(ridge) == 1
-        path = tmp_path / "ridge.bin"
-        path.write_bytes(with_body(body.replace(ridge, struct.pack("<d", 2e-4))))
-        other = Gallery.load(path)
-        assert other.transforms["height"].regularization == 2e-4
+        gallery = gallery.fit()
+        ridge = gallery.transforms["height"].regularization
+        other = ridge_rewritten(tmp_path, gallery, {"height": 2 * ridge})
+        assert other.transforms["height"].regularization == 2 * ridge
         assert other != gallery
 
 
@@ -349,6 +350,20 @@ def snapshot_bytes(tmp_path, gallery, name="g.bin"):
     path = tmp_path / name
     gallery.save(path)
     return path, path.read_bytes()
+
+
+def ridge_rewritten(tmp_path, gallery, ridges):
+    """``gallery`` loaded from its snapshot with the stored ridge of each
+    trait that ``ridges`` names replaced by the value it maps to."""
+    _, blob = snapshot_bytes(tmp_path, gallery)
+    body = blob[16:-4]
+    for fid, ridge in ridges.items():
+        stored = struct.pack("<d", gallery.transforms[fid].regularization)
+        assert body.count(stored) == 1
+        body = body.replace(stored, struct.pack("<d", ridge))
+    path = tmp_path / "ridge.bin"
+    path.write_bytes(with_body(body))
+    return Gallery.load(path)
 
 
 HEIGHTS = [("height", [[0.5]])]

@@ -1,9 +1,10 @@
 """Every name a library module imports is used in that module, each
 module imports at run time only the package modules its layer allows,
 every private name the library defines is read somewhere in the library,
-every public method and property of a library class is read outside that
-class by the library or the benchmark, no module imports another module's
-private name, and no module uses ``functools.cached_property``.
+every public module-level function and class and every public method and
+property of a library class is read outside its own definition by the
+library or the benchmark, no module imports another module's private
+name, and no module uses ``functools.cached_property``.
 
 Names that ``enexmatch/__init__.py`` lists in ``__all__`` are re-exports
 and count as used there.
@@ -45,15 +46,19 @@ def annotations(tree):
             yield node.annotation
 
 
-def used_names(tree):
-    """Names read anywhere, including inside quoted annotations."""
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+def quoted_annotation_names(tree):
+    """Names inside the quoted parts of annotations, one per occurrence."""
     for annotation in filter(None, annotations(tree)):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 inner = ast.parse(node.value, mode="eval")
-                used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
-    return used
+                yield from (n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+
+
+def used_names(tree):
+    """Names read anywhere, including inside quoted annotations."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return used | set(quoted_annotation_names(tree))
 
 
 def exported_names(tree):
@@ -148,6 +153,33 @@ def unread_public_members(library, readers=()):
                 and reads[node.name] == own[node.name]
             )
     return sorted(unread)
+
+
+def name_reads(tree):
+    """How often each name is read in ``tree``, as a name, an attribute or
+    a quoted annotation; an import binds a name but does not read it."""
+    reads = attribute_reads(tree)
+    reads.update(
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    )
+    reads.update(quoted_annotation_names(tree))
+    return reads
+
+
+def unread_public_definitions(library, readers=()):
+    """Public module-level functions and classes of ``library`` that no
+    source in ``library`` or ``readers`` reads outside their own
+    definition. Listing a name in ``__all__`` is not a read."""
+    trees = [ast.parse(source) for source in library]
+    reads = sum(map(name_reads, trees + [ast.parse(s) for s in readers]), Counter())
+    return sorted(
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and reads[node.name] == name_reads(node)[node.name]
+    )
 
 
 def package_imports(source):
@@ -258,6 +290,15 @@ def test_every_public_member_is_read():
     assert unread_public_members(library, readers) == []
 
 
+def test_every_public_definition_is_read():
+    # parse_report is the documented inverse of emit_report: callers read
+    # a written report back with it, and the tests check the round trip.
+    library = [module.read_text(encoding="utf-8") for module in MODULES]
+    readers = [module.read_text(encoding="utf-8") for module in BENCHMARK_MODULES]
+    assert readers
+    assert unread_public_definitions(library, readers) == ["parse_report"]
+
+
 class TestChecker:
     def test_flags_an_unused_import(self):
         source = "import os\nfrom typing import Mapping, Sequence\nx: Mapping = {}\n"
@@ -319,6 +360,26 @@ class TestChecker:
         assert unread_public_members([source]) == ["make", "size", "spare", "used"]
         user = "box = Box.make()\nbox.used = 3\nprint(box.size)\n"
         assert unread_public_members([source], [user]) == ["spare", "used"]
+
+    def test_flags_public_definitions_read_only_by_themselves(self):
+        source = (
+            "from typing import Sequence\n"
+            "def spare():\n"
+            "    return spare\n"
+            "def used(x: 'Sequence[Kept]') -> int:\n"
+            "    return 1\n"
+            "class Box:\n"
+            "    def make(self):\n"
+            "        return Box()\n"
+            "class Kept:\n"
+            "    pass\n"
+            "def _private():\n"
+            "    return used([])\n"
+            "__all__ = ['spare', 'used', 'Box', 'Kept']\n"
+        )
+        assert unread_public_definitions([source]) == ["Box", "spare"]
+        user = "import lib\nfrom lib import spare\nlib.Box().make()\n"
+        assert unread_public_definitions([source], [user]) == ["spare"]
 
     def test_flags_cached_properties_outside_comments_and_strings(self):
         source = (
