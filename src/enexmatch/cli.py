@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import EnexError, ManifestError
+from .errors import DuplicateLabelError, EnexError, ManifestError
 from .evaluation import (
     SyntheticConfig,
     cmc_csv,
@@ -30,6 +30,7 @@ from .evaluation import (
     generate_synthetic,
     ingest,
     probe_bundles,
+    read_manifest,
 )
 from .features import FEATURE_IDS, SubjectSample, extract_bundle
 from .gallery import Gallery
@@ -91,10 +92,17 @@ def cmd_enroll(args: argparse.Namespace) -> int:
     if not args.snapshot:
         return _usage(f"snapshot path required (--snapshot or {SNAPSHOT_ENV})")
     snapshot = Path(args.snapshot)
-    gallery_map = gallery_bundles(args.manifest)
-    if not gallery_map:
+    manifest = read_manifest(args.manifest)
+    labels = [e.label for e in manifest.entries if e.role == "gallery"]
+    if not labels:
         raise ManifestError("manifest has no gallery rows")
+    # A bad snapshot or an enrolled label fails before any image is decoded.
     gallery = Gallery.load(snapshot) if snapshot.exists() else Gallery()
+    enrolled = set(gallery.labels)
+    held = next((label for label in labels if label in enrolled), None)
+    if held is not None:
+        raise DuplicateLabelError(f"label {held!r} is already enrolled")
+    gallery_map = gallery_bundles(manifest)
     for label, bundles in gallery_map.items():
         gallery = gallery.enroll(label, bundles)
     gallery = gallery.fit()

@@ -8,9 +8,12 @@ curve always reaches 1.0 at rank n.
 from __future__ import annotations
 
 import csv
+import os
 import re
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -201,26 +204,55 @@ def load_sample(entry: ManifestEntry, root: str | Path) -> SubjectSample:
         raise ManifestError(f"bad row for {entry.image!r}: {exc}") from exc
 
 
+# Observations per task when extraction runs in worker processes.
+_CHUNK = 64
+
+
+def _extract(
+    root: Path, observations: Sequence[tuple[str, tuple[ManifestEntry, ...]]]
+) -> list[FeatureBundle]:
+    """One fused bundle per (label, one row per camera) observation, in order."""
+    bundles = []
+    for label, rows in observations:
+        extracted = {row.camera_id: extract_bundle(load_sample(row, root)) for row in rows}
+        bundles.append(fuse_bundles(extracted, label=label))
+    return bundles
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _observations(manifest: DatasetManifest, role: str) -> list[FeatureBundle]:
     """Extract one fused bundle per observation of the given role.
 
     Rows are grouped by label, in first-seen order, and by camera; the
-    cameras' rows pair up in file order.
+    cameras' rows pair up in file order. When the observations span more
+    than one chunk and more than one CPU is usable, forked workers
+    extract the chunks; the bundles and the first error, in manifest
+    order, are the same as in-process. No worker outlives the call.
     """
     grouped: dict[str, dict[str, list[ManifestEntry]]] = {}
     for entry in manifest.entries:
         if entry.role == role:
             grouped.setdefault(entry.label, {}).setdefault(entry.camera_id, []).append(entry)
-    bundles = []
-    for label, per_camera in grouped.items():
-        cameras = sorted(per_camera)
-        for rows in zip(*(per_camera[cid] for cid in cameras)):
-            extracted = {
-                cid: extract_bundle(load_sample(row, manifest.root))
-                for cid, row in zip(cameras, rows)
-            }
-            bundles.append(fuse_bundles(extracted, label=label))
-    return bundles
+    observations = [
+        (label, rows)
+        for label, per_camera in grouped.items()
+        for rows in zip(*(per_camera[cid] for cid in sorted(per_camera)))
+    ]
+    chunks = [observations[i : i + _CHUNK] for i in range(0, len(observations), _CHUNK)]
+    workers = min(_usable_cpus(), len(chunks))
+    if workers < 2 or "fork" not in get_all_start_methods():
+        return _extract(manifest.root, observations)
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+    try:
+        parts = pool.map(_extract, [manifest.root] * len(chunks), chunks)
+        return [bundle for part in parts for bundle in part]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def gallery_bundles(

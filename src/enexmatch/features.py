@@ -94,7 +94,9 @@ class SubjectSample:
             raise ValueError("bbox_height cannot exceed entrance_ref_height")
 
 
-@dataclass(frozen=True)
+# Traits and bundles have slots, not an instance dict: a bundle that an
+# extraction worker sends back unpickles no larger than one built here.
+@dataclass(frozen=True, slots=True)
 class ClothingHistogram:
     """Concatenated Cb/Cr histograms of the torso and leg bands.
 
@@ -120,7 +122,7 @@ class ClothingHistogram:
             raise ValueError("each block must sum to 1 or be all zero")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeightFeature:
     """Subject height relative to the entrance frame, in (0, 1]."""
 
@@ -131,7 +133,7 @@ class HeightFeature:
             raise ValueError("relative height must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BuildFeature:
     """Peak height-to-effective-width ratio of the silhouette."""
 
@@ -142,7 +144,7 @@ class BuildFeature:
             raise ValueError("build ratio must be finite and positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplexionFeature:
     """Mean skin chroma of the head band.
 
@@ -161,7 +163,7 @@ class ComplexionFeature:
             raise ValueError("valid chroma means must lie in [0, 255]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeatureBundle:
     """All traits extracted from one observation, any of which may be absent."""
 

@@ -7,6 +7,8 @@ import pytest
 
 from enexmatch import (
     DatasetManifest,
+    DuplicateLabelError,
+    EnexError,
     Gallery,
     SilhouetteMask,
     SyntheticConfig,
@@ -193,6 +195,40 @@ class TestEnroll:
             assert code == 0, capsys.readouterr().err
         assert "enrolled 1 classes (gallery now holds 3)" in capsys.readouterr().out
         assert Gallery.load(path).labels == ("s002", "s003", "s001")
+
+    def test_bad_snapshot_fails_before_any_image_is_read(self, dataset, tmp_path, capsys):
+        copy = tmp_path / "data"
+        shutil.copytree(dataset, copy)
+        shutil.rmtree(copy / "images")
+        path = tmp_path / "g.bin"
+        path.write_bytes(b"not a snapshot")
+        with pytest.raises(EnexError) as expected:
+            Gallery.load(path)
+        code = main(["enroll", "--manifest", str(copy / "manifest.csv"), "--snapshot", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+        assert path.read_bytes() == b"not a snapshot"
+
+    def test_enrolled_label_fails_before_any_image_is_read(self, dataset, tmp_path, capsys):
+        # The snapshot holds s002 and s003; the manifest's gallery rows start
+        # with s001, so s002 is the first enrolled label in manifest order.
+        copy = tmp_path / "data"
+        shutil.copytree(dataset, copy)
+        header, *rows = (copy / "manifest.csv").read_text().splitlines()
+        held = [row for row in rows if row.startswith(("s002,gallery,", "s003,gallery,"))]
+        (copy / "held.csv").write_text("\n".join([header, *held]) + "\n")
+        path = tmp_path / "g.bin"
+        assert main(["enroll", "--manifest", str(copy / "held.csv"), "--snapshot", str(path)]) == 0
+        capsys.readouterr()
+        saved = path.read_bytes()
+        shutil.rmtree(copy / "images")
+        with pytest.raises(DuplicateLabelError) as expected:
+            Gallery.load(path).enroll("s002", [])
+        code = main(["enroll", "--manifest", str(copy / "manifest.csv"), "--snapshot", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+        assert str(expected.value) == "label 's002' is already enrolled"
+        assert path.read_bytes() == saved
 
     def test_bad_epsilon(self, dataset, tmp_path, capsys):
         # The ridge is derived from the data: no value is an option.

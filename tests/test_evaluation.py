@@ -1,12 +1,19 @@
+import multiprocessing
+import os
 import re
+import shutil
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from enexmatch import evaluation
 from enexmatch import (
+    FEATURE_IDS,
     CMCCurve,
     DatasetManifest,
     Image,
+    ImageFormatError,
     ManifestEntry,
     ManifestError,
     SilhouetteMask,
@@ -439,6 +446,150 @@ class TestIngest:
         _, probes = ingest(manifest)
         assert all(p.feature_vector("complexion") is None for p in probes)
         assert all(p.feature_vector("clothing") is not None for p in probes)
+
+
+# Observations per chunk in TestParallelIngest: the two-camera set below
+# then spans eight gallery chunks and three probe chunks.
+SMALL_CHUNK = 5
+
+
+@pytest.fixture(scope="module")
+def chunked_dataset(tmp_path_factory):
+    # Two of each subject's six gallery observations carry a mask and box
+    # metrics on camera c1; every other row has neither.
+    config = SyntheticConfig(
+        subjects=6,
+        samples_per_subject=6,
+        metric_samples=2,
+        probes_per_subject=2,
+        cameras=2,
+        pixel_noise=4.0,
+        chroma_noise=3.0,
+        seed=13,
+    )
+    return generate_synthetic(config, tmp_path_factory.mktemp("chunked"))
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def counted_pools(monkeypatch):
+    """Record each pool ``_observations`` makes, as its worker count."""
+    made = []
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            made.append(workers)
+            super().__init__(workers, **kwargs)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", Pool)
+    return made
+
+
+def ingest_both_ways(monkeypatch, manifest):
+    """(in-process result or error, pool result or error) of one ingest."""
+    monkeypatch.setattr(evaluation, "_CHUNK", SMALL_CHUNK)
+    outcomes = []
+    for cpus in (1, 2):
+        usable_cpus(monkeypatch, cpus)
+        made = counted_pools(monkeypatch)
+        try:
+            outcomes.append(ingest(manifest))
+        except Exception as exc:
+            outcomes.append(exc)
+        assert multiprocessing.active_children() == []
+        assert bool(made) == (cpus == 2)
+    return outcomes
+
+
+def damaged_copy(dataset, tmp_path, deleted=(), garbled=()):
+    copy = tmp_path / "data"
+    shutil.copytree(dataset.root, copy)
+    for name in deleted:
+        (copy / "images" / name).unlink()
+    for name in garbled:
+        (copy / "images" / name).write_bytes(b"not an image")
+    return read_manifest(copy / "manifest.csv")
+
+
+class TestParallelIngest:
+    def test_pool_bundles_equal_in_process_bundles(self, chunked_dataset, monkeypatch):
+        (serial, serial_probes), (pooled, pooled_probes) = ingest_both_ways(
+            monkeypatch, chunked_dataset
+        )
+        assert list(pooled) == list(serial)
+        pairs = [
+            *zip(serial_probes, pooled_probes, strict=True),
+            *(
+                pair
+                for label in serial
+                for pair in zip(serial[label], pooled[label], strict=True)
+            ),
+        ]
+        assert len(pairs) == 6 * 6 + 6 * 2
+        for a, b in pairs:
+            assert a.label == b.label
+            for fid in FEATURE_IDS:
+                va, vb = a.feature_vector(fid), b.feature_vector(fid)
+                assert (va is None) == (vb is None)
+                if va is not None:
+                    assert va.dtype == vb.dtype and va.tobytes() == vb.tobytes()
+        # Both kinds of row were extracted: with and without a mask.
+        assert {held_traits(b) for b in serial["s001"]} == {
+            FEATURE_IDS,
+            ("clothing", "complexion"),
+        }
+
+    def test_error_in_a_later_chunk(self, chunked_dataset, tmp_path, monkeypatch):
+        # Gallery observation 27 (s005, sample 3) sits in the sixth chunk.
+        manifest = damaged_copy(chunked_dataset, tmp_path, garbled=["s005_g003_c2.ppm"])
+        serial, pooled = ingest_both_ways(monkeypatch, manifest)
+        assert isinstance(serial, ImageFormatError)
+        assert type(pooled) is type(serial)
+        assert str(pooled) == str(serial)
+        assert "s005_g003_c2.ppm" in str(serial)
+
+    def test_the_earlier_chunks_error_wins(self, chunked_dataset, tmp_path, monkeypatch):
+        # Observation 12 (s003, sample 0) is in the third chunk.
+        manifest = damaged_copy(
+            chunked_dataset,
+            tmp_path,
+            deleted=["s003_g000_c1.ppm"],
+            garbled=["s005_g003_c2.ppm"],
+        )
+        serial, pooled = ingest_both_ways(monkeypatch, manifest)
+        assert isinstance(serial, ManifestError)
+        assert type(pooled) is type(serial)
+        assert str(pooled) == str(serial)
+        assert "s003_g000_c1.ppm" in str(serial)
+
+    @pytest.mark.parametrize(
+        "chunk,cpus,pools",
+        [
+            (SMALL_CHUNK, 4, [4, 3]),  # eight gallery chunks, then three probe chunks
+            (SMALL_CHUNK, 1, []),  # one usable CPU
+            (64, 4, []),  # one chunk per role
+        ],
+    )
+    def test_one_worker_per_usable_cpu_and_chunk(
+        self, chunked_dataset, monkeypatch, chunk, cpus, pools
+    ):
+        monkeypatch.setattr(evaluation, "_CHUNK", chunk)
+        usable_cpus(monkeypatch, cpus)
+        made = counted_pools(monkeypatch)
+        gallery_map, probes = ingest(chunked_dataset)
+        assert made == pools
+        assert sum(map(len, gallery_map.values())) == 36 and len(probes) == 12
+
+    def test_no_pool_without_fork(self, chunked_dataset, monkeypatch):
+        monkeypatch.setattr(evaluation, "_CHUNK", SMALL_CHUNK)
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(evaluation, "get_all_start_methods", lambda: ["spawn"])
+        made = counted_pools(monkeypatch)
+        ingest(chunked_dataset)
+        assert made == []
 
 
 class TestCMC:
