@@ -9,8 +9,7 @@ values, fewer samples than dimensions) stay solvable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -103,40 +102,6 @@ class FeatureTransform:
         return self.matrix.shape[1]
 
 
-def _centered_groups(
-    classes: ClassBlock,
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Class means in enrollment order, and per row-count group the members'
-    indices (ascending) with their samples centered on each class's mean.
-
-    Classes of one row count c are read as one (members, c, d) stack: a
-    zero-copy reshape of the block when every class has c rows, one row
-    gather otherwise. ``stack.mean(axis=1)`` and the subtraction round
-    each class exactly as ``samples.mean(axis=0)`` and ``samples - mean``
-    do.
-    """
-    _check_finite(classes)
-    block = classes.rows
-    counts = np.asarray(classes.counts, dtype=np.intp)
-    n, dim = len(counts), block.shape[1]
-    sizes = sorted(set(classes.counts))
-    if len(sizes) == 1:
-        stacks = [(np.arange(n), block.reshape(n, sizes[0], dim))]
-    else:
-        stacks = []
-        for size in sizes:
-            indices = np.flatnonzero(counts == size)
-            rows = (classes.starts[indices, None] + np.arange(size)).reshape(-1)
-            stacks.append((indices, block[rows].reshape(len(indices), size, dim)))
-    means = np.empty((n, dim), dtype=np.float64)
-    centered = []
-    for indices, stack in stacks:
-        mean = stack.mean(axis=1)
-        means[indices] = mean
-        centered.append((indices, np.subtract(stack, mean[:, None, :])))
-    return means, centered
-
-
 def _add_in_order(terms: np.ndarray, out: np.ndarray) -> None:
     """Set ``out`` to ``((terms[0] + terms[1]) + terms[2]) + ...``.
 
@@ -150,50 +115,6 @@ def _add_in_order(terms: np.ndarray, out: np.ndarray) -> None:
         np.add.reduce(terms, axis=0, out=out)
 
 
-def _sum_in_order(
-    n: int, dim: int, fill: Callable[[np.ndarray, int, int], None]
-) -> np.ndarray:
-    """Sum n per-class d x d terms as a ``+=`` loop from zeros would.
-
-    ``fill(terms, start, stop)`` writes the terms of classes start up to
-    stop. They are built a chunk of about ``_CHUNK_BYTES`` at a time, in
-    enrollment order, into one reused buffer whose slot 0 carries the
-    running total.
-    """
-    chunk = min(n, max(1, _CHUNK_BYTES // (8 * dim * dim)))
-    buffer = np.empty((chunk + 1, dim, dim), dtype=np.float64)
-    total = np.zeros((dim, dim), dtype=np.float64)
-    for start in range(0, n, chunk):
-        used = buffer[: min(chunk, n - start) + 1]
-        used[0] = total
-        fill(used[1:], start, start + len(used) - 1)
-        _add_in_order(used, total)
-    return total
-
-
-def _within_terms(
-    groups: list[tuple[np.ndarray, np.ndarray]],
-    terms: np.ndarray,
-    start: int,
-    stop: int,
-) -> None:
-    """``centered.T @ centered`` of classes start up to stop, into ``terms``.
-
-    One batched matmul per size group: numpy makes the same BLAS call for
-    each matrix of a batch as for a single product, so each scatter keeps
-    its bytes.
-    """
-    for indices, centered in groups:
-        lo, hi = np.searchsorted(indices, (start, stop))
-        if lo == hi:
-            continue
-        block = centered[lo:hi]
-        if hi - lo == stop - start:
-            np.matmul(block.transpose(0, 2, 1), block, out=terms)
-        else:
-            terms[indices[lo:hi] - start] = np.matmul(block.transpose(0, 2, 1), block)
-
-
 def scatter_statistics(classes: ClassBlock) -> tuple[np.ndarray, np.ndarray]:
     """Within and between scatter of a block of at least two classes.
 
@@ -201,23 +122,61 @@ def scatter_statistics(classes: ClassBlock) -> tuple[np.ndarray, np.ndarray]:
     is the scatter of the class means around the pooled mean, weighted by
     row count. Each is summed class by class in enrollment order, as a
     loop of ``+=`` would.
+
+    The per-class d x d terms are built about ``_CHUNK_BYTES`` at a time
+    into one reused buffer whose slot 0 carries the running total. In a
+    chunk, the classes of one row count c are read as one (members, c, d)
+    stack; ``stack.mean(axis=1)``, the subtraction and the batched matmul
+    round each class exactly as ``samples.mean(axis=0)``,
+    ``samples - mean`` and ``centered.T @ centered`` do, since numpy makes
+    the same BLAS call for each matrix of a batch as for a single product.
     """
     if len(classes) < 2:
         raise DegenerateProblemError("scatter statistics need at least two classes")
-    means, groups = _centered_groups(classes)
-    within = _sum_in_order(*means.shape, partial(_within_terms, groups))
-    counts = np.asarray(classes.counts, dtype=np.float64)
-    grand = (counts[:, None] * means).sum(axis=0) / counts.sum()
-    diffs = means - grand
+    _check_finite(classes)
+    rows, starts = classes.rows, classes.starts
+    counts = np.asarray(classes.counts, dtype=np.intp)
+    n, dim = len(counts), rows.shape[1]
+    chunk = min(n, max(1, _CHUNK_BYTES // (8 * dim * dim)))
+    buffer = np.empty((chunk + 1, dim, dim), dtype=np.float64)
+    means = np.empty((n, dim), dtype=np.float64)
+    within = np.zeros((dim, dim), dtype=np.float64)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        terms = buffer[: stop - start + 1]
+        terms[0] = within
+        sizes = set(classes.counts[start:stop])
+        for size in sizes:
+            if len(sizes) == 1:
+                # Back-to-back rows of one count: a zero-copy view.
+                members = slice(start, stop)
+                stack = rows[starts[start] : starts[start] + (stop - start) * size]
+                stack = stack.reshape(-1, size, dim)
+            else:
+                members = start + np.flatnonzero(counts[start:stop] == size)
+                stack = rows[starts[members, None] + np.arange(size)]
+            mean = stack.mean(axis=1)
+            means[members] = mean
+            centered = stack - mean[:, None, :]
+            if len(sizes) == 1:
+                np.matmul(centered.transpose(0, 2, 1), centered, out=terms[1:])
+            else:
+                terms[members - start + 1] = np.matmul(centered.transpose(0, 2, 1), centered)
+        _add_in_order(terms, within)
 
-    def between_terms(terms: np.ndarray, start: int, stop: int) -> None:
-        # count * outer(diff, diff). einsum forms each product once, as
+    weights = counts.astype(np.float64)
+    grand = (weights[:, None] * means).sum(axis=0) / weights.sum()
+    offsets = means - grand
+    between = np.zeros((dim, dim), dtype=np.float64)
+    for start in range(0, n, chunk):
+        # count * outer(offset, offset). einsum forms each product once, as
         # np.outer does, in about half the time of a broadcast multiply.
-        d = diffs[start:stop]
-        np.einsum("ni,nj->nij", d, d, out=terms)
-        terms *= counts[start:stop, None, None]
-
-    between = _sum_in_order(*means.shape, between_terms)
+        offset = offsets[start : start + chunk]
+        terms = buffer[: len(offset) + 1]
+        terms[0] = between
+        np.einsum("ni,nj->nij", offset, offset, out=terms[1:])
+        terms[1:] *= weights[start : start + chunk, None, None]
+        _add_in_order(terms, between)
     return within, between
 
 

@@ -29,6 +29,7 @@ from .features import (
 )
 from .gallery import Gallery
 from .imaging import (
+    MAX_PIXELS,
     Image,
     SilhouetteMask,
     band_boundaries,
@@ -115,22 +116,25 @@ def read_manifest(path: str | Path) -> DatasetManifest:
     """Parse and validate a dataset manifest CSV."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        # newline="" hands the reader each line break untranslated, so a
+        # quoted field keeps its breaks and only "\r" or "\n" ends a line.
+        with open(path, encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            # Each record with the line it ends on.
+            rows = [(row, reader.line_num) for row in reader]
     except OSError as exc:
         raise ManifestError(f"cannot read manifest: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ManifestError(f"{path}: not UTF-8 text ({exc})") from None
-    try:
-        rows = list(csv.reader(text.splitlines()))
     except csv.Error as exc:
         raise ManifestError(f"{path}: {exc}") from None
-    if not rows or tuple(rows[0]) != MANIFEST_COLUMNS:
+    if not rows or tuple(rows[0][0]) != MANIFEST_COLUMNS:
         raise ManifestError(
             f"{path}: first line must be {','.join(MANIFEST_COLUMNS)}"
         )
     entries = []
-    for line, row in enumerate(rows[1:], start=2):
-        where = f"{path} line {line}"
+    for (_, previous_end), (row, _) in zip(rows, rows[1:]):
+        where = f"{path} line {previous_end + 1}"
         if len(row) != len(MANIFEST_COLUMNS):
             raise ManifestError(f"{where}: expected {len(MANIFEST_COLUMNS)} fields")
         record = dict(zip(MANIFEST_COLUMNS, row))
@@ -166,8 +170,11 @@ def read_manifest(path: str | Path) -> DatasetManifest:
 
 
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
+    """Write a manifest that ``read_manifest`` reads back entry for entry."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+        # The default "\r\n" line end makes the writer quote every field
+        # that holds a "\r" or a "\n", so no path breaks its record.
+        writer = csv.writer(handle)
         writer.writerow(MANIFEST_COLUMNS)
         for e in manifest.entries:
             writer.writerow(
@@ -452,6 +459,8 @@ class SyntheticConfig:
             raise ValueError("cameras must be 1 or 2")
         if self.image_height < 12 or self.image_width < 16:
             raise ValueError("images must be at least 12x16")
+        if self.image_height * self.image_width > MAX_PIXELS:
+            raise ValueError(f"images must not exceed the {MAX_PIXELS} pixel budget")
         if self.entrance_ref_height < 2:
             raise ValueError("entrance_ref_height must be at least 2")
         if self.seed < 0:

@@ -197,7 +197,8 @@ class TestFrozenLoopOracle:
     shows: 1-D traits with many classes and with classes of 8 or more
     samples, where numpy's pairwise summation differs from a loop."""
 
-    CASES = [(1, 300), (1, 12), (2, 80), (3, 60), (96, 45), (192, 12)]
+    # At d = 300 each d x d term fills a chunk, so every chunk holds one class.
+    CASES = [(1, 300), (1, 12), (2, 80), (3, 60), (96, 45), (192, 12), (300, 8)]
 
     @pytest.mark.parametrize("dim, n_classes", CASES)
     def test_statistics_are_byte_identical(self, dim, n_classes):
@@ -229,6 +230,22 @@ class TestFrozenLoopOracle:
         got = scatter_statistics(class_block(classes))
         for got_scatter, want in zip(got, frozen_statistics(classes), strict=True):
             assert same_bytes(got_scatter, want)
+
+    def test_chunks_of_one_row_count_then_mixed_counts(self):
+        # At d = 96 a chunk holds 14 classes: two chunks of 5-row classes,
+        # two that mix row counts, then 3-row classes with a short last chunk.
+        rng = np.random.default_rng(153)
+        classes = [(f"a{i}", rng.normal(size=(5, 96))) for i in range(28)]
+        classes += mixed_classes(rng, 28, 96)
+        classes += [(f"b{i}", rng.normal(size=(3, 96))) for i in range(20)]
+        got = scatter_statistics(class_block(classes))
+        for got_scatter, want in zip(got, frozen_statistics(classes), strict=True):
+            assert same_bytes(got_scatter, want)
+        matrix, eigenvalues, ridge, discriminative = frozen_fit(classes)
+        transform = fit_transform(class_block(classes))
+        assert same_bytes(transform.matrix, matrix)
+        assert same_bytes(transform.eigenvalues, eigenvalues)
+        assert (transform.regularization, transform.discriminative) == (ridge, discriminative)
 
     def test_all_integer_samples(self):
         rng = np.random.default_rng(151)

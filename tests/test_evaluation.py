@@ -89,6 +89,32 @@ class TestManifestIO:
         assert back.entries == manifest.entries
         assert back.root == tmp_path
 
+    def test_any_path_but_nul_survives_a_round_trip(self, tmp_path):
+        # write_manifest quotes the comma, quote and line breaks; the other
+        # characters split lines for str.splitlines but not for csv.
+        paths = ["a,b", 'a"b', "a\nb", "a\r\nb", "a\rb", "a\x0cb", "a\x85b", "a\u2028b", "a b"]
+        manifest = DatasetManifest(
+            root=tmp_path,
+            entries=tuple(
+                ManifestEntry(label=f"s{i:03d}", role="gallery", image=f"{p}.ppm", mask=f"{p}.pgm")
+                for i, p in enumerate(paths)
+            ),
+        )
+        path = tmp_path / "manifest.csv"
+        write_manifest(manifest, path)
+        assert read_manifest(path).entries == manifest.entries
+
+    def test_error_names_the_line_its_record_starts_on(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text(
+            "label,role,image,mask,bbox_height,bbox_width,"
+            "entrance_ref_height,camera_id,view\n"
+            's000,gallery,"a\nb.ppm",,,,,c1,front\n'
+            's001,witness,"c\nd.ppm",,,,,c1,front\n'
+        )
+        with pytest.raises(ManifestError, match=f"{path} line 4: bad role"):
+            read_manifest(path)
+
     def test_blank_optionals_read_as_none(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text(
@@ -369,6 +395,10 @@ class TestGenerator:
             SyntheticConfig(subjects=2, cameras=3)
         with pytest.raises(ValueError):
             SyntheticConfig(subjects=2, image_height=4)
+        # No reader loads a frame above imaging.MAX_PIXELS (2**26 pixels).
+        with pytest.raises(ValueError, match="pixel budget"):
+            SyntheticConfig(subjects=2, image_height=8193, image_width=8192)
+        SyntheticConfig(subjects=2, image_height=8192, image_width=8192)
 
 
 class TestIngest:
