@@ -12,8 +12,9 @@ import os
 import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from multiprocessing import get_all_start_methods, get_context
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -41,24 +42,14 @@ from .imaging import (
 from .matching import match_probe
 
 MANIFEST_NAME = "manifest.csv"
-MANIFEST_COLUMNS = (
-    "label",
-    "role",
-    "image",
-    "mask",
-    "bbox_height",
-    "bbox_width",
-    "entrance_ref_height",
-    "camera_id",
-    "view",
-)
 ROLES = ("gallery", "probe")
 VIEWS = frozenset({"front", "back", "lateral", "oblique", "unknown"})
 
 
 @dataclass(frozen=True)
 class ManifestEntry:
-    """One camera's row for one observation."""
+    """One camera's row for one observation, under the manifest's row
+    rules wherever it is built."""
 
     label: str
     role: str
@@ -69,6 +60,28 @@ class ManifestEntry:
     entrance_ref_height: int | None = None
     camera_id: str = "c1"
     view: str = "front"
+
+    def __post_init__(self) -> None:
+        try:
+            check_label(self.label)
+        except ValueError as exc:
+            raise ManifestError(str(exc)) from None
+        if self.role not in ROLES:
+            raise ManifestError(f"bad role {self.role!r}")
+        if self.view not in VIEWS:
+            raise ManifestError(f"bad view {self.view!r}")
+        if not self.image:
+            raise ManifestError("empty image path")
+        # A manifest cell cannot tell "" from no mask or the default camera.
+        if self.mask == "":
+            raise ManifestError("empty mask path")
+        if not self.camera_id:
+            raise ManifestError("empty camera id")
+        if "\0" in self.image + (self.mask or ""):
+            raise ManifestError("a path holds a NUL byte")
+
+
+MANIFEST_COLUMNS = tuple(f.name for f in fields(ManifestEntry))
 
 
 @dataclass(frozen=True)
@@ -99,10 +112,9 @@ class DatasetManifest:
 _DIGITS = re.compile(r"[0-9]+")
 
 
-def _parse_metric(record: Mapping[str, str], column: str, where: str) -> int | None:
+def _parse_metric(raw: str, column: str, where: str) -> int | None:
     """An empty cell, or a pixel count of at least 1 written the way
     ``write_manifest`` writes one."""
-    raw = record[column]
     if raw == "":
         return None
     if not _DIGITS.fullmatch(raw):
@@ -138,34 +150,17 @@ def read_manifest(path: str | Path) -> DatasetManifest:
         if len(row) != len(MANIFEST_COLUMNS):
             raise ManifestError(f"{where}: expected {len(MANIFEST_COLUMNS)} fields")
         record = dict(zip(MANIFEST_COLUMNS, row))
-        try:
-            check_label(record["label"])
-        except ValueError as exc:
-            raise ManifestError(f"{where}: {exc}") from None
-        if record["role"] not in ROLES:
-            raise ManifestError(f"{where}: bad role {record['role']!r}")
-        if record["view"] not in VIEWS:
-            raise ManifestError(f"{where}: bad view {record['view']!r}")
-        if not record["image"]:
-            raise ManifestError(f"{where}: empty image path")
-        if "\0" in record["image"] + record["mask"]:
-            raise ManifestError(f"{where}: a path holds a NUL byte")
-        box, width, door = (_parse_metric(record, c, where) for c in MANIFEST_COLUMNS[4:7])
+        for column in MANIFEST_COLUMNS[4:7]:
+            record[column] = _parse_metric(record[column], column, where)
+        box, door = record["bbox_height"], record["entrance_ref_height"]
         if box is not None and door is not None and box > door:
             raise ManifestError(f"{where}: bbox_height {box} exceeds entrance_ref_height {door}")
-        entries.append(
-            ManifestEntry(
-                label=record["label"],
-                role=record["role"],
-                image=record["image"],
-                mask=record["mask"] or None,
-                bbox_height=box,
-                bbox_width=width,
-                entrance_ref_height=door,
-                camera_id=record["camera_id"] or "c1",
-                view=record["view"],
-            )
-        )
+        record["mask"] = record["mask"] or None
+        record["camera_id"] = record["camera_id"] or "c1"
+        try:
+            entries.append(ManifestEntry(**record))
+        except ManifestError as exc:
+            raise ManifestError(f"{where}: {exc}") from None
     return DatasetManifest(root=path.parent, entries=tuple(entries))
 
 
@@ -173,23 +168,11 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     """Write a manifest that ``read_manifest`` reads back entry for entry."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         # The default "\r\n" line end makes the writer quote every field
-        # that holds a "\r" or a "\n", so no path breaks its record.
+        # that holds a "\r" or a "\n", so no path breaks its record; None
+        # is written as an empty field.
         writer = csv.writer(handle)
         writer.writerow(MANIFEST_COLUMNS)
-        for e in manifest.entries:
-            writer.writerow(
-                [
-                    e.label,
-                    e.role,
-                    e.image,
-                    e.mask or "",
-                    "" if e.bbox_height is None else e.bbox_height,
-                    "" if e.bbox_width is None else e.bbox_width,
-                    "" if e.entrance_ref_height is None else e.entrance_ref_height,
-                    e.camera_id,
-                    e.view,
-                ]
-            )
+        writer.writerows(map(attrgetter(*MANIFEST_COLUMNS), manifest.entries))
 
 
 def load_sample(entry: ManifestEntry, root: str | Path) -> SubjectSample:

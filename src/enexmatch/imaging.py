@@ -6,7 +6,9 @@ silhouette masks, both with maxval 255. Headers may carry ``#`` comments.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,9 @@ FRAME = (128, 64)
 FOREGROUND_THRESHOLD = 127
 
 _WHITESPACE = b" \t\r\n\v\f"
+# One netpbm header field: whitespace and "#" comments, each running to
+# the next line break or the end of the data, then a run of digits.
+_FIELD = re.compile(rb"(?:[ \t\r\n\v\f]|#[^\n]*\n?)*([0-9]*)")
 
 
 @dataclass(frozen=True)
@@ -101,31 +106,24 @@ class BodyRegions:
     legs: ChromaImage
 
 
-def _parse_header(data: bytes, magic: bytes, path: Path) -> tuple[int, int, int]:
-    """Return (width, height, payload offset) for a P5/P6 header."""
+def _read(path: str | Path, magic: bytes, depth: int) -> np.ndarray:
+    """The read-only (height, width, depth) payload of a binary netpbm
+    file with maxval 255 whose header starts with ``magic``."""
+    path = Path(path)
+    data = path.read_bytes()
     if len(data) < 3 or data[:2] != magic:
         raise ImageFormatError(f"{path}: expected {magic.decode()} magic")
     if data[2] not in _WHITESPACE and data[2] != ord("#"):
         raise ImageFormatError(f"{path}: malformed magic")
     pos = 2
     fields: list[int] = []
-    while len(fields) < 3:
-        while pos < len(data):
-            c = data[pos]
-            if c in _WHITESPACE:
-                pos += 1
-            elif c == ord("#"):
-                nl = data.find(b"\n", pos)
-                pos = len(data) if nl < 0 else nl + 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and 0x30 <= data[pos] <= 0x39:
-            pos += 1
-        if pos == start:
+    for _ in range(3):
+        field = _FIELD.match(data, pos)
+        pos = field.end()
+        if not field[1]:
             raise ImageFormatError(f"{path}: malformed header")
         # Bound the digit run before int(), which refuses very long ones.
-        digits = data[start:pos].lstrip(b"0")
+        digits = field[1].lstrip(b"0")
         if len(digits) > len(str(MAX_PIXELS)):
             raise DimensionOverflowError(
                 f"{path}: a {len(digits)}-digit header field exceeds the "
@@ -144,59 +142,53 @@ def _parse_header(data: bytes, magic: bytes, path: Path) -> tuple[int, int, int]
         raise DimensionOverflowError(
             f"{path}: {width}x{height} exceeds the {MAX_PIXELS} pixel budget"
         )
-    return width, height, pos
-
-
-def _payload(data: bytes, offset: int, expected: int, path: Path) -> bytes:
-    body = data[offset:]
-    if len(body) != expected:
+    expected = width * height * depth
+    if len(data) - pos != expected:
         raise ImagePayloadError(
-            f"{path}: expected {expected} payload bytes, found {len(body)}"
+            f"{path}: expected {expected} payload bytes, found {len(data) - pos}"
         )
-    return body
+    return np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(height, width, depth)
+
+
+def _write(path: str | Path, magic: bytes, pixels: np.ndarray) -> None:
+    height, width = pixels.shape[:2]
+    header = b"%s\n%d %d\n255\n" % (magic, width, height)
+    Path(path).write_bytes(header + pixels.tobytes())
 
 
 def load_image(path: str | Path) -> Image:
     """Decode a binary P6 color image with maxval 255."""
-    path = Path(path)
-    data = path.read_bytes()
-    width, height, offset = _parse_header(data, b"P6", path)
-    body = _payload(data, offset, width * height * 3, path)
-    pixels = np.frombuffer(body, dtype=np.uint8).reshape(height, width, 3)
-    return Image(pixels.copy())
+    return Image(_read(path, b"P6", 3).copy())
 
 
 def save_image(image: Image, path: str | Path) -> None:
     """Write a binary P6 file; load_image(save_image(x)) is byte-stable."""
-    header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + image.pixels.tobytes())
+    _write(path, b"P6", image.pixels)
 
 
 def load_mask(path: str | Path) -> SilhouetteMask:
     """Decode a binary P5 silhouette; values above 127 are foreground."""
-    path = Path(path)
-    data = path.read_bytes()
-    width, height, offset = _parse_header(data, b"P5", path)
-    body = _payload(data, offset, width * height, path)
-    gray = np.frombuffer(body, dtype=np.uint8).reshape(height, width)
-    return SilhouetteMask(gray > FOREGROUND_THRESHOLD)
+    return SilhouetteMask(_read(path, b"P5", 1)[:, :, 0] > FOREGROUND_THRESHOLD)
 
 
 def save_mask(mask: SilhouetteMask, path: str | Path) -> None:
     """Write a binary P5 file using 255 for foreground and 0 elsewhere."""
-    header = f"P5\n{mask.width} {mask.height}\n255\n".encode("ascii")
-    gray = np.where(mask.bits, 255, 0).astype(np.uint8)
-    Path(path).write_bytes(header + gray.tobytes())
+    _write(path, b"P5", np.where(mask.bits, 255, 0).astype(np.uint8))
 
 
+@lru_cache(maxsize=64)
 def _taps(source: int, target: int) -> tuple[np.ndarray, ...]:
     """Both source neighbours of each of ``target`` samples along one axis,
     and their weights in 1 / (2 * target) units: sample i sits at
-    ((2i + 1) * source - target) / (2 * target), clamped to the source."""
+    ((2i + 1) * source - target) / (2 * target), clamped to the source.
+    The arrays are shared by every frame of that size, so read-only."""
     scale = 2 * target
     n = np.arange(1, scale, 2) * source - target
     first, weight = np.divmod(np.clip(n, 0, scale * (source - 1)), scale)
-    return first, np.minimum(first + 1, source - 1), scale - weight, weight
+    taps = first, np.minimum(first + 1, source - 1), scale - weight, weight
+    for array in taps:
+        array.flags.writeable = False
+    return taps
 
 
 def _resample(values: np.ndarray, axis: int) -> np.ndarray:

@@ -62,18 +62,29 @@ class PerFeatureRanking:
         return self.distances[self.rank_of(label) - 1]
 
 
+class _Repr(dict):
+    """float -> its repr, filled on first lookup."""
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = repr(value)
+        return text
+
+
 @lru_cache(maxsize=8)
-def _text_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only text of each rank among n classes and of its cf, by rank.
+def _text_tables(n: int) -> tuple[np.ndarray, np.ndarray, _Repr]:
+    """Read-only text of each rank among n classes and of its cf, by rank,
+    and a memo of the CF strings written so far on a gallery of n classes.
 
     A rank r always has the confidence (n - r + 1)/n, so a gallery size
-    has only n distinct cf strings. Index 0 is no rank and holds "".
+    has only n distinct cf strings. Index 0 is no rank and holds "". A CF
+    is a mean of such values, and lies in (0, 1], so float equality
+    keys one string per value.
     """
     ranks = range(1, n + 1)
     rank_text = np.array(["", *map(str, ranks)], dtype=object)
     cf_text = np.array(["", *[repr(confidence(r, n)) for r in ranks]], dtype=object)
     rank_text.flags.writeable = cf_text.flags.writeable = False
-    return rank_text, cf_text
+    return rank_text, cf_text, _Repr()
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,19 +131,19 @@ class MatchReport:
         Then one line per class in final order:
                   <label> ranks=<r>,... cf=<c>,... CF=<v> rank=<k>
         Numbers are written with repr so parsing recovers them exactly;
-        a missing probe id is written as "-". Rank and cf strings come
+        a missing probe id is written as "-". Rank, cf and CF strings come
         from tables shared by every report on a gallery of n classes.
         """
-        rank_text, cf_text = _text_tables(self.n)
+        rank_text, cf_text, cf_memo = _text_tables(self.n)
         # ranks[f, k]: rank under feature f of the class in final place k.
         ranks = np.array(self._rank_columns(), dtype=np.intp)
         slots = ",".join(["%s"] * len(ranks))
-        line = f"%s ranks={slots} cf={slots} CF=%r rank=%s"
+        line = f"%s ranks={slots} cf={slots} CF=%s rank=%s"
         rows = zip(
             self.ranking,
             *rank_text[ranks].tolist(),
             *cf_text[ranks].tolist(),
-            map(self.collective.__getitem__, self.ranking),
+            map(cf_memo.__getitem__, map(self.collective.__getitem__, self.ranking)),
             rank_text[1:].tolist(),  # final places 1..n, written as ranks are
         )
         head = "probe={} n={} features={}".format(

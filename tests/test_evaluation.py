@@ -104,6 +104,32 @@ class TestManifestIO:
         write_manifest(manifest, path)
         assert read_manifest(path).entries == manifest.entries
 
+    def test_generated_two_camera_manifest_round_trips(self, two_camera_dataset, tmp_path):
+        path = tmp_path / "manifest.csv"
+        write_manifest(two_camera_dataset, path)
+        assert read_manifest(path).entries == two_camera_dataset.entries
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"label": "a b"}, "label 'a b' must be non-empty"),
+            ({"role": "galery"}, "bad role 'galery'"),
+            ({"view": "side"}, "bad view 'side'"),
+            ({"image": ""}, "empty image path"),
+            ({"mask": ""}, "empty mask path"),
+            ({"camera_id": ""}, "empty camera id"),
+            ({"image": "a\0.ppm"}, "a path holds a NUL byte"),
+            ({"mask": "m\0.pgm"}, "a path holds a NUL byte"),
+        ],
+        ids=["label", "role", "view", "image", "mask", "camera_id", "image_nul", "mask_nul"],
+    )
+    def test_entry_built_in_code_follows_the_row_rules(self, fields, message):
+        # Unchecked, a role typo left the row out of both gallery_bundles
+        # and probe_bundles, and an empty camera id read back as "c1".
+        row = {"label": "s001", "role": "gallery", "image": "a.ppm", **fields}
+        with pytest.raises(ManifestError, match=re.escape(message)):
+            ManifestEntry(**row)
+
     def test_error_names_the_line_its_record_starts_on(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text(

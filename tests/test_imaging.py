@@ -21,8 +21,11 @@ from enexmatch import (
     save_image,
     save_mask,
 )
-from enexmatch.imaging import FRAME, _taps
+from enexmatch.imaging import FOREGROUND_THRESHOLD, FRAME, _taps
 from helpers import random_image
+
+# Each netpbm loader with its magic and bytes per pixel.
+NETPBM = [(load_image, b"P6", 3), (load_mask, b"P5", 1)]
 
 
 def bilinear_reference(pixels, out_h, out_w):
@@ -102,55 +105,66 @@ class TestNetpbm:
         assert first.read_bytes() == second.read_bytes()
 
     def test_header_comments_and_whitespace(self, tmp_path):
-        payload = bytes(range(2 * 2 * 3))
-        raw = b"P6 # trailing comment\n# full line\n  2\t2 # dims\n255\n" + payload
-        path = tmp_path / "c.ppm"
-        path.write_bytes(raw)
-        image = load_image(path)
-        assert image.width == 2 and image.height == 2
-        assert image.pixels.ravel().tolist() == list(payload)
+        path = tmp_path / "c.pnm"
+        for loader, magic, depth in NETPBM:
+            payload = bytes(range(100, 100 + 2 * 2 * depth * 10, 10))
+            head = magic + b" # trailing comment\n# full line\n  2\t2 # dims\n255\n"
+            path.write_bytes(head + payload)
+            loaded = loader(path)
+            assert loaded.width == 2 and loaded.height == 2
+            if depth == 3:
+                assert loaded.pixels.ravel().tolist() == list(payload)
+            else:
+                assert loaded.bits.ravel().tolist() == [v > FOREGROUND_THRESHOLD for v in payload]
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.ppm"
-        path.write_bytes(b"P3\n1 1\n255\n\x00\x00\x00")
-        with pytest.raises(ImageFormatError):
-            load_image(path)
+        path = tmp_path / "bad.pnm"
+        for loader, _, depth in NETPBM:
+            path.write_bytes(b"P3\n1 1\n255\n" + b"\x00" * depth)
+            with pytest.raises(ImageFormatError):
+                loader(path)
 
     def test_magic_must_be_delimited(self, tmp_path):
-        path = tmp_path / "bad.ppm"
-        path.write_bytes(b"P61 1\n255\n\x00\x00\x00")
-        with pytest.raises(ImageFormatError):
-            load_image(path)
+        path = tmp_path / "bad.pnm"
+        for loader, magic, depth in NETPBM:
+            path.write_bytes(magic + b"1 1\n255\n" + b"\x00" * depth)
+            with pytest.raises(ImageFormatError):
+                loader(path)
 
     def test_wrong_maxval(self, tmp_path):
-        path = tmp_path / "bad.ppm"
-        path.write_bytes(b"P6\n1 1\n65535\n\x00\x00\x00\x00\x00\x00")
-        with pytest.raises(ImageFormatError):
-            load_image(path)
+        path = tmp_path / "bad.pnm"
+        for loader, magic, depth in NETPBM:
+            path.write_bytes(magic + b"\n1 1\n65535\n" + b"\x00" * 2 * depth)
+            with pytest.raises(ImageFormatError):
+                loader(path)
 
     def test_zero_dimension(self, tmp_path):
-        path = tmp_path / "bad.ppm"
-        path.write_bytes(b"P6\n0 4\n255\n")
-        with pytest.raises(ImageFormatError):
-            load_image(path)
+        path = tmp_path / "bad.pnm"
+        for loader, magic, _ in NETPBM:
+            path.write_bytes(magic + b"\n0 4\n255\n")
+            with pytest.raises(ImageFormatError):
+                loader(path)
 
     def test_short_payload(self, tmp_path):
-        path = tmp_path / "bad.ppm"
-        path.write_bytes(b"P6\n3 1\n255\n" + b"\x00" * 6)
-        with pytest.raises(ImagePayloadError):
-            load_image(path)
+        path = tmp_path / "bad.pnm"
+        for loader, magic, depth in NETPBM:
+            path.write_bytes(magic + b"\n3 1\n255\n" + b"\x00" * 2 * depth)
+            with pytest.raises(ImagePayloadError):
+                loader(path)
 
     def test_trailing_garbage(self, tmp_path):
-        path = tmp_path / "bad.ppm"
-        path.write_bytes(b"P6\n1 1\n255\n" + b"\x00" * 4)
-        with pytest.raises(ImagePayloadError):
-            load_image(path)
+        path = tmp_path / "bad.pnm"
+        for loader, magic, depth in NETPBM:
+            path.write_bytes(magic + b"\n1 1\n255\n" + b"\x00" * (depth + 1))
+            with pytest.raises(ImagePayloadError):
+                loader(path)
 
     def test_dimension_overflow(self, tmp_path):
-        path = tmp_path / "huge.ppm"
-        path.write_bytes(b"P6\n100000 100000\n255\n")
-        with pytest.raises(DimensionOverflowError):
-            load_image(path)
+        path = tmp_path / "huge.pnm"
+        for loader, magic, _ in NETPBM:
+            path.write_bytes(magic + b"\n100000 100000\n255\n")
+            with pytest.raises(DimensionOverflowError):
+                loader(path)
 
     @pytest.mark.parametrize("loader, magic", [(load_image, b"P6"), (load_mask, b"P5")])
     @pytest.mark.parametrize("field", range(3))

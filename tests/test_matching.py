@@ -475,6 +475,30 @@ class TestReportText:
         assert {(n, f) for n, f, _ in seen} >= {(2, 3), (2, 4), (61, 3), (61, 4)}
         assert None in {probe_id for _, _, probe_id in seen}
 
+    def test_cf_text_is_the_repr_of_each_value_on_galleries_sharing_a_size(self):
+        # CF strings are memoized per gallery size: two galleries of 9
+        # classes share one memo, and a 5-class gallery's reports come
+        # between their reports.
+        rng = np.random.default_rng(234)
+        galleries = [enrolled_gallery(rng, n=n, samples=2).fit() for n in (9, 9, 5)]
+        probes = [random_bundle(rng, label=f"exit{i}") for i in range(3)]
+        for probe in probes:
+            for gallery in galleries:
+                report = match_probe(probe, gallery)
+                assert report.to_text() == naive_text(report)
+        # Two classes whose CFs differ in the last bit, as equal rank sums
+        # often give: each keeps its own string.
+        low = 0.43499999999999994
+        high = float(np.nextafter(low, 1.0))
+        first, second = report.ranking[:2]
+        for a, b in ((low, high), (high, low)):
+            twins = dataclasses.replace(
+                report, collective={**report.collective, first: a, second: b}
+            )
+            text = twins.to_text()
+            assert text == naive_text(twins)
+            assert f"CF={a!r} " in text and f"CF={b!r} " in text
+
 
 def naive_match(probe, gallery):
     """Per-class, per-sample loops over the gallery's public data.
