@@ -24,11 +24,18 @@ from .errors import (
 RIDGE_FACTOR = 1e-6
 RIDGE_FLOOR = 1e-9
 
-# Eigenvalues this far below the largest carry no usable separation.
+# Classes whose between trace is this far below the total trace show no
+# mean separation at all.
 EIGENVALUE_CUTOFF = 1e-12
 
-# Per-class d x d scatters are built about this many bytes at a time.
-_CHUNK_BYTES = 1 << 20
+# Rounding noise in a direction the between scatter lacks (the sum of a
+# histogram block, say) whitens to up to about eps / RIDGE_FACTOR
+# (2.2e-10) of the strongest eigenvalue; a direction is kept only above
+# a few times that.
+RANK_CUTOFF = 1e-9
+
+# Centred rows of a wide trait are multiplied about this many bytes at a time.
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,17 +109,34 @@ class FeatureTransform:
         return self.matrix.shape[1]
 
 
-def _add_in_order(terms: np.ndarray, out: np.ndarray) -> None:
-    """Set ``out`` to ``((terms[0] + terms[1]) + terms[2]) + ...``.
+def _scalar_statistics(classes: ClassBlock) -> tuple[np.ndarray, np.ndarray]:
+    """``scatter_statistics`` of a 1-wide block, rounded as the per-class
+    loops of ``+=`` round it.
 
-    That is the rounding of a loop of ``+=``. An axis-0 reduce keeps it
-    for d x d terms, but over (k, 1, 1) terms numpy switches to a pairwise
-    sum, so 1-D traits accumulate instead.
+    The classes of one row count c are read as one (members, c, 1)
+    stack; ``stack.mean(axis=1)``, the subtraction and the batched matmul
+    round each class exactly as ``samples.mean(axis=0)``,
+    ``samples - mean`` and ``centered.T @ centered`` do, since numpy makes
+    the same BLAS call for each matrix of a batch as for a single product.
+    ``add.accumulate`` sums the terms in enrollment order, where
+    ``add.reduce`` would sum them pairwise.
     """
-    if terms.shape[1] == 1:
-        out[...] = np.add.accumulate(terms[:, 0, 0])[-1]
-    else:
-        np.add.reduce(terms, axis=0, out=out)
+    rows, starts = classes.rows, classes.starts
+    counts = np.asarray(classes.counts, dtype=np.intp)
+    weights = counts.astype(np.float64)
+    means = np.empty((len(counts), 1), dtype=np.float64)
+    terms = np.empty(len(counts), dtype=np.float64)
+    for size in set(classes.counts):
+        members = np.flatnonzero(counts == size)
+        stack = rows[starts[members, None] + np.arange(size)]
+        means[members] = stack.mean(axis=1)
+        centered = stack - means[members, None, :]
+        terms[members] = np.matmul(centered.transpose(0, 2, 1), centered)[:, 0, 0]
+    grand = (weights[:, None] * means).sum(axis=0) / weights.sum()
+    offsets = (means - grand)[:, 0]
+    within = np.add.accumulate(terms)[-1:, None]
+    between = np.add.accumulate(weights * (offsets * offsets))[-1:, None]
+    return within, between
 
 
 def scatter_statistics(classes: ClassBlock) -> tuple[np.ndarray, np.ndarray]:
@@ -120,63 +144,32 @@ def scatter_statistics(classes: ClassBlock) -> tuple[np.ndarray, np.ndarray]:
 
     Within is the sum of each class's scatter around its own mean; between
     is the scatter of the class means around the pooled mean, weighted by
-    row count. Each is summed class by class in enrollment order, as a
-    loop of ``+=`` would.
+    row count.
 
-    The per-class d x d terms are built about ``_CHUNK_BYTES`` at a time
-    into one reused buffer whose slot 0 carries the running total. In a
-    chunk, the classes of one row count c are read as one (members, c, d)
-    stack; ``stack.mean(axis=1)``, the subtraction and the batched matmul
-    round each class exactly as ``samples.mean(axis=0)``,
-    ``samples - mean`` and ``centered.T @ centered`` do, since numpy makes
-    the same BLAS call for each matrix of a batch as for a single product.
+    A trait wider than 1 takes each as matrix products: within is
+    ``C.T @ C`` over the centred rows, about ``_CHUNK_BYTES`` of them at a
+    time, and between is ``(D * counts).T @ D`` over the class-mean
+    offsets D. A 1-wide trait sums its terms class by class in enrollment
+    order instead, as a loop of ``+=`` would, since the last bit of a
+    1 x 1 transform can reorder a match report.
     """
     if len(classes) < 2:
         raise DegenerateProblemError("scatter statistics need at least two classes")
     _check_finite(classes)
-    rows, starts = classes.rows, classes.starts
-    counts = np.asarray(classes.counts, dtype=np.intp)
-    n, dim = len(counts), rows.shape[1]
-    chunk = min(n, max(1, _CHUNK_BYTES // (8 * dim * dim)))
-    buffer = np.empty((chunk + 1, dim, dim), dtype=np.float64)
-    means = np.empty((n, dim), dtype=np.float64)
+    rows = classes.rows
+    dim = rows.shape[1]
+    if dim == 1:
+        return _scalar_statistics(classes)
+    weights = np.asarray(classes.counts, dtype=np.float64)
+    means = np.add.reduceat(rows, classes.starts, axis=0) / weights[:, None]
+    offsets = means - weights @ means / weights.sum()
+    owner = np.repeat(np.arange(len(weights)), classes.counts)
+    step = max(1, _CHUNK_BYTES // (8 * dim))
     within = np.zeros((dim, dim), dtype=np.float64)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        terms = buffer[: stop - start + 1]
-        terms[0] = within
-        sizes = set(classes.counts[start:stop])
-        for size in sizes:
-            if len(sizes) == 1:
-                # Back-to-back rows of one count: a zero-copy view.
-                members = slice(start, stop)
-                stack = rows[starts[start] : starts[start] + (stop - start) * size]
-                stack = stack.reshape(-1, size, dim)
-            else:
-                members = start + np.flatnonzero(counts[start:stop] == size)
-                stack = rows[starts[members, None] + np.arange(size)]
-            mean = stack.mean(axis=1)
-            means[members] = mean
-            centered = stack - mean[:, None, :]
-            if len(sizes) == 1:
-                np.matmul(centered.transpose(0, 2, 1), centered, out=terms[1:])
-            else:
-                terms[members - start + 1] = np.matmul(centered.transpose(0, 2, 1), centered)
-        _add_in_order(terms, within)
-
-    weights = counts.astype(np.float64)
-    grand = (weights[:, None] * means).sum(axis=0) / weights.sum()
-    offsets = means - grand
-    between = np.zeros((dim, dim), dtype=np.float64)
-    for start in range(0, n, chunk):
-        # count * outer(offset, offset). einsum forms each product once, as
-        # np.outer does, in about half the time of a broadcast multiply.
-        offset = offsets[start : start + chunk]
-        terms = buffer[: len(offset) + 1]
-        terms[0] = between
-        np.einsum("ni,nj->nij", offset, offset, out=terms[1:])
-        terms[1:] *= weights[start : start + chunk, None, None]
-        _add_in_order(terms, between)
+    for start in range(0, len(rows), step):
+        centered = rows[start : start + step] - means[owner[start : start + step]]
+        within += centered.T @ centered
+    between = (offsets.T * weights) @ offsets
     return within, between
 
 
@@ -192,8 +185,8 @@ def fit_transform(classes: ClassBlock, feature_id: str = "feature") -> FeatureTr
     Directions solve the eigenproblem of inv(within + ridge*I) @ between,
     with the ridge from ``default_ridge``, through a Cholesky whitening
     of the regularized within scatter, which keeps the computation
-    symmetric and stable. All directions whose eigenvalue exceeds a small
-    fraction of the strongest are retained.
+    symmetric and stable. All directions whose eigenvalue exceeds
+    ``RANK_CUTOFF`` of the strongest are retained.
     """
     if len(classes) < 2:
         raise DegenerateProblemError("fitting needs at least two classes")
@@ -241,7 +234,7 @@ def fit_transform(classes: ClassBlock, feature_id: str = "feature") -> FeatureTr
             regularization=ridge,
             discriminative=False,
         )
-    keep = eigvals > EIGENVALUE_CUTOFF * eigvals[0]
+    keep = eigvals > RANK_CUTOFF * eigvals[0]
     keep[0] = True
     matrix = vectors[:, keep] * eigvals[keep]
     return FeatureTransform(

@@ -75,3 +75,7 @@ class SnapshotTruncatedError(EnexError):
 
 class ManifestError(EnexError):
     """Dataset manifest is malformed or references missing files."""
+
+
+class ExtractionWorkerError(EnexError):
+    """A worker process extracting observations ended without a result."""

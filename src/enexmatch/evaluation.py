@@ -12,6 +12,7 @@ import os
 import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from multiprocessing import get_all_start_methods, get_context
 from operator import attrgetter
@@ -20,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ManifestError, UnknownLabelError
+from .errors import ExtractionWorkerError, ManifestError, UnknownLabelError
 from .features import (
     FeatureBundle,
     SubjectSample,
@@ -222,7 +223,8 @@ def _observations(manifest: DatasetManifest, role: str) -> list[FeatureBundle]:
     cameras' rows pair up in file order. When the observations span more
     than one chunk and more than one CPU is usable, forked workers
     extract the chunks; the bundles and the first error, in manifest
-    order, are the same as in-process. No worker outlives the call.
+    order, are the same as in-process. A worker that dies is an
+    ``ExtractionWorkerError``. No worker outlives the call.
     """
     grouped: dict[str, dict[str, list[ManifestEntry]]] = {}
     for entry in manifest.entries:
@@ -241,6 +243,10 @@ def _observations(manifest: DatasetManifest, role: str) -> list[FeatureBundle]:
     try:
         parts = pool.map(_extract, [manifest.root] * len(chunks), chunks)
         return [bundle for part in parts for bundle in part]
+    except BrokenProcessPool:
+        raise ExtractionWorkerError(
+            f"a worker extracting {role} observations ended without a result"
+        ) from None
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -51,12 +51,13 @@ class Gallery:
     ``load`` make every other one.
     """
 
-    __slots__ = ("_labels", "_traits", "_transforms", "_projected")
+    __slots__ = ("_labels", "_traits", "_transforms", "_packed", "_projected")
 
     def __init__(self) -> None:
         self._labels: dict[str, None] = {}
         self._traits: dict[str, dict[str, np.ndarray]] = {}
         self._transforms: dict[str, FeatureTransform] | None = None
+        self._packed: Mapping[str, ClassBlock] = {}
         self._projected: dict[str, ClassBlock] = {}
 
     @classmethod
@@ -68,8 +69,9 @@ class Gallery:
         packed: Mapping[str, ClassBlock] | None = None,
     ) -> "Gallery":
         """A gallery of parts its caller has checked; fitted when ``transforms``
-        is a dict. ``packed`` holds each transform's trait as one block, which
-        is projected here in one stacked call over its holders.
+        is a dict. ``packed`` holds traits of ``traits`` as one block each,
+        which the snapshot writes as they are; each transform's trait is
+        among them and is projected here in one stacked call.
 
         ``labels`` and each trait's holder map keep enrollment order and
         are never mutated, so galleries share them and their row arrays.
@@ -78,6 +80,7 @@ class Gallery:
         gallery._labels = labels
         gallery._traits = traits
         gallery._transforms = transforms
+        gallery._packed = packed or {}
         for fid, transform in (transforms or {}).items():
             trait = packed[fid]
             rows = np.ascontiguousarray(project(transform, trait.rows))
@@ -184,16 +187,14 @@ class Gallery:
         """
         if self.n < 2:
             raise DegenerateProblemError("fitting needs at least two enrolled classes")
-        transforms: dict[str, FeatureTransform] = {}
-        packed: dict[str, ClassBlock] = {}
-        for fid in FEATURE_IDS:
-            holders = self._traits.get(fid, {})
-            if len(holders) >= 2:
-                trait = _pack(holders)
-                transforms[fid] = fit_transform(trait, feature_id=fid)
-                packed[fid] = trait
-        # The fitted gallery shares this gallery's label and trait maps; the
-        # packed blocks live only until they are projected.
+        packed = {fid: _pack(self._traits[fid]) for fid in FEATURE_IDS if fid in self._traits}
+        transforms = {
+            fid: fit_transform(trait, feature_id=fid)
+            for fid, trait in packed.items()
+            if len(trait) >= 2
+        }
+        # The fitted gallery shares this gallery's label and trait maps, and
+        # keeps the packed blocks for its snapshot.
         return Gallery._build(self._labels, self._traits, transforms, packed)
 
     def __eq__(self, other: object) -> bool:
@@ -368,10 +369,16 @@ def _encode_body(gallery: Gallery) -> list[bytes | memoryview]:
     # Labels hold no whitespace, so a newline separates them unambiguously.
     w.text("\n".join(labels))
     for fid in FEATURE_IDS:
-        holders = gallery._traits.get(fid, {})
-        rows = _pack(holders).rows if holders else np.empty((0, 0))
+        trait = gallery._packed.get(fid)
+        if trait is None and fid in gallery._traits:
+            trait = _pack(gallery._traits[fid])
+        counts = dict.fromkeys(labels, 0)
+        rows = np.empty((0, 0))
+        if trait is not None:
+            counts.update(zip(trait.labels, trait.counts))
+            rows = trait.rows
         w.u32(rows.shape[1])
-        w.u32s([len(holders[label]) if label in holders else 0 for label in labels])
+        w.u32s(list(counts.values()))
         w.array(rows)
     transforms = gallery._transforms or {}
     for fid in FEATURE_IDS:

@@ -7,11 +7,12 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from enexmatch import evaluation
+from enexmatch import cli, evaluation
 from enexmatch import (
     FEATURE_IDS,
     CMCCurve,
     DatasetManifest,
+    ExtractionWorkerError,
     Image,
     ImageFormatError,
     ManifestEntry,
@@ -526,6 +527,16 @@ def chunked_dataset(tmp_path_factory):
     return generate_synthetic(config, tmp_path_factory.mktemp("chunked"))
 
 
+# The process the tests run in, which no stand-in for a worker may end.
+TEST_PID = os.getpid()
+
+
+def die_in_worker(root, observations):
+    """Stands in for ``evaluation._extract``: the forked worker ends at once."""
+    assert os.getpid() != TEST_PID, "ran in the test process"
+    os._exit(1)
+
+
 def usable_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: count)
@@ -638,6 +649,22 @@ class TestParallelIngest:
         gallery_map, probes = ingest(chunked_dataset)
         assert made == pools
         assert sum(map(len, gallery_map.values())) == 36 and len(probes) == 12
+
+    def test_a_dead_worker_is_an_error_line(self, chunked_dataset, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(evaluation, "_CHUNK", SMALL_CHUNK)
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(evaluation, "_extract", die_in_worker)
+        with pytest.raises(ExtractionWorkerError, match="^a worker extracting gallery "):
+            ingest(chunked_dataset)
+        assert multiprocessing.active_children() == []
+        snapshot = tmp_path / "g.bin"
+        manifest = chunked_dataset.root / "manifest.csv"
+        code = cli.main(["enroll", "--manifest", str(manifest), "--snapshot", str(snapshot)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: a worker extracting gallery observations ended without a result\n"
+        )
+        assert not snapshot.exists()
 
     def test_no_pool_without_fork(self, chunked_dataset, monkeypatch):
         monkeypatch.setattr(evaluation, "_CHUNK", SMALL_CHUNK)

@@ -644,6 +644,31 @@ class TestSharedBlocks:
                 if label != "c3":
                     assert refitted._traits[fid][label] is samples
 
+    def test_fit_then_save_packs_each_trait_once(self, tmp_path, monkeypatch):
+        # The fitted gallery's snapshot writes the blocks its fit packed, a
+        # loaded gallery's the blocks it decoded; only an unfitted gallery
+        # built by enroll packs when it saves. Complexion, held by one
+        # class, is packed but not fitted.
+        packed = []
+        pack = gallery_module._pack
+
+        def counted(holders):
+            packed.append(tuple(holders))
+            return pack(holders)
+
+        monkeypatch.setattr(gallery_module, "_pack", counted)
+        gallery = shared_blocks_gallery(np.random.default_rng(384))
+        fitted = gallery.fit()
+        held = [tuple(holders) for holders in gallery._traits.values()]
+        assert sorted(packed) == sorted(held) and len(held) == 4
+        path, _ = snapshot_bytes(tmp_path, fitted)
+        loaded = Gallery.load(path)
+        snapshot_bytes(tmp_path, loaded, name="again.bin")
+        assert loaded == fitted
+        assert len(packed) == 4
+        snapshot_bytes(tmp_path, gallery, name="unfitted.bin")
+        assert len(packed) == 8
+
     def test_loaded_blocks_project_and_fit_as_saved(self, tmp_path):
         # The loaded blocks view the file's bytes wherever they fall in it.
         rng = np.random.default_rng(382)

@@ -7,13 +7,15 @@ here.
 
 The snapshot digest is of the columnar ``ENEXGAL5`` layout, which holds
 the label table, one raw-sample block per trait and one transform slot
-per trait, each float array 8-byte aligned (523,877 bytes with header
+per trait, each float array 8-byte aligned (521,549 bytes with header
 and checksum).
 The loaded gallery, written again in the older per-class ``ENEXGAL2``
 layout by a frozen copy of its encoder (a class's size taken as its
-largest trait row count), still hashes to that layout's pin (538,318
-bytes), so samples and fitted transforms are byte for byte those the
-older layouts stored.
+largest trait row count), still hashes to that layout's pin (535,990
+bytes), so the current layout stores every sample and transform byte
+the older one stored. Both snapshot pins were last taken when wide
+traits moved to a two-product fit that keeps no direction of rounding
+noise: the clothing transform went from 55 columns to 52.
 
 The resize digests pin frames that go through ``normalize_size``'s
 resampling (256x128 down to 128x64, two cameras); they were taken from
@@ -30,8 +32,8 @@ from enexmatch import Gallery, SyntheticConfig, generate_synthetic, ingest, matc
 from helpers import enexgal2_snapshot
 
 REPORTS_SHA256 = "ae8ee35ba09933d284194565d5cd3d6ca67717fb45f04715810274c149bb24ea"
-SNAPSHOT_SHA256 = "147cc8e603563dc3388b361f814d85c8e9bba4b0f9af440ca2e381346520bc55"
-ENEXGAL2_SNAPSHOT_SHA256 = "f5861526f8de167f1e87b4c9e0a03069e1e88fa0b7fdc1b9a9e3db087578ce49"
+SNAPSHOT_SHA256 = "7dcfcda4d6d4e388a298fa22090a95298963aec40f196e87aed75c4e31ef177f"
+ENEXGAL2_SNAPSHOT_SHA256 = "7e37b7840546da3de0e5cfb93056b2796c895d2be5153dcc93ee0201c6a444a2"
 
 RESIZED_CLOTHING_SHA256 = "f5cb70c850b346f5401dbd7a5b98ae918f5e469e69117ff89f4409645b964a9e"
 RESIZED_COMPLEXION_SHA256 = "9e25fcfcbde86cbf8fc05d869e273af5cd44d1e3fad5031233a9f0b9d8b79c1e"
