@@ -62,7 +62,6 @@ _GENERATE_OPTIONS = (
     ("--cameras", "cameras", "cameras per observation, 1 or 2"),
     ("--image-height", "image_height", "rendered frame height"),
     ("--image-width", "image_width", "rendered frame width"),
-    ("--entrance-ref", "entrance_ref_height", "entrance reference height, pixels"),
     ("--seed", "seed", "random seed"),
 )
 
@@ -176,13 +175,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     gallery_map, probes = ingest(args.manifest)
     if not probes:
         raise ManifestError("manifest has no probe rows")
-    result = evaluate(gallery_map, probes, ks=ks, features=features)
+    curve = evaluate(gallery_map, probes, features=features)
     name = ",".join(features) if features else "all-features"
-    print(emit_report([(name, result.rank_accuracy)], ks), end="")
+    print(emit_report([(name, {k: curve.accuracy(k) for k in ks})], ks), end="")
     if args.cmc_csv:
-        Path(args.cmc_csv).write_text(cmc_csv(result.cmc), encoding="utf-8")
+        Path(args.cmc_csv).write_text(cmc_csv(curve), encoding="utf-8")
     print(
-        f"evaluated {result.probe_count} probes against {result.n} classes",
+        f"evaluated {len(probes)} probes against {len(curve.accuracies)} classes",
         file=sys.stderr,
     )
     return EXIT_SUCCESS

@@ -25,10 +25,6 @@ class DegenerateImageError(EnexError):
     """Image is too small to split into head, torso, and leg bands."""
 
 
-class FeatureUnavailableError(EnexError):
-    """A feature cannot be computed from the given observation."""
-
-
 class DimensionMismatchError(EnexError):
     """Vectors that must share a dimension do not."""
 

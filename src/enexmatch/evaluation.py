@@ -10,10 +10,9 @@ from __future__ import annotations
 import csv
 import os
 import re
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from multiprocessing import get_all_start_methods, get_context
 from operator import attrgetter
 from pathlib import Path
@@ -91,23 +90,34 @@ class DatasetManifest:
 
     Cameras pair up row by row in file order, so every camera must give
     a label the same number of rows of a role. Construction checks that
-    before any image is read.
+    before any image is read, and keeps each role's observations: (label,
+    one row per camera in camera order), grouped by label in first-seen
+    order.
     """
 
     root: Path
     entries: tuple[ManifestEntry, ...]
+    _paired: dict[str, list[tuple[str, tuple[ManifestEntry, ...]]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        rows: dict[tuple[str, str], Counter[str]] = {}
+        grouped: dict[tuple[str, str], dict[str, list[ManifestEntry]]] = {}
         for e in self.entries:
-            rows.setdefault((e.label, e.role), Counter())[e.camera_id] += 1
-        for (label, role), per_camera in rows.items():
-            if len(set(per_camera.values())) != 1:
-                counts = ", ".join(f"{cid} {n}" for cid, n in sorted(per_camera.items()))
+            grouped.setdefault((e.label, e.role), {}).setdefault(e.camera_id, []).append(e)
+        paired = {role: [] for role in ROLES}
+        for (label, role), per_camera in grouped.items():
+            cameras = sorted(per_camera)
+            if len({len(per_camera[cid]) for cid in cameras}) != 1:
+                counts = ", ".join(f"{cid} {len(per_camera[cid])}" for cid in cameras)
                 raise ManifestError(
                     f"label {label!r} ({role}): cameras disagree on observation count "
                     f"({counts})"
                 )
+            paired[role].extend(
+                (label, rows) for rows in zip(*(per_camera[cid] for cid in cameras))
+            )
+        object.__setattr__(self, "_paired", paired)
 
 
 _DIGITS = re.compile(r"[0-9]+")
@@ -217,24 +227,15 @@ def _usable_cpus() -> int:
 
 
 def _observations(manifest: DatasetManifest, role: str) -> list[FeatureBundle]:
-    """Extract one fused bundle per observation of the given role.
+    """Extract one fused bundle per observation of the given role, in the
+    manifest's observation order.
 
-    Rows are grouped by label, in first-seen order, and by camera; the
-    cameras' rows pair up in file order. When the observations span more
-    than one chunk and more than one CPU is usable, forked workers
-    extract the chunks; the bundles and the first error, in manifest
-    order, are the same as in-process. A worker that dies is an
-    ``ExtractionWorkerError``. No worker outlives the call.
+    When the observations span more than one chunk and more than one CPU
+    is usable, forked workers extract the chunks; the bundles and the
+    first error, in manifest order, are the same as in-process. A worker
+    that dies is an ``ExtractionWorkerError``. No worker outlives the call.
     """
-    grouped: dict[str, dict[str, list[ManifestEntry]]] = {}
-    for entry in manifest.entries:
-        if entry.role == role:
-            grouped.setdefault(entry.label, {}).setdefault(entry.camera_id, []).append(entry)
-    observations = [
-        (label, rows)
-        for label, per_camera in grouped.items()
-        for rows in zip(*(per_camera[cid] for cid in sorted(per_camera)))
-    ]
+    observations = manifest._paired[role]
     chunks = [observations[i : i + _CHUNK] for i in range(0, len(observations), _CHUNK)]
     workers = min(_usable_cpus(), len(chunks))
     if workers < 2 or "fork" not in get_all_start_methods():
@@ -278,16 +279,16 @@ def ingest(
 
     Returns the gallery as label -> bundles in first-seen order and the
     probe bundles carrying their true label. Probe labels missing from
-    the gallery violate the closed-set protocol and fail here.
+    the gallery violate the closed-set protocol and fail here, before any
+    image is read.
     """
     if not isinstance(manifest, DatasetManifest):
         manifest = read_manifest(manifest)
-    gallery_map = gallery_bundles(manifest)
-    probes = probe_bundles(manifest)
-    missing = sorted({p.label for p in probes} - set(gallery_map))
+    labels = {role: {label for label, _ in manifest._paired[role]} for role in ROLES}
+    missing = sorted(labels["probe"] - labels["gallery"])
     if missing:
         raise ManifestError(f"probe labels missing from the gallery: {missing}")
-    return gallery_map, probes
+    return gallery_bundles(manifest), probe_bundles(manifest)
 
 
 @dataclass(frozen=True)
@@ -315,21 +316,13 @@ class CMCCurve:
         return self.accuracies[min(k, len(self.accuracies)) - 1]
 
 
-@dataclass(frozen=True)
-class EvaluationResult:
-    cmc: CMCCurve
-    rank_accuracy: dict[int, float]
-    n: int
-    probe_count: int
-
-
 def evaluate(
     gallery_map: Mapping[str, Sequence[FeatureBundle]],
     probes: Sequence[FeatureBundle],
-    ks: Sequence[int] = (1, 5, 10),
     features: Sequence[str] | None = None,
-) -> EvaluationResult:
-    """Enroll, fit, match every probe, and accumulate the match curve.
+) -> CMCCurve:
+    """Enroll, fit, match every probe, and return the cumulative match
+    curve, one accuracy per enrolled class.
 
     ``features`` restricts both sides to a subset of traits, which is how
     single-trait ablations are run.
@@ -342,8 +335,7 @@ def evaluate(
             bundles = [b.restrict(features) for b in bundles]
         gallery = gallery.enroll(label, bundles)
     gallery = gallery.fit()
-    n = gallery.n
-    hits = np.zeros(n, dtype=np.int64)
+    hits = np.zeros(gallery.n, dtype=np.int64)
     for probe in probes:
         if probe.label is None or probe.label not in gallery_map:
             raise UnknownLabelError(f"probe label {probe.label!r} is not enrolled")
@@ -353,11 +345,7 @@ def evaluate(
         rank = report.ranking.index(probe.label) + 1
         hits[rank - 1] += 1
     cumulative = np.cumsum(hits) / len(probes)
-    curve = CMCCurve(tuple(float(a) for a in cumulative))
-    table = {k: curve.accuracy(k) for k in ks}
-    return EvaluationResult(
-        cmc=curve, rank_accuracy=table, n=n, probe_count=len(probes)
-    )
+    return CMCCurve(tuple(float(a) for a in cumulative))
 
 
 def emit_report(
@@ -428,7 +416,6 @@ class SyntheticConfig:
     cameras: int = 1
     image_height: int = 128
     image_width: int = 64
-    entrance_ref_height: int = 200
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -450,8 +437,6 @@ class SyntheticConfig:
             raise ValueError("images must be at least 12x16")
         if self.image_height * self.image_width > MAX_PIXELS:
             raise ValueError(f"images must not exceed the {MAX_PIXELS} pixel budget")
-        if self.entrance_ref_height < 2:
-            raise ValueError("entrance_ref_height must be at least 2")
         if self.seed < 0:
             raise ValueError("seed cannot be negative")
 
@@ -471,6 +456,8 @@ _CLOTHING_LUMA = 128.0
 _BACK_HEAD_LUMA = 60.0
 _ARM_HEIGHT_FRACTION = 0.3
 _ARM_COLUMNS = 2
+# The doorway's pixel height, which every row with box metrics reports.
+_ENTRANCE_REF_HEIGHT = 200
 
 
 @dataclass(frozen=True)
@@ -548,10 +535,10 @@ def _torso_columns(rng: np.random.Generator, config: SyntheticConfig, fraction: 
 
 
 def _bbox_height(rng: np.random.Generator, config: SyntheticConfig, ratio: float) -> int:
-    height = ratio * config.entrance_ref_height
+    height = ratio * _ENTRANCE_REF_HEIGHT
     if config.height_noise > 0.0:
         height += rng.normal(0.0, config.height_noise)
-    return int(np.clip(round(height), 1, config.entrance_ref_height))
+    return int(np.clip(round(height), 1, _ENTRANCE_REF_HEIGHT))
 
 
 def generate_synthetic(config: SyntheticConfig, out_dir: str | Path) -> DatasetManifest:
@@ -621,7 +608,7 @@ def generate_synthetic(config: SyntheticConfig, out_dir: str | Path) -> DatasetM
                 mask_path = f"masks/{stem}.pgm"
                 bbox_height = _bbox_height(rng, config, lat.height_ratio)
                 bbox_width = columns
-                ref_height = config.entrance_ref_height
+                ref_height = _ENTRANCE_REF_HEIGHT
             entries.append(
                 ManifestEntry(
                     label=label,

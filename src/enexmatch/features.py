@@ -15,7 +15,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import FeatureUnavailableError
 from .imaging import (
     BodyRegions,
     ChromaImage,
@@ -223,10 +222,11 @@ def clothing_histogram(regions: BodyRegions) -> ClothingHistogram:
     return ClothingHistogram(counts / np.maximum(sizes, 1))
 
 
-def extract_height(sample: SubjectSample) -> HeightFeature:
-    """Subject height as a fraction of the entrance reference height."""
+def extract_height(sample: SubjectSample) -> HeightFeature | None:
+    """Subject height as a fraction of the entrance reference height, or
+    None when the sample lacks either box metric."""
     if sample.bbox_height is None or sample.entrance_ref_height is None:
-        raise FeatureUnavailableError("height needs box metrics from the entrance")
+        return None
     return HeightFeature(sample.bbox_height / sample.entrance_ref_height)
 
 
@@ -235,8 +235,9 @@ def vertical_projection(mask: SilhouetteMask) -> np.ndarray:
     return mask.bits.sum(axis=0, dtype=np.int64)
 
 
-def build_ratio(profile: np.ndarray) -> BuildFeature:
-    """Peak height-to-effective-width ratio of one column profile.
+def build_ratio(profile: np.ndarray) -> BuildFeature | None:
+    """Peak height-to-effective-width ratio of one column profile, or None
+    when the profile is empty or all zero.
 
     The effective width counts only columns reaching at least
     ``BUILD_THRESHOLD`` times the profile peak, which suppresses swinging
@@ -247,7 +248,7 @@ def build_ratio(profile: np.ndarray) -> BuildFeature:
         raise ValueError("profile must be a 1-D count array")
     peak = int(counts.max()) if counts.size else 0
     if peak <= 0:
-        raise FeatureUnavailableError("projection profile is all zero")
+        return None
     return BuildFeature(peak / int(np.count_nonzero(counts >= BUILD_THRESHOLD * peak)))
 
 
@@ -284,27 +285,11 @@ def extract_bundle(sample: SubjectSample) -> FeatureBundle:
     left out when those are missing.
     """
     regions = decompose_regions(rgb_to_ycbcr(normalize_size(sample.image)))
-    clothing = clothing_histogram(regions)
-    skin = complexion(regions.head)
-
-    height: HeightFeature | None
-    try:
-        height = extract_height(sample)
-    except FeatureUnavailableError:
-        height = None
-
-    build: BuildFeature | None = None
-    if sample.mask is not None:
-        try:
-            build = build_ratio(vertical_projection(sample.mask))
-        except FeatureUnavailableError:
-            build = None
-
     return FeatureBundle(
-        clothing=clothing,
-        height=height,
-        build=build,
-        complexion=skin,
+        clothing=clothing_histogram(regions),
+        height=extract_height(sample),
+        build=None if sample.mask is None else build_ratio(vertical_projection(sample.mask)),
+        complexion=complexion(regions.head),
     )
 
 

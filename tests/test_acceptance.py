@@ -240,10 +240,9 @@ class TestCriterion4:
             seed=42,
         )
         gallery_map, probes = ingest(generate_synthetic(config, tmp_path))
-        result = evaluate(gallery_map, probes)
-        if result.rank_accuracy[1] != 1.0:
-            failures.append(f"rank-1 accuracy {result.rank_accuracy[1]} != 1.000")
-        curve = result.cmc.accuracies
+        curve = evaluate(gallery_map, probes).accuracies
+        if curve[0] != 1.0:
+            failures.append(f"rank-1 accuracy {curve[0]} != 1.000")
         if any(b < a for a, b in zip(curve, curve[1:])):
             failures.append("CMC decreases")
         if curve[-1] != 1.0:
@@ -256,7 +255,7 @@ class TestCriterion4:
             4,
             "closed-set perfect recall",
             failures,
-            f"rank-1 {result.rank_accuracy[1]:.3f}, {elapsed:.1f}s",
+            f"rank-1 {curve[0]:.3f}, {elapsed:.1f}s",
         )
 
 
@@ -279,12 +278,12 @@ class TestCriterion5:
             gallery_map, probes = ingest(generate_synthetic(config, out))
             alone = evaluate(gallery_map, probes, features=("clothing",))
             ensemble = evaluate(gallery_map, probes)
-            margin = ensemble.rank_accuracy[10] - alone.rank_accuracy[10]
+            margin = ensemble.accuracy(10) - alone.accuracy(10)
             margins.append(margin)
             if margin < 0.05:
                 failures.append(
-                    f"seed {seed}: ensemble rank-10 {ensemble.rank_accuracy[10]:.3f} "
-                    f"beats clothing-only {alone.rank_accuracy[10]:.3f} "
+                    f"seed {seed}: ensemble rank-10 {ensemble.accuracy(10):.3f} "
+                    f"beats clothing-only {alone.accuracy(10):.3f} "
                     f"by only {margin:.3f} < 0.05"
                 )
         elapsed = time.perf_counter() - start
@@ -326,12 +325,11 @@ class TestCriterion6:
                 failures.append(f"n={size}: metric samples per subject != 5")
             if len(probes) != size:
                 failures.append(f"n={size}: expected one probe per subject")
-            result = evaluate(gallery_map, probes, ks=(1, 5, 10))
-            if result.n != size or sorted(result.rank_accuracy) != [1, 5, 10]:
-                failures.append(f"n={size}: wrong table shape")
-            table = emit_report(
-                [("all-features", result.rank_accuracy)], ks=(1, 5, 10)
-            )
+            curve = evaluate(gallery_map, probes)
+            if len(curve.accuracies) != size:
+                failures.append(f"n={size}: wrong curve length")
+            rates = {k: curve.accuracy(k) for k in (1, 5, 10)}
+            table = emit_report([("all-features", rates)], ks=(1, 5, 10))
             header = table.splitlines()[0]
             if header != "Rank                    1      5     10":
                 failures.append(f"n={size}: header layout changed: {header!r}")

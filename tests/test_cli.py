@@ -124,6 +124,13 @@ class TestGenerate:
         assert main(["generate", "--subjects", "3", "--out", str(tmp_path)]) == 0
         assert built == [SyntheticConfig(subjects=3)]
 
+    def test_entrance_ref_is_not_an_option(self, tmp_path, capsys):
+        # Every generated doorway is 200 pixels; match --entrance-ref stays.
+        argv = ["generate", "--subjects", "2", "--entrance-ref", "200"]
+        assert main(argv + ["--out", str(tmp_path / "d")]) == 2
+        assert "unrecognized arguments: --entrance-ref" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_determinism(self, tmp_path, capsys):
         argv = [
             "generate",
@@ -648,6 +655,19 @@ class TestEvaluate:
         assert main(["evaluate", "--manifest", str(manifest)]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: manifest has no probe rows\n"
+        assert captured.out == ""
+
+    def test_open_set_fails_before_any_image_is_read(self, dataset, tmp_path, capsys):
+        copy = tmp_path / "data"
+        shutil.copytree(dataset, copy)
+        (copy / "images" / "s003_g000_c1.ppm").unlink()
+        manifest = copy / "manifest.csv"
+        text = manifest.read_text()
+        assert text.count("\ns003,probe,") == 1
+        manifest.write_text(text.replace("\ns003,probe,", "\nzz,probe,"))
+        assert main(["evaluate", "--manifest", str(manifest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: probe labels missing from the gallery: ['zz']\n"
         assert captured.out == ""
 
     def test_corrupt_manifest(self, tmp_path, capsys):

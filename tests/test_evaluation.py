@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import os
 import re
@@ -350,7 +351,7 @@ class TestGenerator:
             for e in with_metrics:
                 assert e.bbox_height is not None
                 assert e.bbox_width is not None
-                assert e.entrance_ref_height == SMALL.entrance_ref_height
+                assert e.entrance_ref_height == 200
         probes = [e for e in small_dataset.entries if e.role == "probe"]
         assert all(e.mask is not None for e in probes)
 
@@ -490,6 +491,20 @@ class TestIngest:
         )
         with pytest.raises(ManifestError, match="intruder"):
             ingest(open_set)
+
+    def test_open_set_fails_before_any_image_is_read(self, small_dataset, tmp_path):
+        # s003's probe is relabelled and one of its gallery frames is gone:
+        # the closed-set rule, not the missing frame, is the error.
+        data = tmp_path / "data"
+        shutil.copytree(small_dataset.root, data)
+        (data / "images" / "s003_g000_c1.ppm").unlink()
+        entries = tuple(
+            dataclasses.replace(e, label="zz") if (e.label, e.role) == ("s003", "probe") else e
+            for e in small_dataset.entries
+        )
+        message = "probe labels missing from the gallery: ['zz']"
+        with pytest.raises(ManifestError, match=re.escape(message)):
+            ingest(DatasetManifest(root=data, entries=entries))
 
     def test_back_view_probe_has_no_complexion(self, tmp_path):
         config = SyntheticConfig(
@@ -705,22 +720,17 @@ class TestCMC:
 class TestEvaluate:
     def test_clean_dataset_is_solved(self, small_dataset):
         gallery_map, probes = ingest(small_dataset)
-        result = evaluate(gallery_map, probes)
-        assert result.n == SMALL.subjects
-        assert result.probe_count == SMALL.subjects
-        assert result.rank_accuracy[1] == 1.0
-        assert result.cmc.accuracies[-1] == 1.0
+        curve = evaluate(gallery_map, probes)
+        assert len(curve.accuracies) == SMALL.subjects
+        assert len(probes) == SMALL.subjects
+        assert curve.accuracy(1) == 1.0
+        assert curve.accuracies[-1] == 1.0
 
     def test_feature_subset(self, small_dataset):
         gallery_map, probes = ingest(small_dataset)
-        result = evaluate(gallery_map, probes, features=("clothing",))
-        assert set(result.rank_accuracy) == {1, 5, 10}
-        assert result.rank_accuracy[1] == 1.0
-
-    def test_custom_ranks(self, small_dataset):
-        gallery_map, probes = ingest(small_dataset)
-        result = evaluate(gallery_map, probes, ks=(1, 2))
-        assert set(result.rank_accuracy) == {1, 2}
+        curve = evaluate(gallery_map, probes, features=("clothing",))
+        assert len(curve.accuracies) == SMALL.subjects
+        assert curve.accuracy(1) == 1.0
 
     def test_unknown_probe_label(self, small_dataset):
         gallery_map, probes = ingest(small_dataset)
@@ -756,8 +766,8 @@ class TestEvaluate:
         gallery_map, probes = ingest(generate_synthetic(config, tmp_path))
         alone = evaluate(gallery_map, probes, features=("clothing",))
         ensemble = evaluate(gallery_map, probes)
-        assert ensemble.rank_accuracy[1] >= alone.rank_accuracy[1]
-        assert ensemble.rank_accuracy[5] >= alone.rank_accuracy[5]
+        assert ensemble.accuracy(1) >= alone.accuracy(1)
+        assert ensemble.accuracy(5) >= alone.accuracy(5)
 
 
 class TestReports:

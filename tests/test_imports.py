@@ -3,8 +3,10 @@ module imports at run time only the package modules its layer allows,
 every private name the library defines is read somewhere in the library,
 every public module-level function and class and every public method and
 property of a library class is read outside its own definition by the
-library or the benchmark, no module imports another module's private
-name, and no module uses ``functools.cached_property``.
+library or the benchmark, every defaulted parameter of a public function
+or method is passed by some call in the library or the benchmark, no
+module imports another module's private name, and no module uses
+``functools.cached_property``.
 
 Names that ``enexmatch/__init__.py`` lists in ``__all__`` are re-exports
 and count as used there.
@@ -83,7 +85,7 @@ def unused_imports(source):
 LAYERS = {
     "errors": set(),
     "imaging": {"errors"},
-    "features": {"errors", "imaging"},
+    "features": {"imaging"},
     "discriminant": {"errors"},
     "gallery": {"errors", "discriminant", "features"},
     "matching": {"errors", "discriminant", "features"},
@@ -179,6 +181,62 @@ def unread_public_definitions(library, readers=()):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
         and reads[node.name] == name_reads(node)[node.name]
+    )
+
+
+def defaulted_parameters(function, method):
+    """Each defaulted parameter of ``function`` with its place among the
+    positional arguments a call writes, or None when only a keyword sets it.
+    A method's place leaves out ``self`` or ``cls``, as an attribute call does."""
+    spec = function.args
+    positional = spec.posonlyargs + spec.args
+    skip = method and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in function.decorator_list
+    )
+    first = len(positional) - len(spec.defaults)
+    for place, arg in enumerate(positional[first:], start=first - skip):
+        yield arg.arg, place
+    for arg, default in zip(spec.kwonlyargs, spec.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def unset_defaults(library, readers=()):
+    """``function(parameter)`` for each defaulted parameter of a public
+    module-level function or public method in ``library`` that no call in
+    ``library`` or ``readers`` passes, by keyword or by position.
+
+    A call is matched to a definition by the name it calls alone, so a call
+    to another function of the same name counts as one that passes."""
+    trees = [ast.parse(source) for source in library]
+    calls = {}
+    for tree in trees + [ast.parse(source) for source in readers]:
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            calls.setdefault(name, []).append(call)
+
+    def passed(call, name, place):
+        if any(k.arg in (None, name) for k in call.keywords):
+            return True
+        if place is None:
+            return False
+        return len(call.args) > place or any(isinstance(a, ast.Starred) for a in call.args)
+
+    definitions = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                definitions.append((node, False))
+            elif isinstance(node, ast.ClassDef):
+                definitions.extend(
+                    (n, True) for n in node.body if isinstance(n, ast.FunctionDef)
+                )
+    return sorted(
+        f"{function.name}({name})"
+        for function, method in definitions
+        if not function.name.startswith("_")
+        for name, place in defaulted_parameters(function, method)
+        if not any(passed(call, name, place) for call in calls.get(function.name, ()))
     )
 
 
@@ -299,6 +357,14 @@ def test_every_public_definition_is_read():
     assert unread_public_definitions(library, readers) == ["parse_report"]
 
 
+def test_every_default_is_overridden_somewhere():
+    # A default that no caller overrides is a constant with a parameter's cost.
+    library = [module.read_text(encoding="utf-8") for module in MODULES]
+    readers = [module.read_text(encoding="utf-8") for module in BENCHMARK_MODULES]
+    assert readers
+    assert unset_defaults(library, readers) == []
+
+
 class TestChecker:
     def test_flags_an_unused_import(self):
         source = "import os\nfrom typing import Mapping, Sequence\nx: Mapping = {}\n"
@@ -380,6 +446,37 @@ class TestChecker:
         assert unread_public_definitions([source]) == ["Box", "spare"]
         user = "import lib\nfrom lib import spare\nlib.Box().make()\n"
         assert unread_public_definitions([source], [user]) == ["spare"]
+
+    def test_flags_defaults_that_no_call_passes(self):
+        source = (
+            "def f(a, b=1, c=2, *, d=3, e=4):\n"
+            "    return f(a, 5, e=6)\n"
+            "def _private(x=1):\n"
+            "    return x\n"
+            "class Box:\n"
+            "    def put(self, item, size=1, *rest):\n"
+            "        return item\n"
+            "    @staticmethod\n"
+            "    def make(size=1):\n"
+            "        return Box()\n"
+            "    @classmethod\n"
+            "    def load(cls, path='x'):\n"
+            "        return cls()\n"
+            "    def grow(self, by=1):\n"
+            "        return self\n"
+        )
+        assert unset_defaults([source]) == [
+            "f(c)", "f(d)", "grow(by)", "load(path)", "make(size)", "put(size)"
+        ]
+        user = (
+            "Box.make(2)\n"
+            "box = Box.load()\n"
+            "box.put('a', 2)\n"
+            "box.grow(**{'by': 2})\n"
+            "f(1, *[2, 3])\n"
+            "load('y')\n"
+        )
+        assert unset_defaults([source], [user]) == ["f(d)"]
 
     def test_flags_cached_properties_outside_comments_and_strings(self):
         source = (
