@@ -172,9 +172,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         unknown = set(features) - set(FEATURE_IDS)
         if unknown:
             return _usage(f"unknown features: {', '.join(sorted(unknown))}")
-    gallery_map, probes = ingest(args.manifest)
-    if not probes:
+    manifest = read_manifest(args.manifest)
+    # A manifest without probes fails before any image is decoded.
+    if not any(e.role == "probe" for e in manifest.entries):
         raise ManifestError("manifest has no probe rows")
+    gallery_map, probes = ingest(manifest)
     curve = evaluate(gallery_map, probes, features=features)
     name = ",".join(features) if features else "all-features"
     print(emit_report([(name, {k: curve.accuracy(k) for k in ks})], ks), end="")

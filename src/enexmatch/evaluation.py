@@ -329,6 +329,9 @@ def evaluate(
     """
     if len(probes) == 0:
         raise ValueError("no probes to evaluate")
+    for probe in probes:
+        if probe.label is None or probe.label not in gallery_map:
+            raise UnknownLabelError(f"probe label {probe.label!r} is not enrolled")
     gallery = Gallery()
     for label, bundles in gallery_map.items():
         if features is not None:
@@ -337,8 +340,6 @@ def evaluate(
     gallery = gallery.fit()
     hits = np.zeros(gallery.n, dtype=np.int64)
     for probe in probes:
-        if probe.label is None or probe.label not in gallery_map:
-            raise UnknownLabelError(f"probe label {probe.label!r} is not enrolled")
         if features is not None:
             probe = probe.restrict(features)
         report = match_probe(probe, gallery)

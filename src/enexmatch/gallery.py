@@ -4,8 +4,9 @@ A Gallery value is immutable; enroll, retire, and fit return new
 instances, so a reader can keep using the snapshot it already holds
 while a single writer produces the next one. Snapshots persist the
 enrolled samples, one contiguous block per trait, and the fitted
-transforms, guarded by a trailing CRC-32; the projected samples are
-derived from them again on load.
+transforms, guarded by a trailing CRC-32. The projected samples are
+derived from them: ``load`` projects every fitted trait, and a gallery
+made by ``fit`` projects a trait on its first ``projected_block`` read.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ class Gallery:
     ) -> "Gallery":
         """A gallery of parts its caller has checked; fitted when ``transforms``
         is a dict. ``packed`` holds traits of ``traits`` as one block each,
-        which the snapshot writes as they are; each transform's trait is
-        among them and is projected here in one stacked call.
+        which the snapshot writes as they are and ``projected_block``
+        projects; each transform's trait is among them.
 
         ``labels`` and each trait's holder map keep enrollment order and
         are never mutated, so galleries share them and their row arrays.
@@ -81,11 +82,6 @@ class Gallery:
         gallery._traits = traits
         gallery._transforms = transforms
         gallery._packed = packed or {}
-        for fid, transform in (transforms or {}).items():
-            trait = packed[fid]
-            rows = np.ascontiguousarray(project(transform, trait.rows))
-            rows.flags.writeable = False
-            gallery._projected[fid] = ClassBlock(trait.labels, trait.counts, rows)
         return gallery
 
     @property
@@ -105,8 +101,24 @@ class Gallery:
         return dict(self._transforms or {})
 
     def projected_block(self, feature_id: str) -> ClassBlock:
-        """The packed projected rows of one fitted trait, read-only and C-contiguous."""
-        return self._projected[feature_id]
+        """The packed projected rows of one fitted trait, read-only and C-contiguous.
+
+        The trait's packed block is projected in one stacked call on the
+        first read and kept, so later reads return the same block. ``load``
+        reads every fitted trait this way; after ``fit`` the first match
+        does. An unfitted trait is a ``KeyError``.
+
+        Galleries are shared by readers. Two threads may project the same
+        trait at once: both get bit-identical blocks, and one dict store wins.
+        """
+        block = self._projected.get(feature_id)
+        if block is None:
+            transform = (self._transforms or {})[feature_id]
+            trait = self._packed[feature_id]
+            rows = np.ascontiguousarray(project(transform, trait.rows))
+            rows.flags.writeable = False
+            block = self._projected[feature_id] = ClassBlock(trait.labels, trait.counts, rows)
+        return block
 
     def feature_samples(self, label: str, feature_id: str) -> np.ndarray | None:
         """Raw enrolled vectors of one feature for one class, or None."""
@@ -118,10 +130,11 @@ class Gallery:
     def covered_features(self) -> tuple[str, ...]:
         """Fitted features for which every enrolled class has samples."""
         # A block holds each class at most once, in enrollment order.
+        transforms = self._transforms or {}
         return tuple(
             fid
             for fid in FEATURE_IDS
-            if fid in self._projected and len(self._projected[fid]) == self.n
+            if fid in transforms and len(self._packed[fid]) == self.n
         )
 
     def enroll(self, label: str, bundles: Sequence[FeatureBundle]) -> "Gallery":
@@ -180,7 +193,8 @@ class Gallery:
         return Gallery._build(labels, traits)
 
     def fit(self) -> "Gallery":
-        """Learn per-feature transforms; the result projects the enrolled samples.
+        """Learn per-feature transforms; the result projects a trait's
+        enrolled samples on its first ``projected_block`` read, not here.
 
         A feature is fitted when at least two classes hold samples of it;
         classes missing a feature are simply left out of that fit.
@@ -194,7 +208,7 @@ class Gallery:
             if len(trait) >= 2
         }
         # The fitted gallery shares this gallery's label and trait maps, and
-        # keeps the packed blocks for its snapshot.
+        # keeps the packed blocks for its snapshot and its projections.
         return Gallery._build(self._labels, self._traits, transforms, packed)
 
     def __eq__(self, other: object) -> bool:
@@ -448,9 +462,12 @@ def _decode_body(body: memoryview, origin: str) -> Gallery:
         raise r.error("unread bytes inside the record stream")
     if transforms and not fitted:
         raise r.error("an unfitted snapshot holds transforms")
+    gallery = Gallery._build(
+        dict.fromkeys(labels), holder_rows, transforms if fitted else None, traits
+    )
     try:
-        return Gallery._build(
-            dict.fromkeys(labels), holder_rows, transforms if fitted else None, traits
-        )
+        for fid in transforms:
+            gallery.projected_block(fid)
     except NonFiniteInputError as exc:
         raise r.error(str(exc)) from None
+    return gallery

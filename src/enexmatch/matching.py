@@ -292,12 +292,13 @@ def match_probe(bundle: FeatureBundle, gallery: "Gallery") -> MatchReport:
         raise UnfittedGalleryError("fit the gallery before matching")
 
     transforms = gallery.transforms
-    usable = [
-        fid
+    # The probe vector of each usable feature, read once.
+    usable = {
+        fid: vector
         for fid in gallery.covered_features()
         if (vector := bundle.feature_vector(fid)) is not None
         and vector.shape[0] == transforms[fid].input_dim
-    ]
+    }
     if not usable:
         raise NoUsableFeatureError(
             "probe and gallery share no feature that can be ranked"
@@ -309,8 +310,8 @@ def match_probe(bundle: FeatureBundle, gallery: "Gallery") -> MatchReport:
     rankings = []
     # ranks[f, i]: rank of enrolled class i under usable feature f.
     ranks = np.empty((len(usable), n), dtype=np.intp)
-    for fid, row in zip(usable, ranks):
-        projected_probe = project(transforms[fid], bundle.feature_vector(fid))
+    for (fid, vector), row in zip(usable.items(), ranks):
+        projected_probe = project(transforms[fid], vector)
         ranking = rank_feature(projected_probe, gallery.projected_block(fid), fid)
         row[ranking._positions] = steps
         rankings.append(ranking)

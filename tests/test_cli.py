@@ -657,6 +657,18 @@ class TestEvaluate:
         assert captured.err == "error: manifest has no probe rows\n"
         assert captured.out == ""
 
+    def test_no_probe_rows_fails_before_any_image_is_read(self, dataset, tmp_path, capsys):
+        copy = tmp_path / "data"
+        shutil.copytree(dataset, copy)
+        (copy / "images" / "s002_g001_c1.ppm").unlink()
+        manifest = copy / "manifest.csv"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(line for line in lines if ",probe," not in line))
+        assert main(["evaluate", "--manifest", str(manifest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: manifest has no probe rows\n"
+        assert captured.out == ""
+
     def test_open_set_fails_before_any_image_is_read(self, dataset, tmp_path, capsys):
         copy = tmp_path / "data"
         shutil.copytree(dataset, copy)

@@ -14,6 +14,7 @@ from enexmatch import (
     CMCCurve,
     DatasetManifest,
     ExtractionWorkerError,
+    Gallery,
     Image,
     ImageFormatError,
     ManifestEntry,
@@ -732,7 +733,12 @@ class TestEvaluate:
         assert len(curve.accuracies) == SMALL.subjects
         assert curve.accuracy(1) == 1.0
 
-    def test_unknown_probe_label(self, small_dataset):
+    def test_unknown_probe_label(self, small_dataset, monkeypatch):
+        # The labels are checked before any class is enrolled or fitted.
+        def no_fit(self):
+            raise AssertionError("evaluate fitted a gallery before checking probe labels")
+
+        monkeypatch.setattr(Gallery, "fit", no_fit)
         gallery_map, probes = ingest(small_dataset)
         renamed = [p.restrict(held_traits(p)) for p in probes]
         stranger = type(probes[0])(

@@ -283,7 +283,76 @@ class TestFit:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5.5 * 2**20, peak
+        assert peak < 4.5 * 2**20, peak
+
+    def test_fitted_gallery_keeps_little_memory(self):
+        # 600 classes of 5 samples, all four traits: the fitted gallery keeps
+        # its packed raw blocks, about 2.4 MiB. One that also keeps every
+        # trait projected holds 4.6 MiB.
+        rng = np.random.default_rng(334)
+        gallery = enrolled_gallery(rng, n=600, samples=5)
+        tracemalloc.start()
+        try:
+            fitted = gallery.fit()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fitted.fitted
+        assert kept < 3 * 2**20, kept
+
+
+class TestProjectionOnRead:
+    """A gallery projects a trait where it is read: ``load`` projects every
+    fitted trait, and ``fit`` none."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # Wrapped at the module binding the gallery calls, as tracing tools
+        # such as perfbench/spans.py wrap it.
+        calls = []
+
+        def counted(transform, vectors):
+            calls.append(transform.feature_id)
+            return project(transform, vectors)
+
+        monkeypatch.setattr(gallery_module, "project", counted)
+        return calls
+
+    @staticmethod
+    def _three_fitted(rng):
+        # Only the last class holds complexion, so three traits are fitted.
+        gallery = enrolled_gallery(rng, n=4, features=("clothing", "height", "build"))
+        return gallery.enroll("x", [random_bundle(rng)])
+
+    def test_fit_projects_nothing(self, calls):
+        fitted = self._three_fitted(np.random.default_rng(335)).fit()
+        assert sorted(fitted.transforms) == ["build", "clothing", "height"]
+        assert calls == []
+
+    def test_first_read_projects_once(self, calls):
+        fitted = self._three_fitted(np.random.default_rng(336)).fit()
+        block = fitted.projected_block("height")
+        assert calls == ["height"]
+        assert fitted.projected_block("height") is block
+        assert calls == ["height"]
+
+    def test_load_projects_each_fitted_trait_once(self, calls, tmp_path):
+        fitted = self._three_fitted(np.random.default_rng(337)).fit()
+        fitted.save(tmp_path / "g.bin")
+        calls.clear()
+        loaded = Gallery.load(tmp_path / "g.bin")
+        assert calls == ["clothing", "height", "build"]
+        for fid in loaded.transforms:
+            loaded.projected_block(fid)
+        assert len(calls) == 3
+
+    def test_unfitted_trait_is_a_key_error(self, calls):
+        gallery = self._three_fitted(np.random.default_rng(338))
+        with pytest.raises(KeyError):
+            gallery.projected_block("height")
+        with pytest.raises(KeyError):
+            gallery.fit().projected_block("complexion")
+        assert calls == []
 
 
 class TestEquality:
