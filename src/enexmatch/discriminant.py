@@ -3,7 +3,9 @@
 Per feature, a transform is learned whose directions maximize the ratio
 of between-class to within-class scatter. The within-class scatter is
 ridge-regularized before inversion so degenerate features (constant
-values, fewer samples than dimensions) stay solvable.
+values, fewer samples than dimensions) stay solvable. A trait with fewer
+classes than dimensions is solved in the span of its class-mean offsets,
+through a classes-wide eigenproblem instead of a dimensions-wide one.
 """
 
 from __future__ import annotations
@@ -139,6 +141,13 @@ def _scalar_statistics(classes: ClassBlock) -> tuple[np.ndarray, np.ndarray]:
     return within, between
 
 
+def _class_offsets(classes: ClassBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row counts as float64, class means and their offsets from the pooled mean."""
+    weights = np.asarray(classes.counts, dtype=np.float64)
+    means = np.add.reduceat(classes.rows, classes.starts, axis=0) / weights[:, None]
+    return weights, means, means - weights @ means / weights.sum()
+
+
 def scatter_statistics(classes: ClassBlock) -> tuple[np.ndarray, np.ndarray]:
     """Within and between scatter of a block of at least two classes.
 
@@ -160,9 +169,7 @@ def scatter_statistics(classes: ClassBlock) -> tuple[np.ndarray, np.ndarray]:
     dim = rows.shape[1]
     if dim == 1:
         return _scalar_statistics(classes)
-    weights = np.asarray(classes.counts, dtype=np.float64)
-    means = np.add.reduceat(rows, classes.starts, axis=0) / weights[:, None]
-    offsets = means - weights @ means / weights.sum()
+    weights, means, offsets = _class_offsets(classes)
     owner = np.repeat(np.arange(len(weights)), classes.counts)
     step = max(1, _CHUNK_BYTES // (8 * dim))
     within = np.zeros((dim, dim), dtype=np.float64)
@@ -179,14 +186,65 @@ def default_ridge(within: np.ndarray) -> float:
     return max(RIDGE_FACTOR * float(np.trace(within)) / dim, RIDGE_FLOOR)
 
 
+def _unit_columns(vectors: np.ndarray) -> np.ndarray:
+    """Scale each column to unit length, in place, and turn it so that its
+    strongest component is positive (the first one, on a tie in magnitude)."""
+    vectors /= np.linalg.norm(vectors, axis=0)
+    strongest = np.argmax(np.abs(vectors), axis=0)
+    flip = vectors[strongest, np.arange(vectors.shape[1])] < 0
+    vectors[:, flip] = -vectors[:, flip]
+    return vectors
+
+
+def _offset_span_fit(
+    classes: ClassBlock, regularized: np.ndarray, feature_id: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kept eigenvalues and unit directions of a trait with fewer classes
+    than dimensions.
+
+    With A the class-mean offsets, each row scaled by the square root of
+    its row count, between = A.T @ A. For Y = inv(regularized) @ A.T, the
+    nonzero eigenvalues of inv(regularized) @ between = Y @ A are those of
+    the c x c K = A @ Y, and an eigenvector p of K maps to the direction
+    Y @ p. So one solve of c right-hand sides and a c-wide ``eigh`` take
+    the place of whitening and decomposing the d x d between scatter.
+    """
+    weights, _, offsets = _class_offsets(classes)
+    scaled = offsets * np.sqrt(weights)[:, None]
+    # A finite between scatter over a near-zero within scatter can still
+    # solve past float64; that is reported below, not warned about here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = np.linalg.solve(regularized, scaled.T)
+        gram = scaled @ span
+        gram = (gram + gram.T) / 2.0
+    if not np.isfinite(gram).all():
+        raise NonFiniteInputError(f"{feature_id}: whitened scatter overflows float64")
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    order = np.argsort(eigvals)[::-1]
+    eigvals = np.maximum(eigvals[order], 0.0)
+    keep = eigvals > RANK_CUTOFF * eigvals[0]
+    keep[0] = True
+    # Only kept columns are scaled, as a direction without between scatter
+    # can map to an exact zero; each is first divided by its largest entry,
+    # whose square can overflow where the eigenvalue does not.
+    vectors = span @ eigvecs[:, order[keep]]
+    vectors /= np.abs(vectors).max(axis=0)
+    return eigvals[keep], _unit_columns(vectors)
+
+
 def fit_transform(classes: ClassBlock, feature_id: str = "feature") -> FeatureTransform:
     """Fit the separation-maximizing transform for one feature.
 
     Directions solve the eigenproblem of inv(within + ridge*I) @ between,
-    with the ridge from ``default_ridge``, through a Cholesky whitening
-    of the regularized within scatter, which keeps the computation
-    symmetric and stable. All directions whose eigenvalue exceeds
-    ``RANK_CUTOFF`` of the strongest are retained.
+    with the ridge from ``default_ridge``. All directions whose eigenvalue
+    exceeds ``RANK_CUTOFF`` of the strongest are retained. The Cholesky
+    factor of the regularized within scatter checks that it is positive
+    definite. A discriminative trait with fewer classes c than dimensions
+    d has at most c - 1 directions, all in the span of its class-mean
+    offsets, and is solved there (``_offset_span_fit``): no d x d matrix
+    is decomposed. Any other trait, every 1-wide one included, is solved
+    through a Cholesky whitening, which keeps the computation symmetric
+    and stable.
     """
     if len(classes) < 2:
         raise DegenerateProblemError("fitting needs at least two classes")
@@ -207,6 +265,17 @@ def fit_transform(classes: ClassBlock, feature_id: str = "feature") -> FeatureTr
         raise DegenerateProblemError(
             f"{feature_id}: within scatter plus ridge {ridge!r} is not positive definite"
         ) from None
+    discriminative = float(np.trace(between)) > EIGENVALUE_CUTOFF * total
+    if discriminative and len(classes) < dim:
+        eigvals, vectors = _offset_span_fit(classes, regularized, feature_id)
+        return FeatureTransform(
+            feature_id=feature_id,
+            matrix=np.ascontiguousarray(vectors * eigvals),
+            eigenvalues=eigvals,
+            regularization=ridge,
+            discriminative=True,
+        )
+
     half = np.linalg.solve(chol, between)
     whitened = np.linalg.solve(chol, half.T).T
     # A finite between scatter over a near-zero within scatter can still
@@ -217,15 +286,8 @@ def fit_transform(classes: ClassBlock, feature_id: str = "feature") -> FeatureTr
     eigvals, eigvecs = np.linalg.eigh(whitened)
     order = np.argsort(eigvals)[::-1]
     eigvals = np.maximum(eigvals[order], 0.0)
-    vectors = np.linalg.solve(chol.T, eigvecs[:, order])
-    vectors /= np.linalg.norm(vectors, axis=0)
-    # Deterministic sign: strongest component of each direction positive
-    # (the first one, on a tie in magnitude).
-    strongest = np.argmax(np.abs(vectors), axis=0)
-    flip = vectors[strongest, np.arange(vectors.shape[1])] < 0
-    vectors[:, flip] = -vectors[:, flip]
+    vectors = _unit_columns(np.linalg.solve(chol.T, eigvecs[:, order]))
 
-    discriminative = float(np.trace(between)) > EIGENVALUE_CUTOFF * total
     if not discriminative:
         return FeatureTransform(
             feature_id=feature_id,

@@ -208,9 +208,9 @@ def assert_same_transform(transform, classes):
     """A fitted transform against ``frozen_fit``: byte for byte at width 1.
     Wider, the kept rank, the flag and the ridge (to 1e-12) match, the
     eigenvalues to 1e-8 of the largest and each column to 1e-6 of its norm.
-    The worst seen over 100 seeds of ``TestFrozenLoopOracle.CASES``, whose
-    classes are scaled from 1e-3 to 1e3, were 1.1e-9 and 1.3e-8, at
-    d = 192 and 300."""
+    The worst seen over 100 seeds of each wide ``TestFrozenLoopOracle.CASES``
+    entry, whose classes are scaled from 1e-3 to 1e3, were 2.1e-9 at
+    d = 192 and 3.6e-8 at d = 24."""
     matrix, eigenvalues, ridge, discriminative = frozen_fit(classes)
     assert transform.discriminative == discriminative
     if matrix.shape == (1, 1):
@@ -234,7 +234,13 @@ class TestFrozenLoopOracle:
     at the tolerances of ``assert_same_statistics`` and
     ``assert_same_transform``."""
 
-    CASES = [(1, 300), (1, 12), (2, 80), (3, 60), (96, 45), (192, 12), (300, 8)]
+    # A discriminative trait with fewer classes than dimensions is solved in
+    # the span of its class-mean offsets; (24, 23), (192, 12), (192, 2) and
+    # (300, 8) take that path, (24, 24) and (24, 25) sit at its edge.
+    CASES = [
+        (1, 300), (1, 12), (2, 80), (3, 60), (24, 23), (24, 24), (24, 25),
+        (96, 45), (192, 12), (192, 2), (300, 8),
+    ]
 
     @pytest.mark.parametrize("dim, n_classes", CASES)
     def test_statistics_are_byte_identical(self, dim, n_classes):
@@ -472,6 +478,12 @@ class TestFitTransform:
             pytest.param(
                 [[1e150, 0.0]] * 2 + [[-1e150, 1.0]] * 2, "whitened scatter", id="whitened-2d"
             ),
+            # Two classes of width 3: solved in the span of the class means.
+            pytest.param(
+                [[1e150, 0.0, 0.0]] * 2 + [[-1e150, 1.0, 0.0]] * 2,
+                "whitened scatter",
+                id="whitened-offset-span",
+            ),
         ],
     )
     def test_overflowing_scatter_is_an_error_not_a_warning(self, rows, overflowing):
@@ -480,6 +492,17 @@ class TestFitTransform:
         classes = class_block([("a", np.array(rows[:2])), ("b", np.array(rows[2:]))])
         with pytest.raises(NonFiniteInputError, match=f"^build: {overflowing} overflows float64$"):
             fit_transform(classes, feature_id="build")
+
+    def test_direction_whose_square_overflows_is_still_fitted(self):
+        # Two classes of width 3, solved in the span of the class means: the
+        # eigenvalue, 4e301, is finite, but the unscaled direction has an
+        # entry of about 1e156, whose square is not.
+        rows = np.array([[1e146, 0.0, 0.0]] * 2 + [[-1e146, 1.0, 0.0]] * 2)
+        transform = fit_transform(class_block([("a", rows[:2]), ("b", rows[2:])]))
+        assert transform.rank == 1
+        assert transform.eigenvalues[0] == pytest.approx(4e301, rel=1e-9)
+        assert np.isfinite(transform.matrix).all()
+        assert transform.matrix[0, 0] == pytest.approx(4e301, rel=1e-9)
 
     def test_gallery_fit_names_the_overflowing_trait(self):
         gallery = Gallery()
@@ -493,6 +516,47 @@ class TestFitTransform:
         rng = np.random.default_rng(115)
         transform = fit_transform(class_block(make_classes(rng)), feature_id="height")
         assert transform.feature_id == "height"
+
+
+class TestFewerClassesThanDimensions:
+    """A discriminative trait with c classes and d > c dimensions is solved
+    in the span of its class-mean offsets: ``eigh`` sees a c x c matrix,
+    and no d x d one. Any other trait is still whitened d wide."""
+
+    @staticmethod
+    def record_eigh_shapes(monkeypatch):
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        return shapes
+
+    def test_fifty_classes_192_wide_decompose_nothing_wider_than_fifty(self, monkeypatch):
+        rng = np.random.default_rng(180)
+        classes = class_block([(f"c{i}", rng.random((20, 192))) for i in range(50)])
+        shapes = self.record_eigh_shapes(monkeypatch)
+        tracemalloc.start()
+        try:
+            transform = fit_transform(classes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert shapes and max(max(shape) for shape in shapes) <= 50, shapes
+        assert transform.rank == 49
+        # The 192-wide whitening peaked at 2.82 MiB; this path at 1.68 MiB.
+        assert peak < 2.2 * 2**20, peak
+
+    @pytest.mark.parametrize("n_classes, count, dim", [(600, 5, 96), (40, 3, 1)])
+    def test_any_other_trait_is_whitened_full_width(self, monkeypatch, n_classes, count, dim):
+        rng = np.random.default_rng(181)
+        classes = class_block([(f"c{i}", rng.random((count, dim))) for i in range(n_classes)])
+        shapes = self.record_eigh_shapes(monkeypatch)
+        assert fit_transform(classes).rank == dim
+        assert shapes == [(dim, dim)]
 
 
 class TestProject:
