@@ -3,9 +3,10 @@
 Per feature, a transform is learned whose directions maximize the ratio
 of between-class to within-class scatter. The within-class scatter is
 ridge-regularized before inversion so degenerate features (constant
-values, fewer samples than dimensions) stay solvable. A trait with fewer
-classes than dimensions is solved in the span of its class-mean offsets,
-through a classes-wide eigenproblem instead of a dimensions-wide one.
+values, fewer samples than dimensions) stay solvable. Each trait's
+eigenproblem is reduced to one symmetric matrix and decomposed once: in
+the span of the class-mean offsets when there are fewer classes than
+dimensions, else by whitening with the regularized within scatter.
 """
 
 from __future__ import annotations
@@ -196,69 +197,37 @@ def _unit_columns(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _offset_span_fit(
-    classes: ClassBlock, regularized: np.ndarray, feature_id: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kept eigenvalues and unit directions of a trait with fewer classes
-    than dimensions.
-
-    With A the class-mean offsets, each row scaled by the square root of
-    its row count, between = A.T @ A. For Y = inv(regularized) @ A.T, the
-    nonzero eigenvalues of inv(regularized) @ between = Y @ A are those of
-    the c x c K = A @ Y, and an eigenvector p of K maps to the direction
-    Y @ p. So one solve of c right-hand sides and a c-wide ``eigh`` take
-    the place of whitening and decomposing the d x d between scatter.
-    """
-    weights, _, offsets = _class_offsets(classes)
-    scaled = offsets * np.sqrt(weights)[:, None]
-    # A finite between scatter over a near-zero within scatter can still
-    # solve past float64; that is reported below, not warned about here.
-    with np.errstate(over="ignore", invalid="ignore"):
-        span = np.linalg.solve(regularized, scaled.T)
-        gram = scaled @ span
-        gram = (gram + gram.T) / 2.0
-    if not np.isfinite(gram).all():
-        raise NonFiniteInputError(f"{feature_id}: whitened scatter overflows float64")
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = np.maximum(eigvals[order], 0.0)
-    keep = eigvals > RANK_CUTOFF * eigvals[0]
-    keep[0] = True
-    # Only kept columns are scaled, as a direction without between scatter
-    # can map to an exact zero; each is first divided by its largest entry,
-    # whose square can overflow where the eigenvalue does not.
-    vectors = span @ eigvecs[:, order[keep]]
-    vectors /= np.abs(vectors).max(axis=0)
-    return eigvals[keep], _unit_columns(vectors)
-
-
 def fit_transform(classes: ClassBlock, feature_id: str = "feature") -> FeatureTransform:
     """Fit the separation-maximizing transform for one feature.
 
-    Directions solve the eigenproblem of inv(within + ridge*I) @ between,
-    with the ridge from ``default_ridge``. All directions whose eigenvalue
-    exceeds ``RANK_CUTOFF`` of the strongest are retained. The Cholesky
-    factor of the regularized within scatter checks that it is positive
-    definite. A discriminative trait with fewer classes c than dimensions
-    d has at most c - 1 directions, all in the span of its class-mean
-    offsets, and is solved there (``_offset_span_fit``): no d x d matrix
-    is decomposed. Any other trait, every 1-wide one included, is solved
-    through a Cholesky whitening, which keeps the computation symmetric
-    and stable.
+    Directions solve the eigenproblem of inv(R) @ between, R being the
+    within scatter plus the ridge of ``default_ridge``; every direction
+    whose eigenvalue exceeds ``RANK_CUTOFF`` of the strongest is kept.
+    The Cholesky factor L of R checks that R is positive definite.
+
+    The problem is reduced to one symmetric matrix, in one of two ways,
+    and decomposed by one ``eigh``. A discriminative trait with fewer
+    classes c than dimensions d has at most c - 1 directions, all in the
+    span of its class-mean offsets A (each row scaled by the square root
+    of its row count, so between = A.T @ A): with Y = inv(R) @ A.T, the
+    c x c A @ Y has the nonzero eigenvalues of inv(R) @ between, and its
+    eigenvector p maps to the direction Y @ p. Any other trait, every
+    1-wide one included, is whitened to inv(L) @ between @ inv(L).T, whose
+    eigenvector q maps to the direction inv(L).T @ q.
     """
     if len(classes) < 2:
         raise DegenerateProblemError("fitting needs at least two classes")
-    # Finite rows can still square past float64; that is reported below,
+    # Finite rows can still square past float64, and a finite within
+    # scatter can pass it once the ridge is added; that is reported below,
     # not warned about here.
     with np.errstate(over="ignore", invalid="ignore"):
         within, between = scatter_statistics(classes)
         total = float(np.trace(within)) + float(np.trace(between))
-    if not (np.isfinite(total) and np.isfinite(within).all() and np.isfinite(between).all()):
+        ridge = default_ridge(within)
+        dim = within.shape[0]
+        regularized = within + ridge * np.eye(dim)
+    if not (np.isfinite(total) and np.isfinite(regularized).all() and np.isfinite(between).all()):
         raise NonFiniteInputError(f"{feature_id}: scatter overflows float64")
-    ridge = default_ridge(within)
-
-    dim = within.shape[0]
-    regularized = within + ridge * np.eye(dim)
     try:
         chol = np.linalg.cholesky(regularized)
     except np.linalg.LinAlgError:
@@ -266,45 +235,44 @@ def fit_transform(classes: ClassBlock, feature_id: str = "feature") -> FeatureTr
             f"{feature_id}: within scatter plus ridge {ridge!r} is not positive definite"
         ) from None
     discriminative = float(np.trace(between)) > EIGENVALUE_CUTOFF * total
-    if discriminative and len(classes) < dim:
-        eigvals, vectors = _offset_span_fit(classes, regularized, feature_id)
-        return FeatureTransform(
-            feature_id=feature_id,
-            matrix=np.ascontiguousarray(vectors * eigvals),
-            eigenvalues=eigvals,
-            regularization=ridge,
-            discriminative=True,
-        )
 
-    half = np.linalg.solve(chol, between)
-    whitened = np.linalg.solve(chol, half.T).T
+    span = None
     # A finite between scatter over a near-zero within scatter can still
-    # whiten past float64; LAPACK returns inf or nan for it, without a warning.
-    if not np.isfinite(whitened).all():
+    # reduce past float64; that is reported below, not warned about here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if discriminative and len(classes) < dim:
+            weights, _, offsets = _class_offsets(classes)
+            scaled = offsets * np.sqrt(weights)[:, None]
+            span = np.linalg.solve(regularized, scaled.T)
+            reduced = scaled @ span
+        else:
+            reduced = np.linalg.solve(chol, np.linalg.solve(chol, between).T).T
+        reduced = (reduced + reduced.T) / 2.0
+    if not np.isfinite(reduced).all():
         raise NonFiniteInputError(f"{feature_id}: whitened scatter overflows float64")
-    whitened = (whitened + whitened.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(whitened)
+    eigvals, eigvecs = np.linalg.eigh(reduced)
     order = np.argsort(eigvals)[::-1]
     eigvals = np.maximum(eigvals[order], 0.0)
-    vectors = _unit_columns(np.linalg.solve(chol.T, eigvecs[:, order]))
-
-    if not discriminative:
-        return FeatureTransform(
-            feature_id=feature_id,
-            matrix=np.ascontiguousarray(vectors[:, :1]),
-            eigenvalues=np.zeros(1, dtype=np.float64),
-            regularization=ridge,
-            discriminative=False,
-        )
-    keep = eigvals > RANK_CUTOFF * eigvals[0]
+    # A trait without mean separation keeps one arbitrary direction.
+    keep = discriminative & (eigvals > RANK_CUTOFF * eigvals[0])
     keep[0] = True
-    matrix = vectors[:, keep] * eigvals[keep]
+
+    if span is None:
+        vectors = _unit_columns(np.linalg.solve(chol.T, eigvecs[:, order]))[:, keep]
+    else:
+        # Only kept columns are scaled, as a direction without between
+        # scatter can map to an exact zero; each is first divided by its
+        # largest entry, whose square can overflow where the eigenvalue
+        # does not.
+        vectors = span @ eigvecs[:, order[keep]]
+        vectors = _unit_columns(vectors / np.abs(vectors).max(axis=0))
+    eigenvalues = eigvals[keep] if discriminative else np.zeros(1, dtype=np.float64)
     return FeatureTransform(
         feature_id=feature_id,
-        matrix=np.ascontiguousarray(matrix),
-        eigenvalues=eigvals[keep].copy(),
+        matrix=np.ascontiguousarray(vectors * eigenvalues if discriminative else vectors),
+        eigenvalues=eigenvalues,
         regularization=ridge,
-        discriminative=True,
+        discriminative=discriminative,
     )
 
 

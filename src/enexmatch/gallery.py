@@ -36,6 +36,9 @@ from .features import FEATURE_IDS, FeatureBundle, check_label
 
 MAGIC = b"ENEXGAL5"
 
+# A projection bounded below this cannot round past float64.
+_PROJECTION_LIMIT = float(np.finfo(np.float64).max) / 2
+
 
 def _pack(holders: Mapping[str, np.ndarray]) -> ClassBlock:
     """Stack one trait's holder rows, in enrollment order, into one read-only
@@ -230,8 +233,17 @@ class Gallery:
 
         The bytes go to a new file beside ``path``, are synced to disk,
         and then renamed over ``path``, so a save that fails part way
-        leaves any previous snapshot as it was.
+        leaves any previous snapshot as it was. A gallery whose rows would
+        project past float64, which ``load`` refuses, is refused with
+        ``NonFiniteInputError`` before anything is written.
         """
+        for fid, transform in (self._transforms or {}).items():
+            # Each projected entry is at most its column's 1-norm times the
+            # largest |row| entry; Python floats multiply without a warning.
+            with np.errstate(over="ignore"):
+                norm = float(np.abs(transform.matrix).sum(axis=0).max())
+            if not norm * float(np.abs(self._packed[fid].rows).max()) < _PROJECTION_LIMIT:
+                self.projected_block(fid)
         chunks = _encode_body(self)
         path = Path(path)
         tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from enexmatch import (
     BuildFeature,
     DegenerateProblemError,
     DimensionMismatchError,
+    EnexError,
     FeatureBundle,
     Gallery,
     NonFiniteInputError,
@@ -17,6 +19,11 @@ from enexmatch import (
 )
 from enexmatch import discriminant as discriminant_module
 from helpers import class_block, enrolled_gallery, forged_body, random_bundle, with_body
+
+
+# The 1-wide rows [x, -x] have a within scatter of 2 x^2 = 0.9999999 of the
+# largest float64: finite, but not once a ridge of 1e-6 of it is added.
+RIDGE_OVERFLOW = float(np.sqrt(np.finfo(np.float64).max / 2 * (1 - 1e-7)))
 
 
 def within_reference(classes):
@@ -471,12 +478,21 @@ class TestFitTransform:
             pytest.param([[1e160], [-1e160]] * 2, "scatter", id="within"),
             pytest.param([[1e154]] * 2 + [[-1e154]] * 2, "scatter", id="between"),
             pytest.param([[1e308]] * 4, "scatter", id="means"),
+            # A within scatter of 2 x^2, just below the largest float64, plus
+            # a ridge of 1e-6 of it.
+            pytest.param(
+                [[RIDGE_OVERFLOW], [-RIDGE_OVERFLOW], [0.0], [0.0]], "scatter", id="ridge"
+            ),
             # Each diagonal entry is finite, their sum is not.
             pytest.param([[6e153, 6e153]] * 2 + [[-6e153, -6e153]] * 2, "scatter", id="trace"),
             # A between scatter of 4e300 over the ridge floor of 1e-9.
             pytest.param([[1e150]] * 2 + [[-1e150]] * 2, "whitened scatter", id="whitened"),
             pytest.param(
                 [[1e150, 0.0]] * 2 + [[-1e150, 1.0]] * 2, "whitened scatter", id="whitened-2d"
+            ),
+            # The whitened scatter, 1.02e308, is finite; its symmetrised sum is not.
+            pytest.param(
+                [[1.6e149]] * 2 + [[-1.6e149]] * 2, "whitened scatter", id="whitened-symmetrised"
             ),
             # Two classes of width 3: solved in the span of the class means.
             pytest.param(
@@ -492,6 +508,36 @@ class TestFitTransform:
         classes = class_block([("a", np.array(rows[:2])), ("b", np.array(rows[2:]))])
         with pytest.raises(NonFiniteInputError, match=f"^build: {overflowing} overflows float64$"):
             fit_transform(classes, feature_id="build")
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            pytest.param(lambda x: [[x]] * 2 + [[-x]] * 2, id="1-wide-between"),
+            pytest.param(lambda x: [[x], [-x], [0.0], [0.0]], id="1-wide-within"),
+            pytest.param(lambda x: [[x, 0.0]] * 2 + [[-x, 1.0]] * 2, id="2-wide"),
+            pytest.param(lambda x: [[x, 0.0, 0.0]] * 2 + [[-x, 1.0, 0.0]] * 2, id="3-wide-span"),
+            pytest.param(
+                lambda x: [[x, 0.0, 0.0], [-x, 0.0, 0.0], [x, 1.0, 0.0], [-x, 1.0, 0.0]],
+                id="3-wide-within",
+            ),
+        ],
+    )
+    def test_no_magnitude_warns_or_fits_a_non_finite_transform(self, shape):
+        # Two classes of two rows, at magnitudes where the scatter, the ridge,
+        # the reduced matrix or the directions cross float64's range.
+        faults = []
+        for x in np.logspace(140, 160, 461):
+            rows = np.array(shape(float(x)))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    t = fit_transform(class_block([("a", rows[:2]), ("b", rows[2:])]))
+                except EnexError:
+                    continue
+            finite = np.isfinite(t.matrix).all() and np.isfinite(t.eigenvalues).all()
+            if caught or not finite:
+                faults.append((x, [str(w.message) for w in caught]))
+        assert faults == []
 
     def test_direction_whose_square_overflows_is_still_fitted(self):
         # Two classes of width 3, solved in the span of the class means: the

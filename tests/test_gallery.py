@@ -10,6 +10,7 @@ import pytest
 
 from enexmatch import (
     FEATURE_IDS,
+    BuildFeature,
     DegenerateProblemError,
     DimensionMismatchError,
     DuplicateLabelError,
@@ -17,6 +18,7 @@ from enexmatch import (
     FeatureBundle,
     Gallery,
     HeightFeature,
+    NonFiniteInputError,
     SnapshotChecksumError,
     SnapshotFormatError,
     SnapshotTruncatedError,
@@ -345,6 +347,10 @@ class TestProjectionOnRead:
         for fid in loaded.transforms:
             loaded.projected_block(fid)
         assert len(calls) == 3
+
+    def test_fit_then_save_projects_nothing(self, calls, tmp_path):
+        self._three_fitted(np.random.default_rng(339)).fit().save(tmp_path / "g.bin")
+        assert calls == []
 
     def test_unfitted_trait_is_a_key_error(self, calls):
         gallery = self._three_fitted(np.random.default_rng(338))
@@ -1002,6 +1008,37 @@ class TestAtomicSave:
         gallery.save(path)
         assert Gallery.load(path) == gallery
         assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+    @staticmethod
+    def _build_gallery(x):
+        """Classes of build [x, x] and [1, 1]: from about x = 6e99 on, the
+        fitted rows project past float64."""
+        gallery = Gallery()
+        for label, value in (("a", x), ("b", 1.0)):
+            gallery = gallery.enroll(label, [FeatureBundle(build=BuildFeature(value))] * 2)
+        return gallery
+
+    def test_gallery_that_projects_past_float64_keeps_previous_snapshot(self, tmp_path):
+        path, before = snapshot_bytes(tmp_path, enrolled_gallery(np.random.default_rng(373), n=2))
+        with pytest.raises(NonFiniteInputError, match="^projection overflows float64$"):
+            self._build_gallery(1e100).fit().save(path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+    def test_load_accepts_what_save_writes(self, tmp_path):
+        # Warnings are errors in this suite. Steps of 0.1 in log10(x), on
+        # both sides of where the projection crosses float64.
+        path = tmp_path / "g.bin"
+        refused = 0
+        for x in np.logspace(90, 160, 701):
+            try:
+                gallery = self._build_gallery(float(x)).fit()
+                gallery.save(path)
+            except EnexError:
+                refused += 1
+                continue
+            assert Gallery.load(path) == gallery, x
+        assert 0 < refused < 701
 
 
 class TestRandomizedOperations:
