@@ -79,6 +79,13 @@ class ManifestEntry:
             raise ManifestError("empty camera id")
         if "\0" in self.image + (self.mask or ""):
             raise ManifestError("a path holds a NUL byte")
+        for name in ("bbox_height", "bbox_width", "entrance_ref_height"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ManifestError(f"{name} must be at least 1, got {value}")
+        box, door = self.bbox_height, self.entrance_ref_height
+        if box is not None and door is not None and box > door:
+            raise ManifestError(f"bbox_height {box} exceeds entrance_ref_height {door}")
 
 
 MANIFEST_COLUMNS = tuple(f.name for f in fields(ManifestEntry))
@@ -124,14 +131,12 @@ _DIGITS = re.compile(r"[0-9]+")
 
 
 def _parse_metric(raw: str, column: str, where: str) -> int | None:
-    """An empty cell, or a pixel count of at least 1 written the way
-    ``write_manifest`` writes one."""
+    """An empty cell, or a pixel count written the way ``write_manifest``
+    writes one."""
     if raw == "":
         return None
     if not _DIGITS.fullmatch(raw):
         raise ManifestError(f"{where}: {column} must be an integer in digits 0-9, got {raw!r}")
-    if int(raw) < 1:
-        raise ManifestError(f"{where}: {column} must be at least 1, got {raw!r}")
     return int(raw)
 
 
@@ -163,9 +168,6 @@ def read_manifest(path: str | Path) -> DatasetManifest:
         record = dict(zip(MANIFEST_COLUMNS, row))
         for column in MANIFEST_COLUMNS[4:7]:
             record[column] = _parse_metric(record[column], column, where)
-        box, door = record["bbox_height"], record["entrance_ref_height"]
-        if box is not None and door is not None and box > door:
-            raise ManifestError(f"{where}: bbox_height {box} exceeds entrance_ref_height {door}")
         record["mask"] = record["mask"] or None
         record["camera_id"] = record["camera_id"] or "c1"
         try:

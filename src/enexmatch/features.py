@@ -16,11 +16,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .imaging import (
-    BodyRegions,
-    ChromaImage,
+    FRAME,
     Image,
     SilhouetteMask,
-    decompose_regions,
+    band_boundaries,
     normalize_size,
     rgb_to_ycbcr,
 )
@@ -33,6 +32,9 @@ SKIN_CB_RANGE = (77, 127)
 SKIN_CR_RANGE = (133, 173)
 
 HISTOGRAM_BINS = 24
+
+# The rows where the head band and the torso band of a normalized frame end.
+_HEAD_END, _TORSO_END = band_boundaries(FRAME[0])
 
 # The histogram key of each chroma value in each of the four blocks one
 # frame gives, torso-Cb, torso-Cr, legs-Cb and legs-Cr: block * bins + bin.
@@ -209,9 +211,9 @@ class FeatureBundle:
         )
 
 
-def clothing_histogram(regions: BodyRegions) -> ClothingHistogram:
-    """Chroma histograms over the torso and leg bands of one frame."""
-    torso, legs = regions.torso.planes, regions.legs.planes
+def clothing_histogram(torso: np.ndarray, legs: np.ndarray) -> ClothingHistogram:
+    """Chroma histograms over the torso and leg bands of one frame, each
+    a (2, rows, columns) uint8 array of Cb and Cr."""
     # Every byte indexes the 256-entry table, so "wrap" wraps nothing; it
     # only spares the bounds check that "raise" makes.
     blocks = enumerate((*torso, *legs))
@@ -252,28 +254,29 @@ def build_ratio(profile: np.ndarray) -> BuildFeature | None:
     return BuildFeature(peak / int(np.count_nonzero(counts >= BUILD_THRESHOLD * peak)))
 
 
-def skin_mask(region: ChromaImage) -> SilhouetteMask:
-    """Pixels whose chroma falls in the skin box (bounds inclusive)."""
-    cb, cr = region.planes
-    bits = (
+def skin_mask(region: np.ndarray) -> np.ndarray:
+    """Boolean map of the pixels of a (2, rows, columns) uint8 Cb/Cr band
+    whose chroma falls in the skin box (bounds inclusive)."""
+    cb, cr = region
+    return (
         (cb >= SKIN_CB_RANGE[0])
         & (cb <= SKIN_CB_RANGE[1])
         & (cr >= SKIN_CR_RANGE[0])
         & (cr <= SKIN_CR_RANGE[1])
     )
-    return SilhouetteMask(bits)
 
 
-def complexion(region: ChromaImage) -> ComplexionFeature:
-    """Mean chroma over skin pixels of the head band.
+def complexion(region: np.ndarray) -> ComplexionFeature:
+    """Mean chroma over skin pixels of the head band, a (2, rows, columns)
+    uint8 Cb/Cr array.
 
     Returns an invalid feature when the band shows no skin at all, which
     is the normal outcome for a subject walking away from the camera.
     """
     skin = skin_mask(region)
-    if not skin.bits.any():
+    if not skin.any():
         return ComplexionFeature((math.nan, math.nan), valid=False)
-    cb, cr = (float(plane[skin.bits].mean()) for plane in region.planes)
+    cb, cr = (float(plane[skin].mean()) for plane in region)
     return ComplexionFeature((cb, cr), valid=True)
 
 
@@ -284,12 +287,12 @@ def extract_bundle(sample: SubjectSample) -> FeatureBundle:
     and build come from the entrance box metrics and silhouette, and are
     left out when those are missing.
     """
-    regions = decompose_regions(rgb_to_ycbcr(normalize_size(sample.image)))
+    chroma = rgb_to_ycbcr(normalize_size(sample.image))
     return FeatureBundle(
-        clothing=clothing_histogram(regions),
+        clothing=clothing_histogram(chroma[:, _HEAD_END:_TORSO_END], chroma[:, _TORSO_END:]),
         height=extract_height(sample),
         build=None if sample.mask is None else build_ratio(vertical_projection(sample.mask)),
-        complexion=complexion(regions.head),
+        complexion=complexion(chroma[:, :_HEAD_END]),
     )
 
 

@@ -1,4 +1,4 @@
-"""Raster input, resampling, chroma conversion, and body-band splitting.
+"""Raster input, resampling, and chroma conversion.
 
 Only binary netpbm rasters are handled: P6 color images and P5 grayscale
 silhouette masks, both with maxval 255. Headers may carry ``#`` comments.
@@ -61,20 +61,6 @@ class Image:
 
 
 @dataclass(frozen=True)
-class ChromaImage:
-    """Cb and Cr planes of a raster, as one (2, height, width) uint8 array."""
-
-    planes: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = self.planes
-        if not isinstance(p, np.ndarray) or p.ndim != 3 or p.shape[0] != 2:
-            raise ValueError("planes must be a (2, height, width) array")
-        if p.dtype != np.uint8:
-            raise ValueError("planes must be uint8")
-
-
-@dataclass(frozen=True)
 class SilhouetteMask:
     """Boolean foreground map paired with an image of equal size."""
 
@@ -94,16 +80,6 @@ class SilhouetteMask:
     @property
     def width(self) -> int:
         return self.bits.shape[1]
-
-
-@dataclass(frozen=True)
-class BodyRegions:
-    """Head, torso, and leg bands cut from one normalized frame at the
-    rows ``band_boundaries`` gives for its height."""
-
-    head: ChromaImage
-    torso: ChromaImage
-    legs: ChromaImage
 
 
 def _read(path: str | Path, magic: bytes, depth: int) -> np.ndarray:
@@ -229,9 +205,10 @@ def normalize_size(image: Image) -> Image:
     return Image(out.astype(np.uint8))
 
 
-def rgb_to_ycbcr(image: Image) -> ChromaImage:
+def rgb_to_ycbcr(image: Image) -> np.ndarray:
     """Cb and Cr of the full-range BT.601 conversion, rounded half-up and
-    clamped to [0, 255], as one read-only planar array; no trait reads luma."""
+    clamped to [0, 255], as one read-only (2, rows, columns) uint8 array;
+    no trait reads luma."""
     rgb = np.ascontiguousarray(image.pixels.transpose(2, 0, 1), dtype=np.float64)
     r, g, b = rgb
     planes = np.empty((2, *r.shape))
@@ -254,7 +231,7 @@ def rgb_to_ycbcr(image: Image) -> ChromaImage:
     np.minimum(planes, 255.0, out=planes)
     chroma = planes.astype(np.uint8)
     chroma.flags.writeable = False
-    return ChromaImage(chroma)
+    return chroma
 
 
 def band_boundaries(height: int) -> tuple[int, int]:
@@ -270,13 +247,3 @@ def band_boundaries(height: int) -> tuple[int, int]:
     torso_end = max(head_end + 1, min(55 * height // 100, height - 1))
     return head_end, torso_end
 
-
-def decompose_regions(image: ChromaImage) -> BodyRegions:
-    """Split a normalized frame into head, torso, and leg bands."""
-    planes = image.planes
-    head_end, torso_end = band_boundaries(planes.shape[1])
-    return BodyRegions(
-        head=ChromaImage(planes[:, :head_end]),
-        torso=ChromaImage(planes[:, head_end:torso_end]),
-        legs=ChromaImage(planes[:, torso_end:]),
-    )

@@ -10,7 +10,6 @@ import numpy as np
 from enexmatch import (
     FEATURE_IDS,
     BuildFeature,
-    ChromaImage,
     ClassBlock,
     ClothingHistogram,
     ComplexionFeature,
@@ -19,6 +18,7 @@ from enexmatch import (
     HeightFeature,
     Image,
     SilhouetteMask,
+    band_boundaries,
 )
 from enexmatch.gallery import MAGIC
 
@@ -27,8 +27,15 @@ def random_image(rng: np.random.Generator, height: int = 128, width: int = 64) -
     return Image(rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8))
 
 
-def random_chroma(rng: np.random.Generator, height: int = 128, width: int = 64) -> ChromaImage:
-    return ChromaImage(rng.integers(0, 256, size=(2, height, width), dtype=np.uint8))
+def random_chroma(rng: np.random.Generator, height: int = 128, width: int = 64) -> np.ndarray:
+    return rng.integers(0, 256, size=(2, height, width), dtype=np.uint8)
+
+
+def bands(chroma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Head, torso and leg bands of a (2, rows, columns) frame, cut at
+    ``band_boundaries`` of its height."""
+    head_end, torso_end = band_boundaries(chroma.shape[1])
+    return chroma[:, :head_end], chroma[:, head_end:torso_end], chroma[:, torso_end:]
 
 
 def random_mask(

@@ -18,7 +18,6 @@ from enexmatch import (
     Gallery,
     SyntheticConfig,
     clothing_histogram,
-    decompose_regions,
     emit_report,
     evaluate,
     generate_synthetic,
@@ -30,6 +29,7 @@ from enexmatch import (
     vertical_projection,
 )
 from helpers import (
+    bands,
     class_block,
     enrolled_gallery,
     random_bundle,
@@ -68,10 +68,10 @@ class TestCriterion1:
 
         # Clothing histogram against a per-pixel counting loop.
         for trial in range(50):
-            regions = decompose_regions(random_chroma(rng, 128, 64))
+            _, torso, legs = bands(random_chroma(rng, 128, 64))
             expected = []
-            for region in (regions.torso, regions.legs):
-                for plane in region.planes:
+            for region in (torso, legs):
+                for plane in region:
                     counts = [0] * 24
                     total = 0
                     for row in plane:
@@ -79,7 +79,7 @@ class TestCriterion1:
                             counts[int(value) * 24 // 256] += 1
                             total += 1
                     expected.extend(c / total if total else 0.0 for c in counts)
-            got = clothing_histogram(regions).values
+            got = clothing_histogram(torso, legs).values
             if not np.array_equal(got, np.array(expected)):
                 failures.append(f"histogram mismatch on trial {trial}")
                 break

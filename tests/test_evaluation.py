@@ -123,12 +123,34 @@ class TestManifestIO:
             ({"camera_id": ""}, "empty camera id"),
             ({"image": "a\0.ppm"}, "a path holds a NUL byte"),
             ({"mask": "m\0.pgm"}, "a path holds a NUL byte"),
+            ({"bbox_height": 0}, "bbox_height must be at least 1, got 0"),
+            ({"bbox_width": 0}, "bbox_width must be at least 1, got 0"),
+            ({"entrance_ref_height": 0}, "entrance_ref_height must be at least 1, got 0"),
+            (
+                {"bbox_height": 201, "entrance_ref_height": 200},
+                "bbox_height 201 exceeds entrance_ref_height 200",
+            ),
         ],
-        ids=["label", "role", "view", "image", "mask", "camera_id", "image_nul", "mask_nul"],
+        ids=[
+            "label",
+            "role",
+            "view",
+            "image",
+            "mask",
+            "camera_id",
+            "image_nul",
+            "mask_nul",
+            "bbox_height_zero",
+            "bbox_width_zero",
+            "entrance_ref_height_zero",
+            "box_over_entrance",
+        ],
     )
     def test_entry_built_in_code_follows_the_row_rules(self, fields, message):
         # Unchecked, a role typo left the row out of both gallery_bundles
-        # and probe_bundles, and an empty camera id read back as "c1".
+        # and probe_bundles, an empty camera id read back as "c1", and a
+        # metric below 1 or a box taller than its entrance was written
+        # to a manifest that read_manifest then refused.
         row = {"label": "s001", "role": "gallery", "image": "a.ppm", **fields}
         with pytest.raises(ManifestError, match=re.escape(message)):
             ManifestEntry(**row)
@@ -309,13 +331,7 @@ class TestManifestIO:
 
     @pytest.mark.parametrize(
         "fields",
-        [
-            {"mask": "small.pgm"},
-            {"bbox_height": 0},
-            {"entrance_ref_height": 0},
-            {"bbox_height": 201, "entrance_ref_height": 200},
-            {"mask": "gone.pgm"},
-        ],
+        [{"mask": "small.pgm"}, {"mask": "gone.pgm"}],
     )
     def test_inconsistent_row_fails_at_load(self, tmp_path, fields):
         image = Image(np.zeros((6, 4, 3), dtype=np.uint8))

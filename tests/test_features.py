@@ -5,34 +5,35 @@ import numpy as np
 import pytest
 
 from enexmatch import (
-    BodyRegions,
     BuildFeature,
-    ChromaImage,
     ClothingHistogram,
     ComplexionFeature,
     FeatureBundle,
     Image,
     SilhouetteMask,
     SubjectSample,
+    band_boundaries,
     build_ratio,
     clothing_histogram,
     complexion,
-    decompose_regions,
     extract_bundle,
     extract_height,
     fuse_bundles,
+    normalize_size,
+    rgb_to_ycbcr,
     skin_mask,
     vertical_projection,
 )
 from enexmatch.features import BUILD_THRESHOLD
-from helpers import held_traits, random_bundle, random_chroma, random_image, random_mask
+from enexmatch.imaging import FRAME
+from helpers import bands, held_traits, random_bundle, random_chroma, random_image, random_mask
 
 
-def histogram_reference(regions: BodyRegions) -> np.ndarray:
+def histogram_reference(torso: np.ndarray, legs: np.ndarray) -> np.ndarray:
     """Count pixels one at a time, the way the histogram is defined."""
     out = []
-    for region in (regions.torso, regions.legs):
-        for plane in region.planes:
+    for region in (torso, legs):
+        for plane in region:
             counts = [0] * 24
             total = 0
             for row in plane:
@@ -46,7 +47,7 @@ def histogram_reference(regions: BodyRegions) -> np.ndarray:
     return np.array(out)
 
 
-def per_block_histogram(regions: BodyRegions) -> np.ndarray:
+def per_block_histogram(torso: np.ndarray, legs: np.ndarray) -> np.ndarray:
     """Frozen copy of the histogram as one bincount per block, each divided
     by its band's pixel count."""
 
@@ -58,20 +59,19 @@ def per_block_histogram(regions: BodyRegions) -> np.ndarray:
         counts = np.bincount(idx, minlength=24).astype(np.float64)
         return counts / values.size
 
-    torso, legs = regions.torso.planes, regions.legs.planes
     return np.concatenate([block(torso[0]), block(torso[1]), block(legs[0]), block(legs[1])])
 
 
 class TestClothingHistogram:
     def test_matches_counting_reference(self):
         rng = np.random.default_rng(50)
-        regions = decompose_regions(random_chroma(rng))
-        hist = clothing_histogram(regions)
-        assert np.array_equal(hist.values, histogram_reference(regions))
+        _, torso, legs = bands(random_chroma(rng))
+        hist = clothing_histogram(torso, legs)
+        assert np.array_equal(hist.values, histogram_reference(torso, legs))
 
     def test_shape_and_block_sums(self):
         rng = np.random.default_rng(51)
-        hist = clothing_histogram(decompose_regions(random_chroma(rng)))
+        hist = clothing_histogram(*bands(random_chroma(rng))[1:])
         assert hist.values.shape == (96,)
         sums = hist.values.reshape(4, 24).sum(axis=1)
         assert sums == pytest.approx([1.0, 1.0, 1.0, 1.0])
@@ -79,7 +79,7 @@ class TestClothingHistogram:
     @pytest.mark.parametrize("value,bin_index", [(0, 0), (128, 12), (200, 18), (255, 23)])
     def test_bin_placement(self, value, bin_index):
         planes = np.full((2, 128, 64), value, dtype=np.uint8)
-        hist = clothing_histogram(decompose_regions(ChromaImage(planes)))
+        hist = clothing_histogram(*bands(planes)[1:])
         for block in hist.values.reshape(4, 24):
             assert block[bin_index] == 1.0
             assert block.sum() == 1.0
@@ -87,20 +87,19 @@ class TestClothingHistogram:
     def test_mirror_invariance(self):
         rng = np.random.default_rng(52)
         image = random_chroma(rng)
-        mirrored = ChromaImage(image.planes[:, :, ::-1].copy())
-        a = clothing_histogram(decompose_regions(image))
-        b = clothing_histogram(decompose_regions(mirrored))
+        mirrored = image[:, :, ::-1].copy()
+        a = clothing_histogram(*bands(image)[1:])
+        b = clothing_histogram(*bands(mirrored)[1:])
         assert np.array_equal(a.values, b.values)
 
     def test_empty_band_gives_zero_block(self):
         rng = np.random.default_rng(53)
         image = random_chroma(rng, 12, 8)
-        empty = ChromaImage(image.planes[:, :0])
-        regions = BodyRegions(head=empty, torso=empty, legs=image)
-        hist = clothing_histogram(regions)
+        empty = image[:, :0]
+        hist = clothing_histogram(empty, image)
         assert np.all(hist.values[:48] == 0.0)
         assert hist.values[48:].reshape(2, 24).sum(axis=1) == pytest.approx([1.0, 1.0])
-        assert np.array_equal(hist.values, per_block_histogram(regions))
+        assert np.array_equal(hist.values, per_block_histogram(empty, image))
 
     def test_one_bincount_matches_the_per_block_histogram(self):
         # Seeded frames of every band layout from 3 to 130 rows, some with
@@ -110,10 +109,10 @@ class TestClothingHistogram:
             height = 3 + trial % 128
             image = random_chroma(rng, height, int(rng.integers(1, 80)))
             if trial % 3 == 0:
-                image = ChromaImage(image.planes // 64 * 64)
-            regions = decompose_regions(image)
-            hist = clothing_histogram(regions)
-            assert np.array_equal(hist.values, per_block_histogram(regions))
+                image = image // 64 * 64
+            _, torso, legs = bands(image)
+            hist = clothing_histogram(torso, legs)
+            assert np.array_equal(hist.values, per_block_histogram(torso, legs))
 
     def test_rejects_denormalized_values(self):
         with pytest.raises(ValueError):
@@ -200,8 +199,8 @@ class TestComplexion:
         planes = np.zeros((2, 2, 2), dtype=np.uint8)
         planes[0] = 100
         planes[1] = 150
-        mask = skin_mask(ChromaImage(planes))
-        assert mask.bits.all()
+        mask = skin_mask(planes)
+        assert mask.all()
 
     @pytest.mark.parametrize(
         "cb,cr,inside",
@@ -216,7 +215,7 @@ class TestComplexion:
     )
     def test_box_bounds_inclusive(self, cb, cr, inside):
         planes = np.array([cb, cr], dtype=np.uint8).reshape(2, 1, 1)
-        assert skin_mask(ChromaImage(planes)).bits[0, 0] == inside
+        assert skin_mask(planes)[0, 0] == inside
 
     def test_means_inside_box_when_valid(self):
         rng = np.random.default_rng(70)
@@ -234,14 +233,14 @@ class TestComplexion:
         planes = np.zeros((2, 4, 4), dtype=np.uint8)
         planes[0] = 110
         planes[1] = 100
-        feature = complexion(ChromaImage(planes))
+        feature = complexion(planes)
         assert not feature.valid
         assert math.isnan(feature.means[0])
 
     def test_mean_over_skin_pixels_only(self):
         planes = np.zeros((2, 1, 2), dtype=np.uint8)
         planes[:, 0, 0] = (100, 150)
-        feature = complexion(ChromaImage(planes))
+        feature = complexion(planes)
         assert feature.valid
         assert (feature.means[0], feature.means[1]) == (100.0, 150.0)
 
@@ -309,6 +308,21 @@ class TestExtractBundle:
         finally:
             tracemalloc.stop()
         assert peak <= 0.7 * 651 * 1024
+
+    @pytest.mark.parametrize("height, width", [FRAME, (17, 9), (256, 128), (300, 40)])
+    def test_is_its_steps_composed(self, height, width):
+        # Every frame is cut at the bands of the normalized height.
+        head_end, torso_end = band_boundaries(FRAME[0])
+        rng = np.random.default_rng(height * 1000 + width)
+        for _ in range(5):
+            image = random_image(rng, height, width)
+            chroma = rgb_to_ycbcr(normalize_size(image))
+            clothing = clothing_histogram(chroma[:, head_end:torso_end], chroma[:, torso_end:])
+            skin = complexion(chroma[:, :head_end])
+            bundle = extract_bundle(SubjectSample(image=image))
+            assert bundle.clothing.values.tobytes() == clothing.values.tobytes()
+            assert bundle.complexion.valid == skin.valid
+            assert np.array(bundle.complexion.means).tobytes() == np.array(skin.means).tobytes()
 
     def test_normalization_makes_input_size_irrelevant(self):
         pixels = np.full((128, 64, 3), 90, dtype=np.uint8)

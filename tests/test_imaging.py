@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from enexmatch import (
-    ChromaImage,
     DegenerateImageError,
     DimensionOverflowError,
     EnexError,
@@ -13,7 +12,6 @@ from enexmatch import (
     ImagePayloadError,
     SilhouetteMask,
     band_boundaries,
-    decompose_regions,
     load_image,
     load_mask,
     normalize_size,
@@ -336,18 +334,18 @@ class TestColorConversion:
     )
     def test_known_triples(self, rgb, expected):
         image = Image(np.full((1, 1, 3), rgb, dtype=np.uint8))
-        assert tuple(rgb_to_ycbcr(image).planes[:, 0, 0]) == expected
+        assert tuple(rgb_to_ycbcr(image)[:, 0, 0]) == expected
 
     def test_gray_axis_maps_to_neutral_chroma(self):
         values = np.arange(256, dtype=np.uint8)
         image = Image(np.repeat(values, 3).reshape(1, 256, 3))
-        planes = rgb_to_ycbcr(image).planes
+        planes = rgb_to_ycbcr(image)
         assert np.all(planes == 128)
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(31)
         image = random_image(rng, 6, 7)
-        planes = rgb_to_ycbcr(image).planes
+        planes = rgb_to_ycbcr(image)
         for i in range(6):
             for j in range(7):
                 r, g, b = (float(v) for v in image.pixels[i, j])
@@ -367,15 +365,15 @@ class TestColorConversion:
             cb = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
             cr = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
             expected = np.clip(np.floor(np.stack([cb, cr]) + 0.5), 0, 255)
-            planes = rgb_to_ycbcr(image).planes
+            planes = rgb_to_ycbcr(image)
             assert np.array_equal(planes.reshape(2, -1), expected.astype(np.uint8))
 
     def test_preserves_shape(self):
         rng = np.random.default_rng(32)
         image = random_image(rng, 10, 20)
         out = rgb_to_ycbcr(image)
-        assert out.planes.shape == (2, 10, 20)
-        assert not out.planes.flags.writeable
+        assert out.shape == (2, 10, 20)
+        assert not out.flags.writeable
 
 
 class TestBodyBands:
@@ -395,12 +393,5 @@ class TestBodyBands:
             assert 0 < head_end < torso_end < height
 
     def test_decompose_slices(self):
-        rng = np.random.default_rng(41)
-        image = ChromaImage(rng.integers(0, 256, (2, 128, 64), dtype=np.uint8))
-        regions = decompose_regions(image)
-        assert band_boundaries(128) == (22, 70)
-        assert np.array_equal(regions.head.planes, image.planes[:, :22])
-        assert np.array_equal(regions.torso.planes, image.planes[:, 22:70])
-        assert np.array_equal(regions.legs.planes, image.planes[:, 70:])
-        for region in (regions.head, regions.torso, regions.legs):
-            assert np.shares_memory(region.planes, image.planes)
+        # Extraction cuts every normalized frame at these rows.
+        assert band_boundaries(FRAME[0]) == band_boundaries(128) == (22, 70)
